@@ -17,7 +17,7 @@ from io import StringIO
 
 import click
 
-from . import formulas
+from . import __version__, formulas
 from .complexes import (
     BuildBudgetExceeded,
     build_flag,
@@ -534,14 +534,18 @@ def report_clean(r: Report) -> bool:
     return True
 
 
-def _subset_arg(text: str) -> Subset:
+def _subset_args(text: str) -> tuple[Subset]:
     sc = _Scanner(text.strip())
     elems = _parse_set(sc, MAX_GROUND)
     if sc.pos != len(sc.text):
         raise SpecParseError("trailing input", sc.pos, ("end of set",))
     if not elems:
         raise click.UsageError("this formula needs a nonempty subset")
-    return Subset.of(elems, max(elems))
+    return (Subset.of(elems, max(elems)),)
+
+
+def _m_args(text: str) -> tuple[int]:
+    return (int(text),)
 
 
 def _mn_args(text: str) -> tuple[int, int]:
@@ -551,141 +555,35 @@ def _mn_args(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _increment_terms(gaps: tuple[int, ...], n: int) -> list[tuple[str, int]]:
-    from math import comb
+def _prefix_args(text: str) -> tuple[int, Subset]:
+    head, _, tail = text.partition(";")
+    if not tail:
+        raise click.UsageError(f"expected 'm;{{elements}}', got {text!r}")
+    m = int(head)
+    return m, Subset.of(_parse_set(_Scanner(tail.strip()), m), m)
 
-    out = [(f"C({k},2)", comb(k, 2)) for k in range(2, n - 1)]
-    out += [
-        (f"gap[{l}]*C({n-l},2)", gaps[l - 1] * comb(n - l, 2))
-        for l in range(1, n - 1)
+
+# name -> (argument parser, value function, term function or None)
+_FORMULAS = {
+    name: (parse, getattr(formulas, name), getattr(formulas, f"{name}_terms", None))
+    for name, parse in [
+        ("prefix_increment", _subset_args),
+        ("skip_increment", _subset_args),
+        ("layer_increment", _mn_args),
+        ("power_betti3", _m_args),
+        ("uniform_betti2", _mn_args),
+        ("adjacent_pair_betti2", _mn_args),
+        ("prefix_betti3", _prefix_args),
+        ("upto_betti3", _mn_args),
+        ("skip_layer_sum", _mn_args),
+        ("skip_pair_betti3", _mn_args),
+        ("cross_polytope_sphere_dim", _mn_args),
     ]
-    return out
-
-
-def _formula_registry() -> dict:
-    from math import comb
-
-    def subset_terms(fn):
-        def run(argtext):
-            a = _subset_arg(argtext)
-            gaps = (
-                formulas.gap_vector(a).zero_based
-                if fn is formulas.prefix_increment
-                else formulas.gap_vector(a).one_based
-            )
-            return fn(a), _increment_terms(gaps, a.size)
-
-        return run
-
-    def layer_increment(argtext):
-        m, n = _mn_args(argtext)
-        from itertools import combinations
-
-        terms = [
-            ("{" + ",".join(map(str, c)) + "}",
-             formulas.prefix_increment(Subset.of(c, m)))
-            for c in combinations(range(1, m + 1), n)
-        ]
-        return formulas.layer_increment(m, n), terms
-
-    def power_betti3(argtext):
-        m = int(argtext)
-        value = formulas.power_betti3(m)
-        terms = [
-            (f"(i={i},j={j})", (j + 1) * (2 ** (m - 2) - 2 ** (i - 1)))
-            for i in range(1, m)
-            for j in range(0, i)
-        ]
-        return value, terms
-
-    def uniform_betti2(argtext):
-        m, n = _mn_args(argtext)
-        value = formulas.uniform_betti2(m, n)
-        terms = [
-            (f"k={k}", comb(m + k - 1 - n, k + 1) * comb(k, 2))
-            for k in range(2, n + 1)
-        ]
-        return value, terms
-
-    def adjacent_pair_betti2(argtext):
-        m, n = _mn_args(argtext)
-        value = formulas.adjacent_pair_betti2(m, n)
-        terms = [
-            ("single_layer", formulas.uniform_betti2(m, n)),
-            (f"C({m},{n+2})*C({n+1},2)", comb(m, n + 2) * comb(n + 1, 2)),
-        ]
-        return value, terms
-
-    def prefix_betti3(argtext):
-        head, _, tail = argtext.partition(";")
-        if not tail:
-            raise click.UsageError(f"expected 'm;{{elements}}', got {argtext!r}")
-        m = int(head)
-        sc = _Scanner(tail.strip())
-        elems = _parse_set(sc, m)
-        a = Subset.of(elems, m)
-        value = formulas.prefix_betti3(m, a)
-        # every subset of size >= 3 is at or after the least 3-set under
-        # the order, so the size filter alone selects the summation range
-        terms = [
-            (str(b), formulas.prefix_increment(b))
-            for b in gen_prefix(m, a).vertices
-            if b.size >= 3
-        ]
-        return value, terms
-
-    def upto_betti3(argtext):
-        m, n = _mn_args(argtext)
-        value = formulas.upto_betti3(m, n)
-        terms = [
-            (f"layer {k}", formulas.layer_increment(m, k))
-            for k in range(3, n + 1)
-        ]
-        return value, terms
-
-    def skip_layer_sum(argtext):
-        m, n = _mn_args(argtext)
-        from itertools import combinations
-
-        value = formulas.skip_layer_sum(m, n)
-        terms = [
-            ("{" + ",".join(map(str, c)) + "}",
-             formulas.skip_increment(Subset.of(c, m)))
-            for c in combinations(range(2, m + 1), n + 2)
-        ]
-        return value, terms
-
-    def skip_pair_betti3(argtext):
-        m, n = _mn_args(argtext)
-        value = formulas.skip_pair_betti3(m, n)
-        terms = [
-            (f"k={k}: layers ({m+k-n},{k})", formulas.skip_layer_sum(m + k - n, k))
-            for k in range(2, n + 1)
-        ]
-        terms.append((f"C({m+1-n},4)", comb(m + 1 - n, 4)))
-        return value, terms
-
-    def cross_polytope_sphere_dim(argtext):
-        m, n = _mn_args(argtext)
-        return formulas.cross_polytope_sphere_dim(m, n), []
-
-    return {
-        "prefix_increment": subset_terms(formulas.prefix_increment),
-        "skip_increment": subset_terms(formulas.skip_increment),
-        "layer_increment": layer_increment,
-        "power_betti3": power_betti3,
-        "uniform_betti2": uniform_betti2,
-        "adjacent_pair_betti2": adjacent_pair_betti2,
-        "prefix_betti3": prefix_betti3,
-        "upto_betti3": upto_betti3,
-        "skip_layer_sum": skip_layer_sum,
-        "skip_pair_betti3": skip_pair_betti3,
-        "cross_polytope_sphere_dim": cross_polytope_sphere_dim,
-    }
+}
 
 
 @click.group(name="vrlat")
-@click.version_option(package_name="vrlat")
+@click.version_option(version=__version__, prog_name="vrlat")
 def main():
     """Rips complexes of set families under the symmetric-difference metric."""
 
@@ -713,16 +611,11 @@ def homology(family_text, scale, max_dim, coeff, fmt, max_simplices):
     if entry.status == "skipped":
         raise click.ClickException(entry.detail or "budget exceeded")
     if fmt == "json":
-        doc = {
-            "family": entry.spec,
-            "scale": entry.scale,
-            "coeff": entry.coeff,
-            "betti": list(entry.betti),
-            "complete_through": entry.complete_through,
-            "chi": entry.chi,
-        }
-        if entry.torsion is not None:
-            doc["torsion"] = [list(t) for t in entry.torsion]
+        full = _entry_dict(entry, False)
+        keep = (
+            "family", "scale", "coeff", "betti", "complete_through", "chi", "torsion"
+        )
+        doc = {k: full[k] for k in keep if k in full}
         click.echo(json.dumps(doc, separators=(",", ":")))
     else:
         click.echo(emit_report(Report((entry,)), fmt).decode(), nl=False)
@@ -790,21 +683,20 @@ def verify(suite, m_max, budget_ms, max_simplices, max_dim, fmt, no_timing):
 @click.option("--show-terms", is_flag=True)
 def formula(name, argtext, show_terms):
     """Evaluate a closed-form count; optionally list its term decomposition."""
-    registry = _formula_registry()
-    if name not in registry:
+    if name not in _FORMULAS:
         raise click.UsageError(
-            f"unknown formula {name!r}; available: {', '.join(sorted(registry))}"
+            f"unknown formula {name!r}; available: {', '.join(sorted(_FORMULAS))}"
         )
+    parse, value_fn, terms_fn = _FORMULAS[name]
     try:
-        value, terms = registry[name](argtext)
-    except SpecParseError as e:
-        raise click.UsageError(str(e))
-    except ValueError as e:
+        args = parse(argtext)
+        value = value_fn(*args)
+        terms = terms_fn(*args) if show_terms and terms_fn else []
+    except ValueError as e:  # SpecParseError included
         raise click.UsageError(str(e))
     click.echo(str(value))
-    if show_terms:
-        for label, term_value in terms:
-            click.echo(f"  {label} = {term_value}")
+    for template, label_args, term_value in terms:
+        click.echo(f"  {template.format(*label_args)} = {term_value}")
 
 
 @main.command("check-sc")

@@ -176,11 +176,11 @@ def _degeneracy_order(adj: tuple[int, ...], n: int) -> list[int]:
     return order
 
 
-def maximal_simplices_bk(f: SetFamily, r: int, progress=None) -> list[Simplex]:
+def maximal_simplices_bk(f: SetFamily, r: int) -> list[Simplex]:
     """Facets of the scale-r complex by pivoted Bron-Kerbosch enumeration.
 
     Deterministic: outer loop in degeneracy order, pivot ties broken by
-    index.  progress, if given, is called with the running facet count.
+    index.
     """
     n = len(f.vertices)
     if n == 0:
@@ -191,8 +191,6 @@ def maximal_simplices_bk(f: SetFamily, r: int, progress=None) -> list[Simplex]:
     def expand(clique: int, candidates: int, excluded: int) -> None:
         if candidates == 0 and excluded == 0:
             facets.append(clique)
-            if progress is not None and len(facets) % 500 == 0:
-                progress(len(facets))
             return
         pool = candidates | excluded
         pivot = max(_bits(pool), key=lambda u: (candidates & adj[u]).bit_count())

@@ -16,6 +16,12 @@ the oracles that the homology pipeline is checked against:
 The per-vertex building blocks (prefix_increment, skip_increment) count how
 many new spheres appear when a single vertex is appended to a growing
 family; they are driven by the gap structure of the vertex's element list.
+
+Every count except cross_polytope_sphere_dim is defined by NAME_terms,
+which checks the domain and returns the summands as (label template,
+label args, value) triples; NAME itself is the sum of the values.  Labels
+are only formatted by `vrlat formula --show-terms`, so the oracle path
+never builds a string.
 """
 
 import math
@@ -24,13 +30,7 @@ from itertools import combinations
 
 from .setfam import Subset
 
-
-def _ranged_sum(lo: int, hi: int, term) -> int:
-    """Sum of term(i) for lo <= i <= hi; zero when the range is empty.
-
-    Single home of the empty-sum convention used by every formula below.
-    """
-    return sum(term(i) for i in range(lo, hi + 1))
+Term = tuple[str, tuple, int]
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,24 @@ def gap_vector(a: Subset) -> GapVector:
     return GapVector(tuple(zero_based), tuple(one_based))
 
 
-def _increment(a: Subset, gaps: tuple[int, ...]) -> int:
+def _total(terms: list[Term]) -> int:
+    return sum(value for _, _, value in terms)
+
+
+def _gap_terms(a: Subset, gaps: tuple[int, ...]) -> list[Term]:
     n = a.size
     if n < 3:
         raise ValueError("increment counts are defined for subsets of size >= 3")
-    base = _ranged_sum(2, n - 2, lambda k: math.comb(k, 2))
-    weighted = _ranged_sum(1, n - 2, lambda l: gaps[l - 1] * math.comb(n - l, 2))
-    return base + weighted
+    terms = [("C({},2)", (k,), math.comb(k, 2)) for k in range(2, n - 1)]
+    terms += [
+        ("gap[{}]*C({},2)", (l, n - l), gaps[l - 1] * math.comb(n - l, 2))
+        for l in range(1, n - 1)
+    ]
+    return terms
+
+
+def prefix_increment_terms(a: Subset) -> list[Term]:
+    return _gap_terms(a, gap_vector(a).zero_based)
 
 
 def prefix_increment(a: Subset) -> int:
@@ -81,7 +92,11 @@ def prefix_increment(a: Subset) -> int:
     Equivalently, the number of 2-spheres in the link of a inside the
     scale-2 complex on the prefix family.  Uses the zero-based gap vector.
     """
-    return _increment(a, gap_vector(a).zero_based)
+    return _total(prefix_increment_terms(a))
+
+
+def skip_increment_terms(a: Subset) -> list[Term]:
+    return _gap_terms(a, gap_vector(a).one_based)
 
 
 def skip_increment(a: Subset) -> int:
@@ -89,7 +104,16 @@ def skip_increment(a: Subset) -> int:
 
     Satisfies prefix_increment(a) == skip_increment(a) + C(|a| - 1, 2).
     """
-    return _increment(a, gap_vector(a).one_based)
+    return _total(skip_increment_terms(a))
+
+
+def layer_increment_terms(m: int, n: int) -> list[Term]:
+    if n < 3:
+        raise ValueError("increment counts are defined for subsets of size >= 3")
+    if n > m:
+        raise ValueError("empty parameter range")
+    subsets = (Subset.of(c, m) for c in combinations(range(1, m + 1), n))
+    return [("{}", (b,), prefix_increment(b)) for b in subsets]
 
 
 def layer_increment(m: int, n: int) -> int:
@@ -98,13 +122,17 @@ def layer_increment(m: int, n: int) -> int:
     The number of 3-spheres added when the whole cardinality-n layer is
     appended to the family of all smaller subsets.
     """
-    if n < 3:
-        raise ValueError("increment counts are defined for subsets of size >= 3")
-    if n > m:
-        raise ValueError("empty parameter range")
-    return sum(
-        prefix_increment(Subset.of(c, m)) for c in combinations(range(1, m + 1), n)
-    )
+    return _total(layer_increment_terms(m, n))
+
+
+def power_betti3_terms(m: int) -> list[Term]:
+    if m < 3:
+        raise ValueError("power-set count defined for m >= 3")
+    return [
+        ("(i={},j={})", (i, j), (j + 1) * (2 ** (m - 2) - 2 ** (i - 1)))
+        for i in range(1, m)
+        for j in range(i)
+    ]
 
 
 def power_betti3(m: int) -> int:
@@ -113,13 +141,16 @@ def power_betti3(m: int) -> int:
     Closed form; equals the sum of layer_increment(m, k) for k = 3..m,
     which the tests verify.
     """
-    if m < 3:
-        raise ValueError("power-set count defined for m >= 3")
-    return _ranged_sum(
-        1,
-        m - 1,
-        lambda i: _ranged_sum(0, i - 1, lambda j: (j + 1) * (2 ** (m - 2) - 2 ** (i - 1))),
-    )
+    return _total(power_betti3_terms(m))
+
+
+def uniform_betti2_terms(m: int, n: int) -> list[Term]:
+    if not 1 < n < m - 1:
+        raise ValueError("contractible regime")
+    return [
+        ("k={}", (k,), math.comb(m + k - 1 - n, k + 1) * math.comb(k, 2))
+        for k in range(2, n + 1)
+    ]
 
 
 def uniform_betti2(m: int, n: int) -> int:
@@ -129,18 +160,40 @@ def uniform_betti2(m: int, n: int) -> int:
     give contractible complexes.  For n = 2 the value collapses to
     C(m - 1, 3).
     """
+    return _total(uniform_betti2_terms(m, n))
+
+
+def adjacent_pair_betti2_terms(m: int, n: int) -> list[Term]:
     if not 1 < n < m - 1:
         raise ValueError("contractible regime")
-    return _ranged_sum(
-        2, n, lambda k: math.comb(m + k - 1 - n, k + 1) * math.comb(k, 2)
-    )
+    return [
+        ("single_layer", (), uniform_betti2(m, n)),
+        (
+            "C({},{})*C({},2)",
+            (m, n + 2, n + 1),
+            math.comb(m, n + 2) * math.comb(n + 1, 2),
+        ),
+    ]
 
 
 def adjacent_pair_betti2(m: int, n: int) -> int:
     """2-spheres for the union of the n- and (n+1)-layers at scale 2."""
-    if not 1 < n < m - 1:
-        raise ValueError("contractible regime")
-    return uniform_betti2(m, n) + math.comb(m, n + 2) * math.comb(n + 1, 2)
+    return _total(adjacent_pair_betti2_terms(m, n))
+
+
+def prefix_betti3_terms(m: int, a: Subset) -> list[Term]:
+    if a.m != m:
+        raise ValueError("ground-set mismatch")
+    n = a.size
+    # combinations by size, lexicographic within a size, is the total
+    # order of the prefix family, so no sort is needed
+    subsets = (
+        Subset.of(c, m)
+        for k in range(3, n + 1)
+        for c in combinations(range(1, m + 1), k)
+        if k < n or c <= a.elements
+    )
+    return [("{}", (b,), prefix_increment(b)) for b in subsets]
 
 
 def prefix_betti3(m: int, a: Subset) -> int:
@@ -150,18 +203,13 @@ def prefix_betti3(m: int, a: Subset) -> int:
     order.  Prefixes ending at a subset of size <= 2 are contractible, so
     they count zero.
     """
-    if a.m != m:
-        raise ValueError("ground-set mismatch")
-    n = a.size
-    if n < 3:
-        return 0
-    below = _ranged_sum(3, n - 1, lambda k: layer_increment(m, k))
-    same_layer = sum(
-        prefix_increment(Subset.of(c, m))
-        for c in combinations(range(1, m + 1), n)
-        if c <= a.elements
-    )
-    return below + same_layer
+    return _total(prefix_betti3_terms(m, a))
+
+
+def upto_betti3_terms(m: int, n: int) -> list[Term]:
+    if not 0 <= n <= m:
+        raise ValueError("empty parameter range")
+    return [("layer {}", (k,), layer_increment(m, k)) for k in range(3, n + 1)]
 
 
 def upto_betti3(m: int, n: int) -> int:
@@ -170,11 +218,14 @@ def upto_betti3(m: int, n: int) -> int:
     Zero for n <= 2 (the empty set is then within scale of every vertex,
     so the complex is a cone).
     """
-    if not 0 <= n <= m:
-        raise ValueError("empty parameter range")
-    if n < 3:
-        return 0
-    return _ranged_sum(3, n, lambda k: layer_increment(m, k))
+    return _total(upto_betti3_terms(m, n))
+
+
+def skip_layer_sum_terms(m: int, n: int) -> list[Term]:
+    if n < 2 or n + 2 > m:
+        raise ValueError("out of range")
+    subsets = (Subset.of(c, m) for c in combinations(range(2, m + 1), n + 2))
+    return [("{}", (b,), skip_increment(b)) for b in subsets]
 
 
 def skip_layer_sum(m: int, n: int) -> int:
@@ -183,11 +234,20 @@ def skip_layer_sum(m: int, n: int) -> int:
     The top-block contribution in the two-layer recursion behind
     skip_pair_betti3; requires n >= 2 and n + 2 <= m.
     """
-    if n < 2 or n + 2 > m:
+    return _total(skip_layer_sum_terms(m, n))
+
+
+def skip_pair_betti3_terms(m: int, n: int) -> list[Term]:
+    if n == 0:
+        return []
+    if n < 0 or n + 2 > m:
         raise ValueError("out of range")
-    return sum(
-        skip_increment(Subset.of(c, m)) for c in combinations(range(2, m + 1), n + 2)
-    )
+    terms = [
+        ("k={}: layers ({},{})", (k, m + k - n, k), skip_layer_sum(m + k - n, k))
+        for k in range(2, n + 1)
+    ]
+    terms.append(("C({},4)", (m + 1 - n,), math.comb(m + 1 - n, 4)))
+    return terms
 
 
 def skip_pair_betti3(m: int, n: int) -> int:
@@ -199,12 +259,7 @@ def skip_pair_betti3(m: int, n: int) -> int:
     where complement symmetry or a cone vertex settles the homotopy type,
     and the tests pin those cases against computed homology.
     """
-    if n == 0:
-        return 0
-    if n < 0 or n + 2 > m:
-        raise ValueError("out of range")
-    recursed = _ranged_sum(2, n, lambda k: skip_layer_sum(m + k - n, k))
-    return recursed + math.comb(m + 1 - n, 4)
+    return _total(skip_pair_betti3_terms(m, n))
 
 
 def cross_polytope_sphere_dim(m: int, n: int) -> int:

@@ -1,6 +1,7 @@
 """Spec grammar, report plumbing, and the command-line surface."""
 
 import json
+from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
@@ -300,6 +301,82 @@ class TestThreeLayerCheck:
             run_three_layer_check(4, 1)
 
 
+# `formula NAME --args ARGS --show-terms` output, one case per term formula
+FORMULA_TERMS = {
+    "prefix_increment": ("{2,3,5}", "2\n  gap[1]*C(2,2) = 2\n"),
+    "skip_increment": ("{2,3,5}", "1\n  gap[1]*C(2,2) = 1\n"),
+    "layer_increment": (
+        "5,4",
+        "24\n"
+        "  {1,2,3,4} = 4\n"
+        "  {1,2,3,5} = 4\n"
+        "  {1,2,4,5} = 4\n"
+        "  {1,3,4,5} = 5\n"
+        "  {2,3,4,5} = 7\n",
+    ),
+    "power_betti3": (
+        "4",
+        "9\n"
+        "  (i=1,j=0) = 3\n"
+        "  (i=2,j=0) = 2\n"
+        "  (i=2,j=1) = 4\n"
+        "  (i=3,j=0) = 0\n"
+        "  (i=3,j=1) = 0\n"
+        "  (i=3,j=2) = 0\n",
+    ),
+    "uniform_betti2": ("6,3", "19\n  k=2 = 4\n  k=3 = 15\n"),
+    "adjacent_pair_betti2": (
+        "6,3",
+        "55\n  single_layer = 19\n  C(6,5)*C(4,2) = 36\n",
+    ),
+    "prefix_betti3": (
+        "5;{1,2,3,4}",
+        "19\n"
+        "  {1,2,3} = 1\n"
+        "  {1,2,4} = 1\n"
+        "  {1,2,5} = 1\n"
+        "  {1,3,4} = 1\n"
+        "  {1,3,5} = 1\n"
+        "  {1,4,5} = 1\n"
+        "  {2,3,4} = 2\n"
+        "  {2,3,5} = 2\n"
+        "  {2,4,5} = 2\n"
+        "  {3,4,5} = 3\n"
+        "  {1,2,3,4} = 4\n",
+    ),
+    "upto_betti3": ("5,4", "39\n  layer 3 = 15\n  layer 4 = 24\n"),
+    "skip_layer_sum": (
+        "6,2",
+        "24\n"
+        "  {2,3,4,5} = 4\n"
+        "  {2,3,4,6} = 4\n"
+        "  {2,3,5,6} = 4\n"
+        "  {2,4,5,6} = 5\n"
+        "  {3,4,5,6} = 7\n",
+    ),
+    "skip_pair_betti3": ("6,2", "29\n  k=2: layers (6,2) = 24\n  C(5,4) = 5\n"),
+}
+
+
+def _subset_texts(m: int) -> list[str]:
+    return [
+        "{" + ",".join(map(str, c)) + "}"
+        for k in range(m + 1)
+        for c in combinations(range(1, m + 1), k)
+    ]
+
+
+def _term_formula_grid(name: str) -> list[str]:
+    """Arguments for a term formula, in and out of its domain."""
+    if name in ("prefix_increment", "skip_increment"):
+        return _subset_texts(6)[1:]
+    if name == "prefix_betti3":
+        return [f"{m};{s}" for m in range(1, 7) for s in _subset_texts(m)]
+    if name == "power_betti3":
+        return [str(m) for m in range(1, 9)]
+    return [f"{m},{n}" for m in range(1, 9) for n in range(-1, m + 2)]
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -371,14 +448,30 @@ class TestCommandLine:
         assert result.exit_code == 0
         assert result.output == "29\n"
 
-    def test_formula_terms(self, runner):
-        result = runner.invoke(
-            main, ["formula", "skip_pair_betti3", "--args", "6,2", "--show-terms"]
-        )
+    @pytest.mark.parametrize(
+        "name,args,expected",
+        [(name, args, expected) for name, (args, expected) in FORMULA_TERMS.items()],
+        ids=list(FORMULA_TERMS),
+    )
+    def test_formula_terms(self, runner, name, args, expected):
+        result = runner.invoke(main, ["formula", name, "--args", args, "--show-terms"])
         assert result.exit_code == 0
-        lines = result.output.splitlines()
-        assert lines[0] == "29"
-        assert len(lines) > 1 and all(" = " in ln for ln in lines[1:])
+        assert result.output == expected
+
+    @pytest.mark.parametrize("name", list(FORMULA_TERMS))
+    def test_formula_terms_sum_to_value(self, runner, name):
+        checked = 0
+        for args in _term_formula_grid(name):
+            result = runner.invoke(
+                main, ["formula", name, "--args", args, "--show-terms"]
+            )
+            if result.exit_code != 0:
+                continue
+            value, *terms = result.output.splitlines()
+            total = sum(int(line.rsplit(" = ", 1)[1]) for line in terms)
+            assert total == int(value), f"{name} --args {args}"
+            checked += 1
+        assert checked > 0
 
     def test_formula_with_subset_argument(self, runner):
         result = runner.invoke(
