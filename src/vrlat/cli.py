@@ -12,6 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from io import StringIO
 
@@ -258,6 +259,28 @@ class Report:
     entries: tuple[ReportEntry, ...] = field(default_factory=tuple)
 
 
+def _task_error(
+    spec_text: str,
+    scale: int,
+    max_dim: int,
+    coeff: str,
+    oracle_name: str | None,
+    oracle: tuple[int, ...] | None,
+    *budgets,
+) -> ReportEntry:
+    """Error entry naming a task (the arguments of _compute_entry), with
+    nothing computed."""
+    return ReportEntry(
+        spec=spec_text,
+        scale=scale,
+        max_dim=max_dim,
+        status="error",
+        coeff=coeff,
+        oracle_name=oracle_name,
+        oracle=oracle,
+    )
+
+
 def _compute_entry(
     spec_text: str,
     scale: int,
@@ -268,15 +291,7 @@ def _compute_entry(
     budget_ms: int | None,
     max_simplices: int | None,
 ) -> ReportEntry:
-    base = ReportEntry(
-        spec=spec_text,
-        scale=scale,
-        max_dim=max_dim,
-        status="error",
-        coeff=coeff,
-        oracle_name=oracle_name,
-        oracle=oracle,
-    )
+    base = _task_error(spec_text, scale, max_dim, coeff, oracle_name, oracle)
     started = time.perf_counter()
     try:
         fam = parse_family_spec(spec_text).family()
@@ -398,7 +413,9 @@ def run_verify(
     """Compare computed Betti numbers against formula oracles, suite-wide.
 
     Instances run in a worker pool sized by VRLAT_THREADS; entries are
-    aggregated in canonical enumeration order regardless of completion.
+    aggregated in canonical enumeration order regardless of completion.  If
+    a worker process dies, every instance it left unfinished becomes an
+    error entry naming the crash.
     """
     if suite not in ("uniform", "adjacent", "skip", "prefix", "power", "all"):
         raise ValueError(f"unknown suite {suite!r}")
@@ -414,7 +431,17 @@ def run_verify(
         entries = [_compute_entry(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_worker, tasks))
+            futures = [pool.submit(_worker, t) for t in tasks]
+            entries = []
+            for task, future in zip(tasks, futures):
+                try:
+                    entries.append(future.result())
+                except BrokenProcessPool as e:
+                    # a worker died (say, killed for memory); every task
+                    # not finished by then is lost, the rest is kept
+                    entries.append(replace(
+                        _task_error(*task), detail=f"worker process crashed: {e}"
+                    ))
     return Report(tuple(entries))
 
 

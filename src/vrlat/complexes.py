@@ -60,6 +60,10 @@ class Complex:
         self.adjacency = adjacency
         self._sets: dict[int, set[Simplex]] = {}
         self._index: dict[int, dict[Simplex, int]] = {}
+        # integer coboundary reduction, filled bottom up by
+        # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
+        # and the pivot rows of the last one, for clearing the next
+        self._coboundary: tuple[list, set[int]] = ([], set())
 
     @property
     def f_vector(self) -> tuple[int, ...]:

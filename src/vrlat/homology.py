@@ -6,14 +6,22 @@ matrix's pivot rows identify columns of the next matrix that reduce to
 zero and can be skipped).  Columns are carried as Python int bitsets; the
 public matrix type keeps the sorted row-index form.
 
-Integer homology goes through the Smith normal form: unit (+-1) pivots are
-eliminated sparsely first, which is unimodular and usually consumes the
-whole matrix; whatever residual remains is handed to sympy's exact SNF.
-Torsion of the k-th reduced group is read off the invariant factors of the
-(k+1)-boundary.
+Integer homology reduces the coboundaries delta^0, delta^1, ... bottom up,
+each once per complex, over Z.  Columns are the d-simplices in reverse
+order and a column's pivot is its largest row.  delta^d skips (clears)
+every column whose simplex is a pivot row of delta^(d-1): that column is
+equivalent to a cocycle with a unit pivot entry.  When every pivot is +-1
+the column operations, clearing included, are unimodular, so rank delta^d
+is rank d_(d+1) exactly and the absence of torsion is certified.  A
+dimension that meets a non-unit pivot falls back to the Smith normal form
+of d_(d+1) (unit pivots eliminated sparsely, any residual handed to
+sympy's exact SNF), and the next dimension then runs without clearing.
+Torsion of the d-th reduced group is read off the invariant factors of
+d_(d+1).
 """
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .complexes import Complex
@@ -233,9 +241,15 @@ def _snf_residual(cols: dict[int, dict[int, int]]) -> list[int]:
     return sorted(out)
 
 
-# the non-unit residual is densified for sympy, so refuse absurd leftovers
-# instead of hanging
-_RESIDUAL_LIMIT = 5000
+# The non-unit residual is densified for sympy, whose exact SNF time
+# explodes past a few dozen rows or columns, so larger residuals are refused
+# instead of hanging.  Measured with sympy 1.14 on a 2-core x86 host, dense
+# matrices with entries drawn from {0, 0, 0, 2, -2, 4}, 8 seeds per size:
+# 40 x 40 took at most 1.2 s and 45 x 45 at most 0.6 s; 48 x 48 took up to
+# 11.7 s, 50 x 50 did not finish within 60 s for one seed of 3, and no
+# 60 x 60 seed finished in 60 s.  A 200 x 40 residual did not finish within
+# 30 s for one seed of 3, so rows are guarded as well as columns.
+_RESIDUAL_LIMIT = 40
 
 
 def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
@@ -322,10 +336,87 @@ def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
                 cand.pop(j2, None)
         rows.pop(r, None)
         units += 1
-    if len(cols) > _RESIDUAL_LIMIT:
-        raise MatrixTooLarge(dim, len(rows), len(cols), _RESIDUAL_LIMIT)
+    residual_rows = sum(1 for js in rows.values() if js)
+    if max(residual_rows, len(cols)) > _RESIDUAL_LIMIT:
+        raise MatrixTooLarge(dim, residual_rows, len(cols), _RESIDUAL_LIMIT)
     diag = [1] * units + _snf_residual(cols)
     return SNFDiagonal(dim, tuple(diag))
+
+
+def _cofaces(s, adjacency, positions: dict):
+    """(row, sign) of each stored coface of s, largest row first.
+
+    Candidates are the common neighbours of s's vertices; only those found
+    among the stored simplices count, so non-flag complexes stay exact.
+    Inserting v at position p of s gives a coface whose boundary holds s
+    with sign (-1)^p.  Adding a larger vertex gives a lexicographically
+    larger coface, so with rows ranked lexicographically the vertices are
+    tried from the top down.
+    """
+    common = adjacency[s[0]]
+    for u in s[1:]:
+        common &= adjacency[u]
+    while common:
+        v = common.bit_length() - 1
+        common ^= 1 << v
+        p = bisect_left(s, v)
+        row = positions.get(s[:p] + (v,) + s[p:])
+        if row is not None:
+            yield row, -1 if p & 1 else 1
+
+
+def _reduce_coboundary(
+    k: Complex, dim: int, cleared: set[int]
+) -> tuple[int, tuple[int, ...], set[int]]:
+    """Rank, torsion and pivot rows of delta^dim, skipping cleared columns.
+
+    Rows and columns are ranked lexicographically, whatever order the
+    complex stores them in.  Columns are reduced from the last to the
+    first.  A raw coboundary has only +-1 entries, so a column whose top
+    coface is not yet a pivot settles at once and is kept as its index
+    alone, to be rebuilt if a later column needs it.  On the first pivot
+    that is not +-1 the reduction is abandoned and the Smith normal form of
+    the (dim+1)-boundary decides; it leaves no pivot rows, so the next
+    dimension runs without clearing.
+    """
+    if dim >= k.max_dim or not k.f_vector[dim + 1]:
+        return 0, (), set()
+    # local, so only one dimension's position dict is alive at a time
+    positions = {t: i for i, t in enumerate(sorted(k.simplices[dim + 1]))}
+    layer = sorted(k.simplices[dim])
+    adjacency = k.adjacency
+    # pivot row -> the column index if the column is raw, else the column
+    reduced: dict[int, int | dict[int, int]] = {}
+    for j in range(len(layer) - 1, -1, -1):
+        if j in cleared:
+            continue
+        top = next(_cofaces(layer[j], adjacency, positions), None)
+        if top is None:
+            continue
+        if top[0] not in reduced:
+            reduced[top[0]] = j
+            continue
+        col = dict(_cofaces(layer[j], adjacency, positions))
+        while col:
+            low = max(col)
+            settled = reduced.get(low)
+            if settled is None:
+                if col[low] not in (1, -1):
+                    del positions, reduced  # free them before the Smith form
+                    snf = smith_diagonal(_integer_columns(k, dim + 1), dim + 1)
+                    return len(snf.diag), tuple(v for v in snf.diag if v > 1), set()
+                reduced[low] = col
+                break
+            if isinstance(settled, int):
+                settled = dict(_cofaces(layer[settled], adjacency, positions))
+            factor = col[low] * settled[low]  # settled[low] is its own inverse
+            for r, v in settled.items():
+                new = col.get(r, 0) - factor * v
+                if new:
+                    col[r] = new
+                else:
+                    del col[r]
+    return len(reduced), (), set(reduced)
 
 
 def homology_integer(
@@ -333,9 +424,16 @@ def homology_integer(
 ) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion coefficients of the dim-th reduced group.
 
-    Needs exact Smith normal forms of the dim and dim+1 boundaries, so the
-    complex must be built through dim+1 (or be complete).  Guarded against
-    matrices above max_cols rows or columns.
+    Needs the ranks of the dim and dim+1 boundaries and the invariant
+    factors of the dim+1 boundary, so the complex must be built through
+    dim+1 (or be complete).  They come from the coboundary reduction
+    memoized on the complex: delta^0..delta^dim are reduced once each, in
+    order, the first time any call needs them, so later calls for any
+    dimension reuse the work.  Torsion is empty by certificate unless a
+    dimension met a non-unit pivot and fell back to the Smith normal form.
+    Guarded against boundary matrices above max_cols rows or columns: the
+    dim and dim+1 boundaries on every call, and every lower boundary the
+    call has to reduce.
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
@@ -349,19 +447,21 @@ def homology_integer(
         )
     f = k.f_vector
 
-    def checked_rank_and_diag(d):
-        if d < 1 or d > k.max_dim or f[d] == 0:
-            return 0, SNFDiagonal(d, ())
-        if f[d] > max_cols or f[d - 1] > max_cols:
+    def check_size(d):
+        if 1 <= d <= k.max_dim and f[d] and (f[d] > max_cols or f[d - 1] > max_cols):
             raise MatrixTooLarge(d, f[d - 1], f[d], max_cols)
-        snf = smith_diagonal(_integer_columns(k, d), d)
-        return len(snf.diag), snf
 
-    rank_lower, _ = checked_rank_and_diag(dim)
-    if dim == 0:
-        rank_lower = 1 if f[0] else 0
-    rank_upper, snf_upper = checked_rank_and_diag(dim + 1)
-    torsion = tuple(v for v in snf_upper.diag if v > 1)
+    check_size(dim)
+    check_size(dim + 1)
+    # (rank, torsion) of delta^0, delta^1, ... and the last one's pivot rows
+    done, pivots = k._coboundary
+    for d in range(len(done), dim + 1):
+        check_size(d + 1)
+        rank, torsion, pivots = _reduce_coboundary(k, d, pivots)
+        done.append((rank, torsion))
+        k._coboundary = (done, pivots)
+    rank_lower = (1 if f[0] else 0) if dim == 0 else done[dim - 1][0]
+    rank_upper, torsion = done[dim]
     return (f[dim] - rank_lower - rank_upper, torsion)
 
 

@@ -1,6 +1,8 @@
 """Spec grammar, report plumbing, and the command-line surface."""
 
 import json
+import os
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -284,6 +286,35 @@ class TestRunVerify:
         monkeypatch.setenv("VRLAT_THREADS", "2")
         par = emit_report(run_verify("uniform", 5), "json", include_timing=False)
         assert seq == par
+
+    def test_crashed_worker_becomes_error_entries(self, monkeypatch):
+        monkeypatch.setenv("VRLAT_THREADS", "1")
+        seq = run_verify("uniform", 6).entries
+        compute = cli._compute_entry
+
+        def crash_on_f52(*task):
+            if task[0] == "F(5,2)":
+                os._exit(1)  # as if the worker were killed for memory
+            return compute(*task)
+
+        # the pool forks, so its workers inherit the patched function
+        monkeypatch.setattr(cli, "_compute_entry", crash_on_f52)
+        monkeypatch.setenv("VRLAT_THREADS", "2")
+        report = run_verify("uniform", 6)
+        assert [e.spec for e in report.entries] == [e.spec for e in seq]
+        crashed = report.entries[1]
+        assert crashed.spec == "F(5,2)" and crashed.status == "error"
+        assert "worker process crashed" in crashed.detail
+        for got, want in zip(report.entries, seq):
+            if got.status == "error":
+                assert got == replace(
+                    want, status="error", f_vector=None, betti=None,
+                    complete_through=None, chi=None, match=None,
+                    detail=got.detail, wall_time_ms=None,
+                )
+                assert "worker process crashed" in got.detail
+            else:
+                assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
 
 
 class TestThreeLayerCheck:

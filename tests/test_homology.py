@@ -1,6 +1,7 @@
 """Boundary matrices, Z/2 reduction, and exact integer homology."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -188,6 +189,26 @@ class TestSmithDiagonal:
     def test_carries_dimension_tag(self):
         assert smith_diagonal([{0: 1}], dim=3).dim == 3
 
+    @pytest.mark.parametrize("shape", ["wide", "tall"])
+    def test_residual_over_limit_refused_before_sympy(self, monkeypatch, shape):
+        def unreachable(cols):
+            raise AssertionError("sympy reached")
+
+        monkeypatch.setattr(hm, "_snf_residual", unreachable)
+        n = hm._RESIDUAL_LIMIT + 1
+        if shape == "wide":
+            cols = [{j: 2} for j in range(n)]
+        else:
+            cols = [{r: 2 for r in range(n)}, {r: 4 - r % 2 * 2 for r in range(n)}]
+        with pytest.raises(MatrixTooLarge) as err:
+            smith_diagonal(cols, dim=4)
+        assert max(err.value.n_rows, err.value.n_cols) == n
+        assert err.value.limit == hm._RESIDUAL_LIMIT
+
+    def test_residual_at_limit_reaches_sympy(self):
+        n = hm._RESIDUAL_LIMIT
+        assert smith_diagonal([{j: 2} for j in range(n)]).diag == (2,) * n
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
@@ -265,6 +286,52 @@ class TestIntegerHomology:
         k = projective_plane()
         assert homology_integer(k, 1) == homology_integer(k, 1)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            octahedron,
+            projective_plane,
+            lambda: build_flag(upto(3, 3), 1, 7),
+            lambda: build_flag(gen_uniform(5, 2), 2, 5),
+            lambda: star(build_flag(gen_uniform(5, 2), 2, 5), 0),
+        ],
+    )
+    def test_call_order_does_not_matter(self, make):
+        k = make()
+        dims = list(range(k.max_dim + 1))
+        want = [homology_integer(k, d) for d in dims]
+        shuffled = dims[:]
+        random.Random(7).shuffle(shuffled)
+        for order in (dims[::-1], shuffled):
+            k = make()
+            got = {d: homology_integer(k, d) for d in order}
+            assert [got[d] for d in dims] == want
+
+    def _count_snf_calls(self, monkeypatch) -> list:
+        calls = []
+        snf = hm.smith_diagonal
+
+        def counted(columns, dim=0):
+            calls.append(dim)
+            return snf(columns, dim)
+
+        monkeypatch.setattr(hm, "smith_diagonal", counted)
+        return calls
+
+    def test_projective_plane_falls_back_to_smith_form(self, monkeypatch):
+        calls = self._count_snf_calls(monkeypatch)
+        assert homology_integer(projective_plane(), 1) == (0, (2,))
+        # delta^1 (the transpose of the 2-boundary) meets a non-unit pivot
+        assert calls == [2]
+
+    def test_nine_sphere_certified_without_smith_form(self, monkeypatch):
+        calls = self._count_snf_calls(monkeypatch)
+        k = build_flag(gen_uniform(6, 3), 4, 19)
+        assert k.complete
+        got = [homology_integer(k, d) for d in range(k.max_dim + 1)]
+        assert got == [(1, ()) if d == 9 else (0, ()) for d in range(20)]
+        assert calls == []
+
 
 class TestEulerCharacteristic:
     def test_sphere_value(self):
@@ -329,6 +396,23 @@ class TestProperties:
         assert euler_characteristic(k) == 1 + sum(
             (-1) ** d * v for d, v in enumerate(b.values)
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_complete_complex())
+    def test_integer_homology_matches_smith_forms(self, k):
+        # the route the coboundary reduction replaced: Smith normal forms
+        # of the d and d+1 boundaries, computed afresh for every d
+        def rank_and_diag(d):
+            if d < 1 or d > k.max_dim or not k.f_vector[d]:
+                return 0, ()
+            diag = smith_diagonal(hm._integer_columns(k, d), d).diag
+            return len(diag), diag
+
+        for d in range(k.max_dim + 1):
+            lower = (1 if k.f_vector[0] else 0) if d == 0 else rank_and_diag(d)[0]
+            upper, diag = rank_and_diag(d + 1)
+            want = (k.f_vector[d] - lower - upper, tuple(v for v in diag if v > 1))
+            assert homology_integer(k, d) == want
 
     @settings(max_examples=30, deadline=None)
     @given(small_complete_complex())
