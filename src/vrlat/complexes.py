@@ -59,7 +59,6 @@ class Complex:
             adjacency = _adjacency_from_edges(len(family), simplices)
         self.adjacency = adjacency
         self._sets: dict[int, set[Simplex]] = {}
-        self._index: dict[int, dict[Simplex, int]] = {}
         # integer coboundary reduction, filled bottom up by
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
         # and the pivot rows of the last one, for clearing the next
@@ -80,12 +79,6 @@ class Complex:
         if d not in self._sets:
             self._sets[d] = set(self.simplices[d])
         return simplex in self._sets[d]
-
-    def index_of(self, dim: int, simplex: Simplex) -> int:
-        """Position of a simplex in its dimension's canonical order."""
-        if dim not in self._index:
-            self._index[dim] = {s: i for i, s in enumerate(self.simplices[dim])}
-        return self._index[dim][simplex]
 
     def __repr__(self) -> str:
         return (

@@ -1,23 +1,21 @@
-"""Reduced simplicial homology from sparse boundary matrices.
+"""Reduced simplicial homology by bottom-up coboundary reduction.
 
-Betti numbers over Z/2 come from left-to-right column reduction with the
-clearing optimization (dimensions processed top down, so each reduced
-matrix's pivot rows identify columns of the next matrix that reduce to
-zero and can be skipped).  Columns are carried as Python int bitsets; the
-public matrix type keeps the sorted row-index form.
+Both coefficient rings use one reducer.  It reduces the coboundaries
+delta^0, delta^1, ... in order, over Z or over Z/2, and rank delta^d is
+rank d_(d+1).  Columns are the d-simplices in reverse order and a
+column's pivot is its largest row.  delta^d skips (clears) every column
+whose simplex is a pivot row of delta^(d-1): that column is equivalent to
+a cocycle with a unit pivot entry.
 
-Integer homology reduces the coboundaries delta^0, delta^1, ... bottom up,
-each once per complex, over Z.  Columns are the d-simplices in reverse
-order and a column's pivot is its largest row.  delta^d skips (clears)
-every column whose simplex is a pivot row of delta^(d-1): that column is
-equivalent to a cocycle with a unit pivot entry.  When every pivot is +-1
-the column operations, clearing included, are unimodular, so rank delta^d
-is rank d_(d+1) exactly and the absence of torsion is certified.  A
-dimension that meets a non-unit pivot falls back to the Smith normal form
-of d_(d+1) (unit pivots eliminated sparsely, any residual handed to
-sympy's exact SNF), and the next dimension then runs without clearing.
-Torsion of the d-th reduced group is read off the invariant factors of
-d_(d+1).
+betti_z2 runs the reduction mod 2 on every call, where every nonzero
+entry is a unit.  Integer homology runs it over Z once per complex and
+memoizes the ranks on the complex.  When every pivot is +-1 the column
+operations, clearing included, are unimodular, so rank delta^d is rank
+d_(d+1) exactly and the absence of torsion is certified.  A dimension
+that meets a non-unit pivot falls back to the Smith normal form of
+d_(d+1) (unit pivots eliminated sparsely, any residual handed to sympy's
+exact SNF), and the next dimension then runs without clearing.  Torsion
+of the d-th reduced group is read off the invariant factors of d_(d+1).
 """
 
 import heapq
@@ -43,15 +41,6 @@ class MatrixTooLarge(RuntimeError):
 
 class TruncatedComplex(ValueError):
     """Raised when a computation needs dimensions beyond what was built."""
-
-
-@dataclass(frozen=True)
-class SparseBoundaryMatrix:
-    """Columns of the dim-th boundary operator as sorted face-index tuples."""
-
-    dim: int
-    cols: tuple[tuple[int, ...], ...]
-    n_rows: int
 
 
 @dataclass(frozen=True)
@@ -86,107 +75,6 @@ class SNFDiagonal:
                 raise ValueError("diagonal must form a divisibility chain")
 
 
-def boundary_matrix(k: Complex, dim: int) -> SparseBoundaryMatrix:
-    """Face indices of every dim-simplex, in canonical column order."""
-    if dim < 1:
-        raise ValueError("boundary_matrix is defined for dimension >= 1")
-    if dim > k.max_dim:
-        raise TruncatedComplex(f"dimension {dim} not built (max_dim={k.max_dim})")
-    cols = []
-    for s in k.simplices[dim]:
-        faces = [k.index_of(dim - 1, s[:i] + s[i + 1:]) for i in range(dim + 1)]
-        cols.append(tuple(sorted(faces)))
-    return SparseBoundaryMatrix(dim, tuple(cols), len(k.simplices[dim - 1]))
-
-
-# above this many rows, a column held as one big int costs rows/8 bytes
-# no matter how sparse it is, so the reducer switches to sorted index lists
-_DENSE_ROW_LIMIT = 40000
-
-
-def _face_positions(k: Complex, dim: int) -> dict:
-    return {s: i for i, s in enumerate(k.simplices[dim - 1])}
-
-
-def _gf2_columns_dense(k: Complex, dim: int):
-    # generator: raw columns are consumed one at a time, so only the
-    # reduced pivot columns stay resident
-    pos = _face_positions(k, dim)
-    for s in k.simplices[dim]:
-        bits = 0
-        for i in range(dim + 1):
-            bits |= 1 << pos[s[:i] + s[i + 1:]]
-        yield bits
-
-
-def _gf2_columns_sparse(k: Complex, dim: int):
-    pos = _face_positions(k, dim)
-    for s in k.simplices[dim]:
-        yield sorted(pos[s[:i] + s[i + 1:]] for i in range(dim + 1))
-
-
-def _xor_sorted(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif x > y:
-            out.append(y)
-            j += 1
-        else:
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
-def _reduce_gf2_dense(columns, cleared: set[int]) -> set[int]:
-    """Left-to-right reduction over int-bitset columns; returns pivot rows."""
-    lows: dict[int, int] = {}
-    for j, col in enumerate(columns):
-        if j in cleared:
-            continue
-        c = col
-        while c:
-            low = c.bit_length() - 1
-            settled = lows.get(low)
-            if settled is None:
-                lows[low] = c
-                break
-            c ^= settled
-    return set(lows)
-
-
-def _reduce_gf2_sparse(columns, cleared: set[int]) -> set[int]:
-    """Same reduction over sorted-index-list columns (merge-XOR addition)."""
-    lows: dict[int, list[int]] = {}
-    for j, col in enumerate(columns):
-        if j in cleared:
-            continue
-        c = col
-        while c:
-            low = c[-1]
-            settled = lows.get(low)
-            if settled is None:
-                lows[low] = c
-                break
-            c = _xor_sorted(c, settled)
-    return set(lows)
-
-
-def _reduce_rank_and_pivots(k: Complex, dim: int, cleared: set[int]) -> tuple[int, set[int]]:
-    if len(k.simplices[dim - 1]) > _DENSE_ROW_LIMIT:
-        pivots = _reduce_gf2_sparse(_gf2_columns_sparse(k, dim), cleared)
-    else:
-        pivots = _reduce_gf2_dense(_gf2_columns_dense(k, dim), cleared)
-    return len(pivots), pivots
-
-
 def betti_z2(k: Complex, through: int) -> BettiVector:
     """Reduced Z/2 Betti numbers b0..b_through.
 
@@ -199,9 +87,11 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
     ct = through if k.complete else min(through, k.max_dim - 1)
     top = min(ct + 1, k.max_dim)
     ranks = {0: 1 if k.f_vector[0] else 0}
-    cleared: set[int] = set()
-    for d in range(top, 0, -1):
-        ranks[d], cleared = _reduce_rank_and_pivots(k, d, cleared)
+    # rank d_(d+1) = rank delta^d, reduced mod 2 without the integer memo
+    # on the complex, so the two coefficient routes stay independent
+    pivots: set[int] = set()
+    for d in range(top):
+        ranks[d + 1], _, pivots = _reduce_coboundary(k, d, pivots, modulus=2)
     values = []
     for d in range(ct + 1):
         f_d = k.f_vector[d] if d <= k.max_dim else 0
@@ -212,7 +102,7 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
 def _integer_columns(k: Complex, dim: int):
     # generator over sparse signed columns; the face-position dict is local
     # so nothing outlives the consumer
-    pos = _face_positions(k, dim)
+    pos = {s: i for i, s in enumerate(k.simplices[dim - 1])}
     for s in k.simplices[dim]:
         yield {
             pos[s[:i] + s[i + 1:]]: (-1 if i % 2 else 1) for i in range(dim + 1)
@@ -366,18 +256,20 @@ def _cofaces(s, adjacency, positions: dict):
 
 
 def _reduce_coboundary(
-    k: Complex, dim: int, cleared: set[int]
+    k: Complex, dim: int, cleared: set[int], modulus: int = 0
 ) -> tuple[int, tuple[int, ...], set[int]]:
     """Rank, torsion and pivot rows of delta^dim, skipping cleared columns.
 
+    Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns are ranked lexicographically, whatever order the
     complex stores them in.  Columns are reduced from the last to the
     first.  A raw coboundary has only +-1 entries, so a column whose top
     coface is not yet a pivot settles at once and is kept as its index
-    alone, to be rebuilt if a later column needs it.  On the first pivot
-    that is not +-1 the reduction is abandoned and the Smith normal form of
-    the (dim+1)-boundary decides; it leaves no pivot rows, so the next
-    dimension runs without clearing.
+    alone, to be rebuilt if a later column needs it.  Over Z, on the first
+    pivot that is not +-1 the reduction is abandoned and the Smith normal
+    form of the (dim+1)-boundary decides; it leaves no pivot rows, so the
+    next dimension runs without clearing.  Mod 2 every nonzero entry is a
+    unit, so that never happens and the torsion is always empty.
     """
     if dim >= k.max_dim or not k.f_vector[dim + 1]:
         return 0, (), set()
@@ -412,6 +304,8 @@ def _reduce_coboundary(
             factor = col[low] * settled[low]  # settled[low] is its own inverse
             for r, v in settled.items():
                 new = col.get(r, 0) - factor * v
+                if modulus:
+                    new %= modulus
                 if new:
                     col[r] = new
                 else:

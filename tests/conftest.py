@@ -18,15 +18,6 @@ def record_criterion(request):
     return _record
 
 
-@pytest.fixture
-def skip_criterion(request):
-    def _skip(number: int, label: str, reason: str) -> None:
-        request.config.stash[acceptance_key][number] = (label, f"SKIP ({reason})")
-        pytest.skip(reason)
-
-    return _skip
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     rows = config.stash.get(acceptance_key, {})
     if not rows:

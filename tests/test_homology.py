@@ -1,4 +1,4 @@
-"""Boundary matrices, Z/2 reduction, and exact integer homology."""
+"""Boundary columns, Z/2 reduction, and exact integer homology."""
 
 import itertools
 import random
@@ -15,7 +15,6 @@ from vrlat.homology import (
     SNFDiagonal,
     TruncatedComplex,
     betti_z2,
-    boundary_matrix,
     euler_characteristic,
     homology_integer,
     smith_diagonal,
@@ -52,29 +51,13 @@ def projective_plane():
 class TestBoundaryMatrix:
     def test_octahedron_shapes(self):
         k = octahedron()
-        d1 = boundary_matrix(k, 1)
-        d2 = boundary_matrix(k, 2)
-        assert d1.n_rows == 6 and len(d1.cols) == 12
-        assert d2.n_rows == 12 and len(d2.cols) == 8
-        assert all(len(c) == 2 for c in d1.cols)
-        assert all(len(c) == 3 for c in d2.cols)
-
-    def test_columns_are_sorted_tuples(self):
-        k = build_flag(upto(4, 2), 2, 3)
-        for dim in (1, 2, 3):
-            for col in boundary_matrix(k, dim).cols:
-                assert tuple(sorted(col)) == col
-
-    def test_boundary_of_boundary_vanishes_mod_two(self):
-        k = build_flag(gen_uniform(5, 2), 2, 3)
-        for dim in (2, 3):
-            upper = boundary_matrix(k, dim)
-            lower = boundary_matrix(k, dim - 1)
-            for col in upper.cols:
-                acc = set()
-                for face in col:
-                    acc ^= set(lower.cols[face])
-                assert not acc
+        d1 = list(hm._integer_columns(k, 1))
+        d2 = list(hm._integer_columns(k, 2))
+        assert len(d1) == 12 and len(d2) == 8
+        assert {r for c in d1 for r in c} == set(range(6))
+        assert {r for c in d2 for r in c} == set(range(12))
+        assert all(sorted(c.values()) == [-1, 1] for c in d1)
+        assert all(sorted(c.values()) == [-1, 1, 1] for c in d2)
 
     def test_boundary_of_boundary_vanishes_over_integers(self):
         k = build_flag(gen_uniform(5, 2), 2, 3)
@@ -86,14 +69,6 @@ class TestBoundaryMatrix:
                     for r, v in lower[face].items():
                         acc[r] = acc.get(r, 0) + sign * v
                 assert all(v == 0 for v in acc.values())
-
-    def test_dimension_zero_rejected(self):
-        with pytest.raises(ValueError):
-            boundary_matrix(octahedron(), 0)
-
-    def test_unbuilt_dimension_rejected(self):
-        with pytest.raises(TruncatedComplex):
-            boundary_matrix(octahedron(), 3)
 
 
 class TestBettiZ2:
@@ -145,29 +120,25 @@ class TestBettiZ2:
         k = build_flag(upto(4, 2), 2, 3)
         assert betti_z2(k, 3) == betti_z2(k, 3)
 
-    def test_sparse_and_dense_reducers_agree(self, monkeypatch):
-        cases = [
-            build_flag(gen_uniform(5, 2), 2, 3),
-            build_flag(upto(3, 3), 1, 3),
-            build_flag(gen_uniform(6, 3), 4, 6),
-        ]
-        for k in cases:
-            through = k.max_dim if k.complete else k.max_dim - 1
-            dense = betti_z2(k, through)
-            monkeypatch.setattr(hm, "_DENSE_ROW_LIMIT", -1)
-            assert betti_z2(k, through) == dense
-            monkeypatch.undo()
-
-
-class TestXorSorted:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.integers(min_value=0, max_value=30), unique=True),
-        st.lists(st.integers(min_value=0, max_value=30), unique=True),
+    @pytest.mark.parametrize(
+        "family, scale, through",
+        [
+            (gen_uniform(5, 2), 2, 3),
+            (upto(3, 3), 1, 3),
+            (gen_prefix(4, Subset.parse("{1,2,4}", 4)), 2, 3),
+        ],
     )
-    def test_matches_set_symmetric_difference(self, a, b):
-        got = hm._xor_sorted(sorted(a), sorted(b))
-        assert got == sorted(set(a) ^ set(b))
+    def test_shuffled_layers_match_lexicographic(self, family, scale, through):
+        k = build_flag(family, scale, through + 1)
+        rng = random.Random(11)
+        layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
+        assert layers != k.simplices
+        shuffled = Complex(
+            k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete
+        )
+        got = betti_z2(shuffled, through)
+        assert got == betti_z2(k, through)
+        assert list(got.values) == bf_betti(family, scale, through)
 
 
 class TestSmithDiagonal:
@@ -322,6 +293,18 @@ class TestIntegerHomology:
         calls = self._count_snf_calls(monkeypatch)
         assert homology_integer(projective_plane(), 1) == (0, (2,))
         # delta^1 (the transpose of the 2-boundary) meets a non-unit pivot
+        assert calls == [2]
+
+    def test_projective_plane_z2_needs_no_smith_form(self, monkeypatch):
+        # mod 2 every pivot is a unit, so the integer fallback never runs,
+        # and the integer memo on the complex leaves the mod-2 result alone
+        calls = self._count_snf_calls(monkeypatch)
+        k = projective_plane()
+        assert betti_z2(k, 2).values == (0, 1, 1)
+        assert calls == []
+        assert homology_integer(k, 1) == (0, (2,))
+        assert calls == [2]
+        assert betti_z2(k, 2).values == (0, 1, 1)
         assert calls == [2]
 
     def test_nine_sphere_certified_without_smith_form(self, monkeypatch):
