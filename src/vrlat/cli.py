@@ -5,7 +5,11 @@ prefix(m;{...}), power(m), upto(m,n); whitespace is insignificant and parse
 errors carry byte offsets.  Verification suites enumerate in-regime
 instances in a canonical order, compute Betti numbers, and compare them
 against the closed-form oracles; entries that blow a budget are reported
-as skipped rather than dropped.  VRLAT_THREADS sizes the worker pool.
+as skipped rather than dropped.  Every instance is built on its own except
+the prefix(m;A): those of one m are the vertex prefixes of power(m), so
+one build of power(m) and one persistence pass over it give them all, and
+their budgets and wall time are those of that one task.  VRLAT_THREADS
+sizes the worker pool.
 """
 
 import json
@@ -25,9 +29,10 @@ from .complexes import (
     facet_dump,
     maximal_simplices_bk,
     maximal_simplices_closed_form,
+    prefix_f_vectors,
     sc_hypothesis_check,
 )
-from .homology import betti_z2, euler_characteristic, homology_integer
+from .homology import betti_z2, euler_characteristic, homology_integer, prefix_betti_z2
 from .setfam import MAX_GROUND, SetFamily, Subset, gen_prefix, gen_uniform, gen_union
 
 
@@ -281,6 +286,51 @@ def _task_error(
     )
 
 
+def _task_errors(kind: str, *args) -> list[ReportEntry]:
+    """Error entries naming every instance of a suite task, with nothing
+    computed."""
+    if kind == "prefix":
+        _, scale, max_dim, specs = args[:4]
+        return [
+            _task_error(spec, scale, max_dim, "z2", "prefix_betti3", oracle)
+            for spec, oracle in specs
+        ]
+    return [_task_error(*args)]
+
+
+def _ms_since(started: float) -> int:
+    return int((time.perf_counter() - started) * 1000)
+
+
+def _failed(base: ReportEntry, e: Exception, elapsed: int) -> ReportEntry:
+    """A refused build is skipped; any other exception is an error."""
+    if isinstance(e, BuildBudgetExceeded):
+        detail = f"simplex budget {e.budget} exceeded at dimension {e.dim_reached}"
+        return replace(base, status="skipped", detail=detail, wall_time_ms=elapsed)
+    return replace(base, status="error", detail=str(e), wall_time_ms=elapsed)
+
+
+def _judged(entry: ReportEntry, budget_ms: int | None) -> ReportEntry:
+    """Compare a computed entry with its oracle, padded with zeros to the
+    entry's length, then skip it if its wall time broke the budget."""
+    values, oracle = entry.betti, entry.oracle
+    if oracle is not None:
+        if len(values) < len(oracle):
+            return replace(
+                entry, status="error", detail="complex too shallow for its oracle"
+            )
+        expected = oracle + (0,) * (len(values) - len(oracle))
+        entry = replace(entry, match=values == expected)
+    if budget_ms is not None and entry.wall_time_ms > budget_ms:
+        entry = replace(
+            entry,
+            status="skipped",
+            detail=f"wall time {entry.wall_time_ms} ms exceeded budget {budget_ms} ms",
+            match=None,
+        )
+    return entry
+
+
 def _compute_entry(
     spec_text: str,
     scale: int,
@@ -310,18 +360,8 @@ def _compute_entry(
         else:
             values = bv.values
         chi = euler_characteristic(k) if k.complete else None
-    except BuildBudgetExceeded as e:
-        elapsed = int((time.perf_counter() - started) * 1000)
-        return replace(
-            base,
-            status="skipped",
-            detail=f"simplex budget {e.budget} exceeded at dimension {e.dim_reached}",
-            wall_time_ms=elapsed,
-        )
     except Exception as e:  # per-entry errors are recorded, not raised
-        elapsed = int((time.perf_counter() - started) * 1000)
-        return replace(base, status="error", detail=str(e), wall_time_ms=elapsed)
-    elapsed = int((time.perf_counter() - started) * 1000)
+        return _failed(base, e, _ms_since(started))
     entry = replace(
         base,
         status="ok",
@@ -330,68 +370,103 @@ def _compute_entry(
         complete_through=bv.complete_through,
         chi=chi,
         torsion=torsion,
-        wall_time_ms=elapsed,
+        wall_time_ms=_ms_since(started),
     )
-    if oracle is not None:
-        if len(values) < len(oracle):
-            return replace(
-                entry, status="error", detail="complex too shallow for its oracle"
-            )
-        expected = oracle + (0,) * (len(values) - len(oracle))
-        entry = replace(entry, match=values == expected)
-    if budget_ms is not None and elapsed > budget_ms:
-        entry = replace(
-            entry,
-            status="skipped",
-            detail=f"wall time {elapsed} ms exceeded budget {budget_ms} ms",
-            match=None,
+    return _judged(entry, budget_ms)
+
+
+def _prefix_entries(
+    m: int,
+    scale: int,
+    max_dim: int,
+    specs: tuple[tuple[str, tuple[int, ...]], ...],
+    budget_ms: int | None,
+    max_simplices: int | None,
+) -> list[ReportEntry]:
+    """The entries of every prefix(m;A), A in the vertex order of power(m),
+    from one build of power(m) and one persistence pass over it.
+
+    prefix(m;A) is the first index(A)+1 vertices of power(m), so its complex
+    is the full subcomplex of power(m)'s on them (see prefix_betti_z2).
+    Budgets apply to the task as a whole: max_simplices bounds the one
+    build, budget_ms is compared with the task's wall time, and every entry
+    reports that time.
+    """
+    bases = _task_errors("prefix", m, scale, max_dim, specs)
+    started = time.perf_counter()
+    try:
+        k = build_flag(
+            gen_prefix(m, Subset.full(m)), scale, max_dim, max_simplices=max_simplices
         )
-    return entry
+        bettis = prefix_betti_z2(k, max_dim)
+    except Exception as e:  # the failure is every entry's
+        elapsed = _ms_since(started)
+        return [_failed(base, e, elapsed) for base in bases]
+    elapsed = _ms_since(started)
+    entries = []
+    for base, f, bv in zip(bases, prefix_f_vectors(k), bettis):
+        complete = bv.complete_through == max_dim
+        entry = replace(
+            base,
+            status="ok",
+            f_vector=f,
+            betti=bv.values,
+            complete_through=bv.complete_through,
+            chi=sum((-1) ** d * n for d, n in enumerate(f)) if complete else None,
+            wall_time_ms=elapsed,
+        )
+        entries.append(_judged(entry, budget_ms))
+    return entries
 
 
-def _worker(task: tuple) -> ReportEntry:
-    return _compute_entry(*task)
+def _run_task(task: tuple) -> list[ReportEntry]:
+    kind, *args = task
+    return _prefix_entries(*args) if kind == "prefix" else [_compute_entry(*args)]
 
 
 def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
+    """The suite's tasks in canonical order, before budgets.
+
+    ("entry", spec, scale, max_dim, "z2", oracle name, oracle) is one
+    instance; ("prefix", m, scale, max_dim, ((spec, oracle), ...)) is every
+    prefix(m;A), A in the vertex order of power(m).
+    """
     tasks = []
     if suite in ("uniform", "all"):
         for m in range(4, m_max + 1):
             for n in range(2, m - 1):
                 oracle = (0, 0, formulas.uniform_betti2(m, n))
-                tasks.append((f"F({m},{n})", 2, 3, "uniform_betti2", oracle))
+                tasks.append(
+                    ("entry", f"F({m},{n})", 2, 3, "z2", "uniform_betti2", oracle)
+                )
     if suite in ("adjacent", "all"):
         for m in range(4, m_max + 1):
             for n in range(2, m - 1):
                 oracle = (0, 0, formulas.adjacent_pair_betti2(m, n))
                 tasks.append(
-                    (f"F({m},{n})+F({m},{n+1})", 2, 3, "adjacent_pair_betti2", oracle)
+                    ("entry", f"F({m},{n})+F({m},{n+1})", 2, 3, "z2",
+                     "adjacent_pair_betti2", oracle)
                 )
     if suite in ("skip", "all"):
         for m in range(3, m_max + 1):
             for n in range(1, m - 1):
                 oracle = (0, 0, 0, formulas.skip_pair_betti3(m, n))
                 tasks.append(
-                    (f"F({m},{n})+F({m},{n+2})", 2, 4, "skip_pair_betti3", oracle)
+                    ("entry", f"F({m},{n})+F({m},{n+2})", 2, 4, "z2",
+                     "skip_pair_betti3", oracle)
                 )
     if suite in ("prefix", "all"):
         for m in range(3, m_max + 1):
+            specs = []
             for a in gen_prefix(m, Subset.full(m)).vertices:
                 elems = ",".join(str(e) for e in a.elements)
                 value = formulas.prefix_betti3(m, a) if a.size >= 3 else 0
-                tasks.append(
-                    (
-                        f"prefix({m};{{{elems}}})",
-                        2,
-                        4,
-                        "prefix_betti3",
-                        (0, 0, 0, value),
-                    )
-                )
+                specs.append((f"prefix({m};{{{elems}}})", (0, 0, 0, value)))
+            tasks.append(("prefix", m, 2, 4, tuple(specs)))
     if suite in ("power", "all"):
         for m in range(3, m_max + 1):
             oracle = (0, 0, 0, formulas.power_betti3(m))
-            tasks.append((f"power({m})", 2, 4, "power_betti3", oracle))
+            tasks.append(("entry", f"power({m})", 2, 4, "z2", "power_betti3", oracle))
     return tasks
 
 
@@ -412,37 +487,39 @@ def run_verify(
 ) -> Report:
     """Compare computed Betti numbers against formula oracles, suite-wide.
 
-    Instances run in a worker pool sized by VRLAT_THREADS; entries are
-    aggregated in canonical enumeration order regardless of completion.  If
-    a worker process dies, every instance it left unfinished becomes an
-    error entry naming the crash.
+    Tasks (one instance each, or every prefix of one m) run in a worker
+    pool sized by VRLAT_THREADS; entries are aggregated in canonical
+    enumeration order regardless of completion.  If a worker process dies,
+    every instance of the tasks it left unfinished becomes an error entry
+    naming the crash.
     """
     if suite not in ("uniform", "adjacent", "skip", "prefix", "power", "all"):
         raise ValueError(f"unknown suite {suite!r}")
     if not 1 <= m_max <= MAX_GROUND:
         raise ValueError(f"m_max out of range 1..{MAX_GROUND}")
     tasks = [
-        (spec, scale, max_dim if max_dim is not None else dim, "z2", name, oracle,
+        (kind, head, scale, dim if max_dim is None else max_dim, *rest,
          budget_ms, max_simplices)
-        for spec, scale, dim, name, oracle in _suite_tasks(suite, m_max)
+        for kind, head, scale, dim, *rest in _suite_tasks(suite, m_max)
     ]
     workers = worker_count()
     if workers == 1 or len(tasks) <= 1:
-        entries = [_compute_entry(*t) for t in tasks]
+        results = [_run_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_worker, t) for t in tasks]
-            entries = []
+            futures = [pool.submit(_run_task, t) for t in tasks]
+            results = []
             for task, future in zip(tasks, futures):
                 try:
-                    entries.append(future.result())
+                    results.append(future.result())
                 except BrokenProcessPool as e:
                     # a worker died (say, killed for memory); every task
                     # not finished by then is lost, the rest is kept
-                    entries.append(replace(
-                        _task_error(*task), detail=f"worker process crashed: {e}"
-                    ))
-    return Report(tuple(entries))
+                    results.append([
+                        replace(entry, detail=f"worker process crashed: {e}")
+                        for entry in _task_errors(*task)
+                    ])
+    return Report(tuple(entry for entries in results for entry in entries))
 
 
 def run_three_layer_check(

@@ -16,13 +16,18 @@ that meets a non-unit pivot falls back to the Smith normal form of
 d_(d+1) (unit pivots eliminated sparsely, any residual handed to sympy's
 exact SNF), and the next dimension then runs without clearing.  Torsion
 of the d-th reduced group is read off the invariant factors of d_(d+1).
+
+prefix_betti_z2 runs the same reducer mod 2 once as a persistence pass
+over the vertex filtration (a simplex is born at its largest vertex) and
+reads off the Z/2 Betti numbers of every vertex prefix of the complex.
 """
 
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .complexes import Complex
+from .complexes import Complex, prefix_f_vectors
 
 
 class MatrixTooLarge(RuntimeError):
@@ -97,6 +102,85 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
         f_d = k.f_vector[d] if d <= k.max_dim else 0
         values.append(f_d - ranks.get(d, 0) - ranks.get(d + 1, 0))
     return BettiVector(coeff="z2", values=tuple(values), complete_through=ct)
+
+
+def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
+    """betti_z2 of every vertex prefix of k, from one persistence pass.
+
+    Entry i is betti_z2(K_i, through), where K_i holds the simplices of k
+    on vertices 0..i.  K_i is complete if k is, and also, for a flag
+    complex, while no (max_dim+1)-clique of k's graph lies on 0..i: that
+    is the birth of the first such clique, read off the common neighbours
+    of the top layer, so no further layer is built.
+
+    The vertex filtration gives a simplex birth i at its largest vertex
+    i, so rank d_(d+1) on K_i is the rank of the rows of delta^d born by
+    i.  With the vertices relabelled v -> n-1-v those rows are a
+    lexicographic suffix, and after column operations (clearing included)
+    that leave distinct largest-row pivots, the rank of a row suffix is
+    the number of pivots in it.  So one run of the mod-2 coboundary
+    reducer on the relabelled complex counts every prefix's ranks: the
+    pivots are the persistence pairs' deaths.  Its columns are walked
+    first to last, the reverse of the filtration, as in a cohomology
+    persistence pass; the other walk gives the same counts and was
+    measured slower (power(8) through dim 4: 0.86 s against 0.69 s).
+    """
+    if through < 0:
+        raise ValueError("through must be nonnegative")
+    n = len(k.family)
+    top = min(through + 1, k.max_dim)
+    flipped = Complex(
+        k.family,
+        k.scale,
+        top,
+        tuple(
+            tuple(sorted(tuple(n - 1 - v for v in reversed(s)) for s in layer))
+            for layer in k.simplices[: top + 1]
+        ),
+        flag=k.flag,
+        complete=False,
+        adjacency=tuple(int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency)),
+    )
+    # deaths[d][i]: rank d_d on K_i, from the pivot rows of delta^(d-1)
+    deaths = [[0] * n]
+    pivots: set[int] = set()
+    for d in range(top):
+        _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2, forward=True)
+        died = [0] * n
+        rows = flipped.simplices[d + 1]
+        for r in pivots:
+            died[n - 1 - rows[r][0]] += 1
+        deaths.append(list(accumulate(died)))
+    first_clique = n if k.complete else 0 if not k.flag else _first_clique_birth(k)
+    out = []
+    for i, f in enumerate(prefix_f_vectors(k)):
+        ct = through if i < first_clique else min(through, k.max_dim - 1)
+        ranks = [1 if f[0] else 0] + [deaths[d][i] for d in range(1, top + 1)]
+        ranks += [0] * (ct + 2 - len(ranks))
+        values = tuple(
+            (f[d] if d <= k.max_dim else 0) - ranks[d] - ranks[d + 1]
+            for d in range(ct + 1)
+        )
+        out.append(BettiVector(coeff="z2", values=values, complete_through=ct))
+    return tuple(out)
+
+
+def _first_clique_birth(k: Complex) -> int:
+    """Smallest largest vertex of a (max_dim+1)-clique, or len(k.family).
+
+    Each such clique extends its first max_dim+1 vertices, a stored top
+    simplex, by a common neighbour above them.
+    """
+    first = len(k.family)
+    adjacency = k.adjacency
+    for s in k.simplices[k.max_dim]:
+        common = adjacency[s[0]]
+        for u in s[1:]:
+            common &= adjacency[u]
+        above = common >> (s[-1] + 1)
+        if above:
+            first = min(first, s[-1] + (above & -above).bit_length())
+    return first
 
 
 def _integer_columns(k: Complex, dim: int):
@@ -256,16 +340,19 @@ def _cofaces(s, adjacency, positions: dict):
 
 
 def _reduce_coboundary(
-    k: Complex, dim: int, cleared: set[int], modulus: int = 0
+    k: Complex, dim: int, cleared: set[int], modulus: int = 0, forward: bool = False
 ) -> tuple[int, tuple[int, ...], set[int]]:
     """Rank, torsion and pivot rows of delta^dim, skipping cleared columns.
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns are ranked lexicographically, whatever order the
     complex stores them in.  Columns are reduced from the last to the
-    first.  A raw coboundary has only +-1 entries, so a column whose top
-    coface is not yet a pivot settles at once and is kept as its index
-    alone, to be rebuilt if a later column needs it.  Over Z, on the first
+    first, or from the first to the last when forward is set (the order
+    of a persistence pass, see prefix_betti_z2).  The rank of any suffix
+    of the rows is the number of pivots in it, whichever the walk.  A raw
+    coboundary has only +-1 entries, so a column whose top coface is not
+    yet a pivot settles at once and is kept as its index alone, to be
+    rebuilt if a later column needs it.  Over Z, on the first
     pivot that is not +-1 the reduction is abandoned and the Smith normal
     form of the (dim+1)-boundary decides; it leaves no pivot rows, so the
     next dimension runs without clearing.  Mod 2 every nonzero entry is a
@@ -279,7 +366,7 @@ def _reduce_coboundary(
     adjacency = k.adjacency
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
-    for j in range(len(layer) - 1, -1, -1):
+    for j in range(len(layer)) if forward else range(len(layer) - 1, -1, -1):
         if j in cleared:
             continue
         top = next(_cofaces(layer[j], adjacency, positions), None)

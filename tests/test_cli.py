@@ -317,6 +317,106 @@ class TestRunVerify:
                 assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
 
 
+def _prefix_task(m: int, max_dim: int = 4):
+    """The prefix task of the prefix suite at m, with max_dim and no budgets."""
+    kind, task_m, scale, _, specs = cli._suite_tasks("prefix", m)[-1]
+    assert (kind, task_m) == ("prefix", m)
+    return m, scale, max_dim, specs, None, None
+
+
+class TestPrefixTask:
+    @pytest.mark.parametrize(
+        "m, max_dim",
+        [(m, d) for m in (3, 4, 5) for d in range(1, 7)] + [(6, 4)],
+    )
+    def test_filtration_entries_match_per_instance_entries(self, m, max_dim):
+        task = _prefix_task(m, max_dim)
+        specs = task[3]
+        got = cli._prefix_entries(*task)
+        assert len(got) == len(specs) == 1 << m
+        for entry, (spec, oracle) in zip(got, specs):
+            want = cli._compute_entry(
+                spec, 2, max_dim, "z2", "prefix_betti3", oracle, None, None
+            )
+            assert replace(entry, wall_time_ms=None) == replace(want, wall_time_ms=None)
+
+    def test_power_entries_agree_with_their_last_prefix(self):
+        entries = {e.spec: e for e in run_verify("all", 6).entries}
+        for m in range(3, 7):
+            power = entries[f"power({m})"]
+            last = entries[f"prefix({m};{{{','.join(map(str, range(1, m + 1)))}}})"]
+            assert power.status == last.status == "ok"
+            assert power.f_vector == last.f_vector
+            assert power.betti == last.betti
+            assert power.chi == last.chi
+
+    def test_one_prefix_task_per_m(self):
+        tasks = cli._suite_tasks("prefix", 6)
+        assert [(t[0], t[1]) for t in tasks] == [("prefix", m) for m in (3, 4, 5, 6)]
+        report = run_verify("prefix", 6)
+        assert [e.spec for e in report.entries] == [
+            spec for t in tasks for spec, _ in t[4]
+        ]
+        assert report_clean(report)
+
+    def test_simplex_budget_skips_every_prefix_of_a_refused_build(self):
+        # power(4) through dim 4 has 392 simplices and power(5) 1744
+        report = run_verify("prefix", 5, max_simplices=1000)
+        by_m = {m: [e for e in report.entries if e.spec.startswith(f"prefix({m};")]
+                for m in (3, 4, 5)}
+        assert [len(v) for v in by_m.values()] == [8, 16, 32]
+        assert all(e.status == "ok" and e.match for e in by_m[3] + by_m[4])
+        assert all(e.status == "skipped" for e in by_m[5])
+        assert {e.detail for e in by_m[5]} == {
+            "simplex budget 1000 exceeded at dimension 3"
+        }
+        assert all(e.betti is None and e.match is None for e in by_m[5])
+        assert report_clean(report)
+
+    def test_time_budget_applies_to_the_task_wall_time(self, monkeypatch):
+        ticks = iter(range(0, 1000, 10))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+        report = run_verify("prefix", 4, budget_ms=500)
+        assert len(report.entries) == 8 + 16
+        for m in (3, 4):
+            wall = {e.wall_time_ms for e in report.entries
+                    if e.spec.startswith(f"prefix({m};")}
+            assert len(wall) == 1 and wall.pop() > 500
+        assert all(e.status == "skipped" for e in report.entries)
+        assert all("exceeded budget" in e.detail for e in report.entries)
+        assert all(e.match is None for e in report.entries)
+        assert report_clean(report)
+
+    def test_crashed_prefix_worker_becomes_error_entries(self, monkeypatch):
+        monkeypatch.setenv("VRLAT_THREADS", "1")
+        seq = run_verify("prefix", 5).entries
+        prefix_entries = cli._prefix_entries
+
+        def crash_at_m4(m, *rest):
+            if m == 4:
+                os._exit(1)  # as if the worker were killed for memory
+            return prefix_entries(m, *rest)
+
+        # the pool forks, so its workers inherit the patched function
+        monkeypatch.setattr(cli, "_prefix_entries", crash_at_m4)
+        monkeypatch.setenv("VRLAT_THREADS", "2")
+        report = run_verify("prefix", 5)
+        assert [e.spec for e in report.entries] == [e.spec for e in seq]
+        crashed = [e for e in report.entries if e.spec.startswith("prefix(4;")]
+        assert len(crashed) == 16
+        assert all(e.status == "error" for e in crashed)
+        for got, want in zip(report.entries, seq):
+            if got.status == "error":
+                assert got == replace(
+                    want, status="error", f_vector=None, betti=None,
+                    complete_through=None, chi=None, match=None,
+                    detail=got.detail, wall_time_ms=None,
+                )
+                assert "worker process crashed" in got.detail
+            else:
+                assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
+
+
 class TestThreeLayerCheck:
     def test_insertion_is_invisible(self):
         report = run_three_layer_check(5, 1)

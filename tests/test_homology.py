@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrlat.homology as hm
-from vrlat.complexes import Complex, build_flag, skeleton, star
+from vrlat.complexes import Complex, build_flag, full_subcomplex, skeleton, star
 from vrlat.homology import (
     BettiVector,
     MatrixTooLarge,
@@ -17,6 +17,7 @@ from vrlat.homology import (
     betti_z2,
     euler_characteristic,
     homology_integer,
+    prefix_betti_z2,
     smith_diagonal,
 )
 from vrlat.setfam import SetFamily, Subset, gen_prefix, gen_uniform, gen_union
@@ -139,6 +140,59 @@ class TestBettiZ2:
         got = betti_z2(shuffled, through)
         assert got == betti_z2(k, through)
         assert list(got.values) == bf_betti(family, scale, through)
+
+
+@st.composite
+def family_scale_depth(draw):
+    m = draw(st.integers(min_value=2, max_value=5))
+    all_subsets = [Subset(bits, m) for bits in range(1 << m)]
+    picked = draw(
+        st.lists(st.sampled_from(all_subsets), min_size=1, max_size=10, unique=True)
+    )
+    fam = SetFamily.from_subsets(m, picked)
+    return fam, draw(st.integers(0, m)), draw(st.integers(1, 4))
+
+
+class TestPrefixBettiZ2:
+    @settings(max_examples=80, deadline=None)
+    @given(family_scale_depth())
+    def test_every_prefix_matches_its_own_reduction(self, case):
+        fam, scale, max_dim = case
+        full = build_flag(fam, scale, len(fam))
+        assert full.complete
+        for i, got in enumerate(prefix_betti_z2(full, max_dim)):
+            sub = full_subcomplex(full, range(i + 1))
+            assert got == betti_z2(sub, max_dim)
+            if i < 8:
+                prefix = SetFamily(fam.m, fam.vertices[: i + 1])
+                assert list(got.values) == bf_betti(prefix, scale, max_dim)
+        # a truncated build: each prefix is complete until its first
+        # (max_dim+1)-clique, as if it were built on its own
+        k = build_flag(fam, scale, max_dim)
+        for i, got in enumerate(prefix_betti_z2(k, max_dim)):
+            own = build_flag(SetFamily(fam.m, fam.vertices[: i + 1]), scale, max_dim)
+            assert got == betti_z2(own, max_dim if own.complete else max_dim - 1)
+
+    @pytest.mark.parametrize("m, max_dim", [(4, 2), (5, 3), (5, 4)])
+    def test_power_set_prefixes_match_prefix_builds(self, m, max_dim):
+        k = build_flag(gen_prefix(m, Subset.full(m)), 2, max_dim)
+        got = prefix_betti_z2(k, max_dim)
+        assert len(got) == 1 << m
+        assert {bv.complete_through for bv in got} == {max_dim - 1, max_dim}
+        for a, bv in zip(k.family.vertices, got):
+            own = build_flag(gen_prefix(m, a), 2, max_dim)
+            assert bv == betti_z2(own, max_dim if own.complete else max_dim - 1)
+
+    def test_truncated_non_flag_complex_stays_truncated(self):
+        k = build_flag(gen_prefix(4, Subset.full(4)), 2, 3)
+        cut = Complex(k.family, 2, 2, k.simplices[:3], flag=False, complete=False)
+        for i, got in enumerate(prefix_betti_z2(cut, 3)):
+            assert got.complete_through == 1
+            assert got == betti_z2(full_subcomplex(cut, range(i + 1)), 3)
+
+    def test_negative_through_rejected(self):
+        with pytest.raises(ValueError):
+            prefix_betti_z2(octahedron(), -1)
 
 
 class TestSmithDiagonal:
