@@ -29,10 +29,9 @@ from .complexes import (
     facet_dump,
     maximal_simplices_bk,
     maximal_simplices_closed_form,
-    prefix_f_vectors,
     sc_hypothesis_check,
 )
-from .homology import betti_z2, euler_characteristic, homology_integer, prefix_betti_z2
+from .homology import _prefix_z2, betti_z2, euler_characteristic, homology_integer
 from .setfam import MAX_GROUND, SetFamily, Subset, gen_prefix, gen_uniform, gen_union
 
 
@@ -286,16 +285,16 @@ def _task_error(
     )
 
 
-def _task_errors(kind: str, *args) -> list[ReportEntry]:
-    """Error entries naming every instance of a suite task, with nothing
-    computed."""
-    if kind == "prefix":
-        _, scale, max_dim, specs = args[:4]
-        return [
-            _task_error(spec, scale, max_dim, "z2", "prefix_betti3", oracle)
-            for spec, oracle in specs
-        ]
-    return [_task_error(*args)]
+def _task_errors(
+    kind: str, head, scale, max_dim, coeff, oracle_name, oracle, *budgets
+) -> list[ReportEntry]:
+    """Error entries naming every instance of a suite task (see
+    _suite_tasks), with nothing computed."""
+    specs = oracle if kind == "prefix" else ((head, oracle),)
+    return [
+        _task_error(spec, scale, max_dim, coeff, oracle_name, spec_oracle)
+        for spec, spec_oracle in specs
+    ]
 
 
 def _ms_since(started: float) -> int:
@@ -379,6 +378,8 @@ def _prefix_entries(
     m: int,
     scale: int,
     max_dim: int,
+    coeff: str,
+    oracle_name: str,
     specs: tuple[tuple[str, tuple[int, ...]], ...],
     budget_ms: int | None,
     max_simplices: int | None,
@@ -387,32 +388,31 @@ def _prefix_entries(
     from one build of power(m) and one persistence pass over it.
 
     prefix(m;A) is the first index(A)+1 vertices of power(m), so its complex
-    is the full subcomplex of power(m)'s on them (see prefix_betti_z2).
-    Budgets apply to the task as a whole: max_simplices bounds the one
-    build, budget_ms is compared with the task's wall time, and every entry
-    reports that time.
+    is the full subcomplex of power(m)'s on them (see prefix_betti_z2); the
+    pass is mod 2, so coeff is "z2".  Budgets apply to the task as a whole:
+    max_simplices bounds the one build, budget_ms is compared with the
+    task's wall time, and every entry reports that time.
     """
-    bases = _task_errors("prefix", m, scale, max_dim, specs)
+    bases = _task_errors("prefix", m, scale, max_dim, coeff, oracle_name, specs)
     started = time.perf_counter()
     try:
         k = build_flag(
             gen_prefix(m, Subset.full(m)), scale, max_dim, max_simplices=max_simplices
         )
-        bettis = prefix_betti_z2(k, max_dim)
+        prefixes = _prefix_z2(k, max_dim)
     except Exception as e:  # the failure is every entry's
         elapsed = _ms_since(started)
         return [_failed(base, e, elapsed) for base in bases]
     elapsed = _ms_since(started)
     entries = []
-    for base, f, bv in zip(bases, prefix_f_vectors(k), bettis):
-        complete = bv.complete_through == max_dim
+    for base, (f, chi, bv) in zip(bases, prefixes):
         entry = replace(
             base,
             status="ok",
             f_vector=f,
             betti=bv.values,
             complete_through=bv.complete_through,
-            chi=sum((-1) ** d * n for d, n in enumerate(f)) if complete else None,
+            chi=chi,
             wall_time_ms=elapsed,
         )
         entries.append(_judged(entry, budget_ms))
@@ -428,8 +428,9 @@ def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
     """The suite's tasks in canonical order, before budgets.
 
     ("entry", spec, scale, max_dim, "z2", oracle name, oracle) is one
-    instance; ("prefix", m, scale, max_dim, ((spec, oracle), ...)) is every
-    prefix(m;A), A in the vertex order of power(m).
+    instance; ("prefix", m, scale, max_dim, "z2", oracle name,
+    ((spec, oracle), ...)) is every prefix(m;A), A in the vertex order of
+    power(m).
     """
     tasks = []
     if suite in ("uniform", "all"):
@@ -462,7 +463,7 @@ def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
                 elems = ",".join(str(e) for e in a.elements)
                 value = formulas.prefix_betti3(m, a) if a.size >= 3 else 0
                 specs.append((f"prefix({m};{{{elems}}})", (0, 0, 0, value)))
-            tasks.append(("prefix", m, 2, 4, tuple(specs)))
+            tasks.append(("prefix", m, 2, 4, "z2", "prefix_betti3", tuple(specs)))
     if suite in ("power", "all"):
         for m in range(3, m_max + 1):
             oracle = (0, 0, 0, formulas.power_betti3(m))

@@ -14,7 +14,7 @@ which is what entitles Euler-characteristic and top-dimension homology
 claims.
 """
 
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .setfam import SetFamily, Subset, dist, gen_uniform
 
@@ -297,18 +297,6 @@ def full_subcomplex(k: Complex, vertices) -> Complex:
         tuple(s for s in layer if all(u in vs for u in s)) for layer in k.simplices
     )
     return Complex(k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete)
-
-
-def prefix_f_vectors(k: Complex) -> list[tuple[int, ...]]:
-    """f-vector of the full subcomplex on vertices 0..i, for every vertex
-    index i of the family."""
-    counts = []
-    for layer in k.simplices:
-        born = [0] * len(k.family)
-        for s in layer:
-            born[s[-1]] += 1
-        counts.append(accumulate(born))
-    return list(zip(*counts))
 
 
 def skeleton(k: Complex, d: int) -> Complex:

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .complexes import Complex, prefix_f_vectors
+from .complexes import Complex
 
 
 class MatrixTooLarge(RuntimeError):
@@ -120,11 +120,16 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
     that leave distinct largest-row pivots, the rank of a row suffix is
     the number of pivots in it.  So one run of the mod-2 coboundary
     reducer on the relabelled complex counts every prefix's ranks: the
-    pivots are the persistence pairs' deaths.  Its columns are walked
-    first to last, the reverse of the filtration, as in a cohomology
-    persistence pass; the other walk gives the same counts and was
-    measured slower (power(8) through dim 4: 0.86 s against 0.69 s).
+    pivots are the persistence pairs' deaths.
     """
+    return tuple(bv for _, _, bv in _prefix_z2(k, through))
+
+
+def _prefix_z2(
+    k: Complex, through: int
+) -> list[tuple[tuple[int, ...], int | None, BettiVector]]:
+    """f-vector, Euler characteristic (None unless complete) and betti_z2
+    of every vertex prefix K_i of k; see prefix_betti_z2."""
     if through < 0:
         raise ValueError("through must be nonnegative")
     n = len(k.family)
@@ -141,11 +146,18 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
         complete=False,
         adjacency=tuple(int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency)),
     )
-    # deaths[d][i]: rank d_d on K_i, from the pivot rows of delta^(d-1)
+    # births[d][i]: f_d of K_i; deaths[d][i]: rank d_d on K_i, from the
+    # pivot rows of delta^(d-1)
+    births = []
+    for layer in k.simplices:
+        born = [0] * n
+        for s in layer:
+            born[s[-1]] += 1
+        births.append(list(accumulate(born)))
     deaths = [[0] * n]
     pivots: set[int] = set()
     for d in range(top):
-        _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2, forward=True)
+        _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2)
         died = [0] * n
         rows = flipped.simplices[d + 1]
         for r in pivots:
@@ -153,16 +165,18 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
         deaths.append(list(accumulate(died)))
     first_clique = n if k.complete else 0 if not k.flag else _first_clique_birth(k)
     out = []
-    for i, f in enumerate(prefix_f_vectors(k)):
-        ct = through if i < first_clique else min(through, k.max_dim - 1)
+    for i, f in enumerate(zip(*births)):
+        complete = i < first_clique
+        ct = through if complete else min(through, k.max_dim - 1)
         ranks = [1 if f[0] else 0] + [deaths[d][i] for d in range(1, top + 1)]
         ranks += [0] * (ct + 2 - len(ranks))
         values = tuple(
             (f[d] if d <= k.max_dim else 0) - ranks[d] - ranks[d + 1]
             for d in range(ct + 1)
         )
-        out.append(BettiVector(coeff="z2", values=values, complete_through=ct))
-    return tuple(out)
+        bv = BettiVector(coeff="z2", values=values, complete_through=ct)
+        out.append((f, _alternating_sum(f) if complete else None, bv))
+    return out
 
 
 def _first_clique_birth(k: Complex) -> int:
@@ -340,19 +354,16 @@ def _cofaces(s, adjacency, positions: dict):
 
 
 def _reduce_coboundary(
-    k: Complex, dim: int, cleared: set[int], modulus: int = 0, forward: bool = False
+    k: Complex, dim: int, cleared: set[int], modulus: int = 0
 ) -> tuple[int, tuple[int, ...], set[int]]:
     """Rank, torsion and pivot rows of delta^dim, skipping cleared columns.
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns are ranked lexicographically, whatever order the
     complex stores them in.  Columns are reduced from the last to the
-    first, or from the first to the last when forward is set (the order
-    of a persistence pass, see prefix_betti_z2).  The rank of any suffix
-    of the rows is the number of pivots in it, whichever the walk.  A raw
-    coboundary has only +-1 entries, so a column whose top coface is not
-    yet a pivot settles at once and is kept as its index alone, to be
-    rebuilt if a later column needs it.  Over Z, on the first
+    first.  A raw coboundary has only +-1 entries, so a column whose top
+    coface is not yet a pivot settles at once and is kept as its index
+    alone, to be rebuilt if a later column needs it.  Over Z, on the first
     pivot that is not +-1 the reduction is abandoned and the Smith normal
     form of the (dim+1)-boundary decides; it leaves no pivot rows, so the
     next dimension runs without clearing.  Mod 2 every nonzero entry is a
@@ -366,7 +377,7 @@ def _reduce_coboundary(
     adjacency = k.adjacency
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
-    for j in range(len(layer)) if forward else range(len(layer) - 1, -1, -1):
+    for j in range(len(layer) - 1, -1, -1):
         if j in cleared:
             continue
         top = next(_cofaces(layer[j], adjacency, positions), None)
@@ -450,4 +461,8 @@ def euler_characteristic(k: Complex) -> int:
     """Alternating sum of the f-vector; demands a complete complex."""
     if not k.complete:
         raise TruncatedComplex("Euler characteristic requires a complete complex")
-    return sum((-1) ** d * n for d, n in enumerate(k.f_vector))
+    return _alternating_sum(k.f_vector)
+
+
+def _alternating_sum(f_vector: tuple[int, ...]) -> int:
+    return sum((-1) ** d * n for d, n in enumerate(f_vector))

@@ -319,9 +319,9 @@ class TestRunVerify:
 
 def _prefix_task(m: int, max_dim: int = 4):
     """The prefix task of the prefix suite at m, with max_dim and no budgets."""
-    kind, task_m, scale, _, specs = cli._suite_tasks("prefix", m)[-1]
-    assert (kind, task_m) == ("prefix", m)
-    return m, scale, max_dim, specs, None, None
+    kind, task_m, scale, _, coeff, name, specs = cli._suite_tasks("prefix", m)[-1]
+    assert (kind, task_m, coeff, name) == ("prefix", m, "z2", "prefix_betti3")
+    return m, scale, max_dim, coeff, name, specs, None, None
 
 
 class TestPrefixTask:
@@ -331,7 +331,7 @@ class TestPrefixTask:
     )
     def test_filtration_entries_match_per_instance_entries(self, m, max_dim):
         task = _prefix_task(m, max_dim)
-        specs = task[3]
+        specs = task[5]
         got = cli._prefix_entries(*task)
         assert len(got) == len(specs) == 1 << m
         for entry, (spec, oracle) in zip(got, specs):
@@ -355,7 +355,7 @@ class TestPrefixTask:
         assert [(t[0], t[1]) for t in tasks] == [("prefix", m) for m in (3, 4, 5, 6)]
         report = run_verify("prefix", 6)
         assert [e.spec for e in report.entries] == [
-            spec for t in tasks for spec, _ in t[4]
+            spec for t in tasks for spec, _ in t[6]
         ]
         assert report_clean(report)
 

@@ -143,21 +143,25 @@ class TestBettiZ2:
 
 
 @st.composite
-def family_scale_depth(draw):
-    m = draw(st.integers(min_value=2, max_value=5))
+def small_family(draw, max_m: int = 4, max_size: int = 7):
+    """A family of at most max_size subsets of an m-set, m <= max_m, and a
+    scale 0..m."""
+    m = draw(st.integers(min_value=2, max_value=max_m))
     all_subsets = [Subset(bits, m) for bits in range(1 << m)]
     picked = draw(
-        st.lists(st.sampled_from(all_subsets), min_size=1, max_size=10, unique=True)
+        st.lists(
+            st.sampled_from(all_subsets), min_size=1, max_size=max_size, unique=True
+        )
     )
     fam = SetFamily.from_subsets(m, picked)
-    return fam, draw(st.integers(0, m)), draw(st.integers(1, 4))
+    return fam, draw(st.integers(min_value=0, max_value=m))
 
 
 class TestPrefixBettiZ2:
     @settings(max_examples=80, deadline=None)
-    @given(family_scale_depth())
-    def test_every_prefix_matches_its_own_reduction(self, case):
-        fam, scale, max_dim = case
+    @given(small_family(max_m=5, max_size=10), st.integers(min_value=1, max_value=4))
+    def test_every_prefix_matches_its_own_reduction(self, case, max_dim):
+        fam, scale = case
         full = build_flag(fam, scale, len(fam))
         assert full.complete
         for i, got in enumerate(prefix_betti_z2(full, max_dim)):
@@ -406,13 +410,7 @@ class TestResultTypes:
 
 @st.composite
 def small_complete_complex(draw):
-    m = draw(st.integers(min_value=2, max_value=4))
-    all_subsets = [Subset(bits, m) for bits in range(1 << m)]
-    picked = draw(
-        st.lists(st.sampled_from(all_subsets), min_size=1, max_size=7, unique=True)
-    )
-    fam = SetFamily.from_subsets(m, sorted(picked, key=lambda s: s.sort_key()))
-    scale = draw(st.integers(min_value=0, max_value=m))
+    fam, scale = draw(small_family())
     return build_flag(fam, scale, len(fam) - 1) if len(fam) > 1 else build_flag(fam, scale, 0)
 
 
