@@ -121,6 +121,13 @@ def build_flag(
     Simplices are exactly the vertex sets of pairwise distance <= r.  Raises
     BuildBudgetExceeded (naming the dimension reached) if more than
     max_simplices would be stored.
+
+    Each layer is grown from the one below, kept as parallel sequences of
+    simplices and candidate bitsets (the higher-indexed common neighbours).
+    Peeling the lowest candidate bit u off a simplex gives the next
+    coface, whose candidates are the bits left above u that are also
+    neighbours of u.  Only the finished layer's tuple and its candidate
+    list stay alive while the next layer grows.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -134,27 +141,30 @@ def build_flag(
     layers: list[tuple[Simplex, ...]] = [tuple((i,) for i in range(n))]
     count = n
     # candidate set of a simplex: higher-indexed common neighbors
-    cur = [((i,), adj[i] >> (i + 1) << (i + 1)) for i in range(n)]
+    cands = [adj[i] >> (i + 1) << (i + 1) for i in range(n)]
     complete = False
     for d in range(1, max_dim + 1):
-        nxt = []
-        for s, cand in cur:
-            for u in _bits(cand):
-                above = cand >> (u + 1) << (u + 1)
-                nxt.append((s + (u,), above & adj[u]))
-        count += len(nxt)
+        simplices, nxt_cands = [], []
+        for s, cand in zip(layers[-1], cands):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                u = low.bit_length() - 1
+                simplices.append(s + (u,))
+                nxt_cands.append(cand & adj[u])
+        count += len(simplices)
         if max_simplices is not None and count > max_simplices:
             raise BuildBudgetExceeded(d, count, max_simplices)
-        if not nxt:
+        if not simplices:
             complete = True
             layers.extend(() for _ in range(d, max_dim + 1))
             break
-        layers.append(tuple(s for s, _ in nxt))
-        cur = nxt
+        layers.append(tuple(simplices))
+        cands = nxt_cands
     if not complete:
         # any higher simplex would extend a stored one by a higher-indexed
         # common neighbor, so empty candidate sets certify completeness
-        complete = all(cand == 0 for _, cand in cur)
+        complete = not any(cands)
     return Complex(
         f, r, max_dim, tuple(layers), flag=True, complete=complete, adjacency=adj
     )

@@ -5,7 +5,9 @@ delta^0, delta^1, ... in order, over Z or over Z/2, and rank delta^d is
 rank d_(d+1).  Columns are the d-simplices in reverse order and a
 column's pivot is its largest row.  delta^d skips (clears) every column
 whose simplex is a pivot row of delta^(d-1): that column is equivalent to
-a cocycle with a unit pivot entry.
+a cocycle with a unit pivot entry.  delta^0 needs no column operations:
+its pivots are the edges that join two components of a union-find forest,
+taken from the largest edge down.
 
 betti_z2 runs the reduction mod 2 on every call, where every nonzero
 entry is a unit.  Integer homology runs it over Z once per complex and
@@ -353,6 +355,34 @@ def _cofaces(s, adjacency, positions: dict):
             yield row, -1 if p & 1 else 1
 
 
+def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
+    """Rank, torsion and pivot rows of delta^0, by union-find on the edges.
+
+    The pivot rows of a reduced delta^0 are the rows where the rank of the
+    row suffix goes up, and the rank of a set of edge rows is the number
+    of vertices less the number of components they leave, over Z and mod 2
+    alike.  So walking the edges from the largest down, the pivots are
+    exactly the edges that join two components.  An incidence matrix is
+    totally unimodular, so there is never torsion.
+    """
+    edges = sorted(k.simplices[1])
+    parent = list(range(len(k.family)))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    pivots = set()
+    for r in range(len(edges) - 1, -1, -1):
+        a, b = edges[r]
+        a, b = root(a), root(b)
+        if a != b:
+            parent[a] = b
+            pivots.add(r)
+    return len(pivots), (), pivots
+
+
 def _reduce_coboundary(
     k: Complex, dim: int, cleared: set[int], modulus: int = 0
 ) -> tuple[int, tuple[int, ...], set[int]]:
@@ -361,9 +391,14 @@ def _reduce_coboundary(
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns are ranked lexicographically, whatever order the
     complex stores them in.  Columns are reduced from the last to the
-    first.  A raw coboundary has only +-1 entries, so a column whose top
-    coface is not yet a pivot settles at once and is kept as its index
-    alone, to be rebuilt if a later column needs it.  Over Z, on the first
+    first.  delta^0 goes to _spanning_forest, which finds the same pivots
+    with no column operations.  A raw coboundary has only +-1 entries, so
+    a column whose top coface is not yet a pivot settles at once (an
+    apparent pair) and is kept as its index alone, to be rebuilt if a
+    later column needs it.  The top coface is found inline, as the first
+    stored one in _cofaces order: in a flag complex every common
+    neighbour spans a stored coface, so the highest one settles it in a
+    single lookup.  Over Z, on the first
     pivot that is not +-1 the reduction is abandoned and the Smith normal
     form of the (dim+1)-boundary decides; it leaves no pivot rows, so the
     next dimension runs without clearing.  Mod 2 every nonzero entry is a
@@ -371,6 +406,8 @@ def _reduce_coboundary(
     """
     if dim >= k.max_dim or not k.f_vector[dim + 1]:
         return 0, (), set()
+    if dim == 0:
+        return _spanning_forest(k)
     # local, so only one dimension's position dict is alive at a time
     positions = {t: i for i, t in enumerate(sorted(k.simplices[dim + 1]))}
     layer = sorted(k.simplices[dim])
@@ -380,13 +417,22 @@ def _reduce_coboundary(
     for j in range(len(layer) - 1, -1, -1):
         if j in cleared:
             continue
-        top = next(_cofaces(layer[j], adjacency, positions), None)
+        s = layer[j]
+        common = adjacency[s[0]]
+        for u in s[1:]:
+            common &= adjacency[u]
+        top = None
+        while common and top is None:
+            v = common.bit_length() - 1
+            common ^= 1 << v
+            p = bisect_left(s, v)
+            top = positions.get(s[:p] + (v,) + s[p:])
         if top is None:
             continue
-        if top[0] not in reduced:
-            reduced[top[0]] = j
+        if top not in reduced:
+            reduced[top] = j
             continue
-        col = dict(_cofaces(layer[j], adjacency, positions))
+        col = dict(_cofaces(s, adjacency, positions))
         while col:
             low = max(col)
             settled = reduced.get(low)
@@ -399,6 +445,9 @@ def _reduce_coboundary(
                 break
             if isinstance(settled, int):
                 settled = dict(_cofaces(layer[settled], adjacency, positions))
+                if next(iter(settled)) != low:
+                    # a wrong apparent pair would make this loop run forever
+                    raise RuntimeError(f"raw column filed under row {low}")
             factor = col[low] * settled[low]  # settled[low] is its own inverse
             for r, v in settled.items():
                 new = col.get(r, 0) - factor * v

@@ -7,6 +7,7 @@ be checked against an independent route.  Only the vertex/metric layer of
 the library is imported; none of the code under test is reused.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from vrlat.setfam import SetFamily, dist
@@ -127,3 +128,42 @@ def bf_components(family: SetFamily, scale: int) -> int:
             if ra != rb:
                 parent[ra] = rb
     return len({find(x) for x in range(n)})
+
+
+def bf_coboundary_pivots(
+    family: SetFamily, scale: int, dim: int, modulus: int
+) -> set[tuple[int, ...]]:
+    """Pivot (dim+1)-simplices of delta^dim by naive column reduction.
+
+    Rows are the (dim+1)-simplices and columns the dim-simplices, both in
+    lexicographic order; (delta^dim s)(t) = (-1)^i when s is t without its
+    i-th vertex.  Columns are reduced from the last to the first with no
+    clearing, and a column's pivot is its largest row.  Entries are
+    rationals for modulus 0 and residues for modulus 2.
+    """
+    layers = bf_simplices(family, scale, dim + 1)
+    cols: dict[tuple[int, ...], dict[int, Fraction | int]] = {
+        s: {} for s in layers[dim]
+    }
+    for r, t in enumerate(layers[dim + 1]):
+        for i in range(dim + 2):
+            cols[t[:i] + t[i + 1:]][r] = 1 if modulus else Fraction((-1) ** i)
+    settled: dict[int, dict[int, Fraction | int]] = {}
+    for s in reversed(layers[dim]):
+        col = cols[s]
+        while col:
+            low = max(col)
+            if low not in settled:
+                settled[low] = col
+                break
+            other = settled[low]
+            factor = col[low] * other[low] if modulus else col[low] / other[low]
+            for r, x in other.items():
+                new = col.get(r, 0) - factor * x
+                if modulus:
+                    new %= modulus
+                if new:
+                    col[r] = new
+                else:
+                    col.pop(r, None)
+    return {layers[dim + 1][r] for r in settled}

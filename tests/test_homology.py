@@ -1,6 +1,7 @@
 """Boundary columns, Z/2 reduction, and exact integer homology."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import vrlat.homology as hm
 from vrlat.complexes import Complex, build_flag, full_subcomplex, skeleton, star
+from vrlat.formulas import upto_betti3
 from vrlat.homology import (
     BettiVector,
     MatrixTooLarge,
@@ -22,7 +24,7 @@ from vrlat.homology import (
 )
 from vrlat.setfam import SetFamily, Subset, gen_prefix, gen_uniform, gen_union
 
-from oracles import bf_betti, bf_components
+from oracles import bf_betti, bf_coboundary_pivots, bf_components
 
 
 def upto(m: int, n: int) -> SetFamily:
@@ -194,9 +196,50 @@ class TestPrefixBettiZ2:
             assert got.complete_through == 1
             assert got == betti_z2(full_subcomplex(cut, range(i + 1)), 3)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_upto_prefixes_match_closed_form(self, m):
+        # upto(m, n) is the prefix of power(m) that ends at the last n-subset
+        power = gen_prefix(m, Subset.full(m))
+        got = prefix_betti_z2(build_flag(power, 2, 4), 3)
+        end = -1
+        for n in range(m + 1):
+            end += math.comb(m, n)
+            assert SetFamily(m, power.vertices[: end + 1]) == upto(m, n)
+            assert got[end].values == (0, 0, 0, upto_betti3(m, n))
+
     def test_negative_through_rejected(self):
         with pytest.raises(ValueError):
             prefix_betti_z2(octahedron(), -1)
+
+
+class TestCoboundaryPivots:
+    @settings(max_examples=80, deadline=None)
+    @given(small_family(max_m=5, max_size=10), st.integers(min_value=1, max_value=3))
+    def test_spanning_forest_matches_naive_reduction(self, case, scale):
+        fam, _ = case
+        k = build_flag(fam, scale, 1)
+        edges = sorted(k.simplices[1])
+        for modulus in (0, 2):
+            rank, torsion, pivots = hm._reduce_coboundary(k, 0, set(), modulus)
+            assert {edges[r] for r in pivots} == bf_coboundary_pivots(
+                fam, scale, 0, modulus
+            )
+            assert rank == len(fam) - bf_components(fam, scale)
+            assert torsion == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_family(max_m=5, max_size=10))
+    def test_cleared_reduction_matches_naive_reduction(self, case):
+        # clearing drops only columns in the span of the others, and the
+        # apparent pairs settle columns unreduced, so every dimension's
+        # pivot rows are those of a naive reduction with neither
+        fam, scale = case
+        k = build_flag(fam, scale, 4)
+        pivots: set[int] = set()
+        for d in range(4):
+            _, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus=2)
+            rows = sorted(k.simplices[d + 1])
+            assert {rows[r] for r in pivots} == bf_coboundary_pivots(fam, scale, d, 2)
 
 
 class TestSmithDiagonal:
