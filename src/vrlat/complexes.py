@@ -61,7 +61,7 @@ class Complex:
         self._sets: dict[int, set[Simplex]] = {}
         # integer coboundary reduction, filled bottom up by
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
-        # and the pivot rows of the last one, for clearing the next
+        # and the unit pivot rows of the last one, for clearing the next
         self._coboundary: tuple[list, set[int]] = ([], set())
 
     @property

@@ -4,27 +4,29 @@ Both coefficient rings use one reducer.  It reduces the coboundaries
 delta^0, delta^1, ... in order, over Z or over Z/2, and rank delta^d is
 rank d_(d+1).  Columns are the d-simplices in reverse order and a
 column's pivot is its largest row.  delta^d skips (clears) every column
-whose simplex is a pivot row of delta^(d-1): that column is equivalent to
-a cocycle with a unit pivot entry.  delta^0 needs no column operations:
-its pivots are the edges that join two components of a union-find forest,
-taken from the largest edge down.
+whose simplex is a unit pivot row of delta^(d-1): that column is
+equivalent to a cocycle with a unit pivot entry.  delta^0 needs no column
+operations: its pivots are the edges that join two components of a
+union-find forest, taken from the largest edge down.
 
 betti_z2 runs the reduction mod 2 on every call, where every nonzero
 entry is a unit.  Integer homology runs it over Z once per complex and
-memoizes the ranks on the complex.  When every pivot is +-1 the column
-operations, clearing included, are unimodular, so rank delta^d is rank
-d_(d+1) exactly and the absence of torsion is certified.  A dimension
-that meets a non-unit pivot falls back to the Smith normal form of
-d_(d+1) (unit pivots eliminated sparsely, any residual handed to sympy's
-exact SNF), and the next dimension then runs without clearing.  Torsion
-of the d-th reduced group is read off the invariant factors of d_(d+1).
+memoizes the ranks on the complex.  Over Z a column whose pivot entry is
+not a multiple of the settled one meets it in an extended-gcd step (the
+column Hermite step), so every column operation is unimodular and the
+reduction never restarts.  When every pivot ends +-1, rank delta^d is
+rank d_(d+1) exactly and the absence of torsion is certified.  Otherwise
+the non-unit pivot columns, fully reduced on the unit pivot rows, are a
+small residual whose Smith normal form (smith_diagonal) gives the other
+invariant factors, and the next dimension clears from the unit pivot
+rows only.  Torsion of the d-th reduced group is read off the invariant
+factors of d_(d+1).
 
 prefix_betti_z2 runs the same reducer mod 2 once as a persistence pass
 over the vertex filtration (a simplex is born at its largest vertex) and
 reads off the Z/2 Betti numbers of every vertex prefix of the complex.
 """
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -33,7 +35,8 @@ from .complexes import Complex
 
 
 class MatrixTooLarge(RuntimeError):
-    """Raised when an exact SNF request exceeds the size guard."""
+    """Raised when the residual left for sympy's exact SNF exceeds
+    _RESIDUAL_LIMIT rows or columns."""
 
     def __init__(self, dim: int, n_rows: int, n_cols: int, limit: int):
         self.dim = dim
@@ -41,8 +44,9 @@ class MatrixTooLarge(RuntimeError):
         self.n_cols = n_cols
         self.limit = limit
         super().__init__(
-            f"boundary matrix for dimension {dim} is {n_rows} x {n_cols}; "
-            f"exact integer reduction is guarded to {limit} rows/columns"
+            f"non-unit residual of the dimension-{dim} boundary is "
+            f"{n_rows} x {n_cols}; its exact Smith normal form is guarded to "
+            f"{limit} rows/columns"
         )
 
 
@@ -199,36 +203,17 @@ def _first_clique_birth(k: Complex) -> int:
     return first
 
 
-def _integer_columns(k: Complex, dim: int):
-    # generator over sparse signed columns; the face-position dict is local
-    # so nothing outlives the consumer
-    pos = {s: i for i, s in enumerate(k.simplices[dim - 1])}
-    for s in k.simplices[dim]:
-        yield {
-            pos[s[:i] + s[i + 1:]]: (-1 if i % 2 else 1) for i in range(dim + 1)
-        }
-
-
-def _snf_residual(cols: dict[int, dict[int, int]]) -> list[int]:
+def _snf_residual(cols: list[dict[int, int]]) -> list[int]:
     """Exact SNF diagonal of a matrix with no unit entries left."""
     if not cols:
         return []
     from sympy import Matrix
     from sympy.matrices.normalforms import smith_normal_form
 
-    row_ids = sorted({r for col in cols.values() for r in col})
-    row_pos = {r: i for i, r in enumerate(row_ids)}
-    dense = [[0] * len(cols) for _ in row_ids]
-    for j, col_id in enumerate(sorted(cols)):
-        for r, v in cols[col_id].items():
-            dense[row_pos[r]][j] = v
-    snf = smith_normal_form(Matrix(dense))
-    out = []
-    for i in range(min(snf.rows, snf.cols)):
-        v = abs(int(snf[i, i]))
-        if v:
-            out.append(v)
-    return sorted(out)
+    rows = sorted({r for col in cols for r in col})
+    snf = smith_normal_form(Matrix([[col.get(r, 0) for col in cols] for r in rows]))
+    diag = (abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols)))
+    return sorted(v for v in diag if v)
 
 
 # The non-unit residual is densified for sympy, whose exact SNF time
@@ -245,88 +230,38 @@ _RESIDUAL_LIMIT = 40
 def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
     """Invariant factors of an integer matrix given as sparse columns.
 
-    Accepts any iterable of {row: value} columns.  Unit pivots are
-    eliminated first (cheapest fill by Markowitz cost, ties by row then
-    column), each contributing an invariant factor 1; the residual, if
-    any, goes through sympy's exact Smith normal form.
-
-    The heap holds roughly one candidate entry per live column: popping a
-    dead or demoted candidate rescans just that column, so the heap stays
-    small even when elimination churns millions of entries.
+    Accepts any iterable of {row: value} columns.  Each +-1 entry is a
+    pivot in turn: column operations clear the rest of its row, so a row
+    operation would clear the rest of its column without touching any
+    other, and the pivot contributes an invariant factor 1.  What is left
+    once no entry is +-1 goes through sympy's exact Smith normal form.
+    The integer coboundary reduction hands it only its non-unit residual;
+    called on a whole boundary, it is an independent route to the same
+    invariant factors.
     """
-    cols: dict[int, dict[int, int]] = {
-        j: dict(col) for j, col in enumerate(columns) if col
-    }
-    rows: dict[int, set[int]] = {}
-    for j, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(j)
-
-    heap: list[tuple[int, int, int]] = []
-    cand: dict[int, int] = {}  # cheapest cost currently pushed per column
-
-    def push_candidate(j: int) -> None:
-        col = cols[j]
-        best = None
-        for r, v in col.items():
-            if v in (1, -1):
-                key = (len(rows[r]), r)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            cand.pop(j, None)
-        else:
-            cost = (best[0] - 1) * (len(col) - 1)
-            cand[j] = cost
-            heapq.heappush(heap, (cost, best[1], j))
-
-    for j in sorted(cols):
-        push_candidate(j)
-
+    cols = [dict(col) for col in columns if col]
     units = 0
-    while heap:
-        cost, r, j = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None:
-            continue
-        if col.get(r) not in (1, -1):
-            push_candidate(j)  # candidate died; rescan the column
-            continue
-        current = (len(rows[r]) - 1) * (len(col) - 1)
-        if current > cost:
-            cand[j] = current
-            heapq.heappush(heap, (current, r, j))  # stale, reinsert at true cost
-            continue
+    while True:
+        pivot = next(
+            ((j, r) for j, col in enumerate(cols) for r, v in col.items() if v in (1, -1)),
+            None,
+        )
+        if pivot is None:
+            break
+        j, r = pivot
         pivot_col = cols.pop(j)
-        cand.pop(j, None)
-        p = pivot_col[r]
-        for r2 in pivot_col:
-            rows[r2].discard(j)
-        # column ops clear row r; the implicit row op clearing column j
-        # touches nothing else because row r is then zero outside j
-        for j2 in list(rows.get(r, ())):
-            target = cols[j2]
-            factor = target[r] * p
-            for r2, v in pivot_col.items():
-                new = target.get(r2, 0) - factor * v
-                if new:
-                    if r2 not in target:
-                        rows[r2].add(j2)
-                    target[r2] = new
-                    if new in (1, -1):
-                        unit_cost = (len(rows[r2]) - 1) * (len(target) - 1)
-                        if cand.get(j2, unit_cost + 1) > unit_cost:
-                            cand[j2] = unit_cost
-                            heapq.heappush(heap, (unit_cost, r2, j2))
-                else:
-                    target.pop(r2, None)
-                    rows[r2].discard(j2)
-            if not target:
-                del cols[j2]
-                cand.pop(j2, None)
-        rows.pop(r, None)
+        for target in cols:
+            factor = target.get(r, 0) * pivot_col[r]
+            if factor:
+                for r2, v in pivot_col.items():
+                    new = target.get(r2, 0) - factor * v
+                    if new:
+                        target[r2] = new
+                    else:
+                        del target[r2]
+        cols = [col for col in cols if col]
         units += 1
-    residual_rows = sum(1 for js in rows.values() if js)
+    residual_rows = len({r for col in cols for r in col})
     if max(residual_rows, len(cols)) > _RESIDUAL_LIMIT:
         raise MatrixTooLarge(dim, residual_rows, len(cols), _RESIDUAL_LIMIT)
     diag = [1] * units + _snf_residual(cols)
@@ -383,10 +318,39 @@ def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
     return len(pivots), (), pivots
 
 
+def _gcd_step(
+    settled: dict[int, int], col: dict[int, int], low: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The column Hermite step on two columns whose largest row is low.
+
+    With a = settled[low], b = col[low] and g = gcd(a, b) = x*a + y*b, the
+    pair becomes (x*settled + y*col, (b/g)*settled - (a/g)*col).  The first
+    keeps low with entry g (of either sign), the second loses it, and the
+    2x2 operation has determinant -1, so it is unimodular.  x or y may be 0,
+    and entries may cancel, so zero entries are dropped.
+    """
+    a, b = settled[low], col[low]
+    x, y, g, x1, y1, h = 1, 0, a, 0, 1, b
+    while h:
+        q = g // h
+        x, y, g, x1, y1, h = x1, y1, h, x - q * x1, y - q * y1, g - q * h
+    p, q = b // g, a // g
+    kept: dict[int, int] = {}
+    rest: dict[int, int] = {}
+    for r in settled.keys() | col.keys():
+        u, v = settled.get(r, 0), col.get(r, 0)
+        if first := x * u + y * v:
+            kept[r] = first
+        if second := p * u - q * v:
+            rest[r] = second
+    return kept, rest
+
+
 def _reduce_coboundary(
     k: Complex, dim: int, cleared: set[int], modulus: int = 0
 ) -> tuple[int, tuple[int, ...], set[int]]:
-    """Rank, torsion and pivot rows of delta^dim, skipping cleared columns.
+    """Rank, torsion and unit pivot rows of delta^dim, skipping cleared
+    columns.
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns are ranked lexicographically, whatever order the
@@ -398,11 +362,17 @@ def _reduce_coboundary(
     later column needs it.  The top coface is found inline, as the first
     stored one in _cofaces order: in a flag complex every common
     neighbour spans a stored coface, so the highest one settles it in a
-    single lookup.  Over Z, on the first
-    pivot that is not +-1 the reduction is abandoned and the Smith normal
-    form of the (dim+1)-boundary decides; it leaves no pivot rows, so the
-    next dimension runs without clearing.  Mod 2 every nonzero entry is a
-    unit, so that never happens and the torsion is always empty.
+    single lookup.
+
+    A column whose low entry is a multiple of the settled pivot's is
+    reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
+    pair, leaving the gcd as the settled pivot.  Every operation is
+    unimodular.  If some pivots are still not +-1 at the end, their
+    columns are fully reduced on the unit pivot rows, and the invariant
+    factors are 1 per unit pivot plus smith_diagonal of that residual.
+    Only unit pivot rows are returned for the next dimension to clear:
+    clearing a non-unit row is valid over Q but not over Z.  Mod 2 every
+    nonzero entry is a unit, so the torsion is always empty.
     """
     if dim >= k.max_dim or not k.f_vector[dim + 1]:
         return 0, (), set()
@@ -414,6 +384,7 @@ def _reduce_coboundary(
     adjacency = k.adjacency
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
+    nonunit: set[int] = set()  # pivot rows whose entry is not +-1
     for j in range(len(layer) - 1, -1, -1):
         if j in cleared:
             continue
@@ -437,18 +408,22 @@ def _reduce_coboundary(
             low = max(col)
             settled = reduced.get(low)
             if settled is None:
-                if col[low] not in (1, -1):
-                    del positions, reduced  # free them before the Smith form
-                    snf = smith_diagonal(_integer_columns(k, dim + 1), dim + 1)
-                    return len(snf.diag), tuple(v for v in snf.diag if v > 1), set()
                 reduced[low] = col
+                if col[low] not in (1, -1):
+                    nonunit.add(low)
                 break
             if isinstance(settled, int):
                 settled = dict(_cofaces(layer[settled], adjacency, positions))
                 if next(iter(settled)) != low:
                     # a wrong apparent pair would make this loop run forever
                     raise RuntimeError(f"raw column filed under row {low}")
-            factor = col[low] * settled[low]  # settled[low] is its own inverse
+            a, b = settled[low], col[low]
+            if b % a:
+                reduced[low], col = _gcd_step(settled, col, low)
+                if reduced[low][low] in (1, -1):
+                    nonunit.discard(low)
+                continue
+            factor = b // a
             for r, v in settled.items():
                 new = col.get(r, 0) - factor * v
                 if modulus:
@@ -457,12 +432,31 @@ def _reduce_coboundary(
                     col[r] = new
                 else:
                     del col[r]
-    return len(reduced), (), set(reduced)
+    units = reduced.keys() - nonunit
+    if not nonunit:
+        return len(reduced), (), units
+    residual = []
+    for low in sorted(nonunit):
+        col = reduced[low]
+        # largest unit row first: a unit column has no row above its pivot,
+        # so the rows cleared before stay clear
+        while (r := max((q for q in col if q in units), default=-1)) >= 0:
+            unit = reduced[r]
+            if isinstance(unit, int):
+                unit = dict(_cofaces(layer[unit], adjacency, positions))
+            factor = col[r] * unit[r]
+            for r2, v in unit.items():
+                new = col.get(r2, 0) - factor * v
+                if new:
+                    col[r2] = new
+                else:
+                    del col[r2]
+        residual.append(col)
+    snf = smith_diagonal(residual, dim + 1)
+    return len(reduced), tuple(v for v in snf.diag if v > 1), units
 
 
-def homology_integer(
-    k: Complex, dim: int, max_cols: int = 20000
-) -> tuple[int, tuple[int, ...]]:
+def homology_integer(k: Complex, dim: int) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion coefficients of the dim-th reduced group.
 
     Needs the ranks of the dim and dim+1 boundaries and the invariant
@@ -470,11 +464,10 @@ def homology_integer(
     dim+1 (or be complete).  They come from the coboundary reduction
     memoized on the complex: delta^0..delta^dim are reduced once each, in
     order, the first time any call needs them, so later calls for any
-    dimension reuse the work.  Torsion is empty by certificate unless a
-    dimension met a non-unit pivot and fell back to the Smith normal form.
-    Guarded against boundary matrices above max_cols rows or columns: the
-    dim and dim+1 boundaries on every call, and every lower boundary the
-    call has to reduce.
+    dimension reuse the work.  Torsion is empty by certificate when every
+    pivot of delta^dim is +-1; otherwise it is read off the Smith normal
+    form of the reduction's small non-unit residual, which raises
+    MatrixTooLarge past _RESIDUAL_LIMIT rows or columns.
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
@@ -487,17 +480,9 @@ def homology_integer(
             f"dimension {dim+1} boundary unavailable (max_dim={k.max_dim}, truncated)"
         )
     f = k.f_vector
-
-    def check_size(d):
-        if 1 <= d <= k.max_dim and f[d] and (f[d] > max_cols or f[d - 1] > max_cols):
-            raise MatrixTooLarge(d, f[d - 1], f[d], max_cols)
-
-    check_size(dim)
-    check_size(dim + 1)
-    # (rank, torsion) of delta^0, delta^1, ... and the last one's pivot rows
+    # (rank, torsion) of delta^0, delta^1, ... and the last one's unit pivot rows
     done, pivots = k._coboundary
     for d in range(len(done), dim + 1):
-        check_size(d + 1)
         rank, torsion, pivots = _reduce_coboundary(k, d, pivots)
         done.append((rank, torsion))
         k._coboundary = (done, pivots)

@@ -90,6 +90,17 @@ def bf_boundary_columns(lower: list[tuple[int, ...]], upper: list[tuple[int, ...
     return cols
 
 
+def bf_integer_columns(
+    lower: list[tuple[int, ...]], upper: list[tuple[int, ...]]
+) -> list[dict[int, int]]:
+    """Signed columns {face index: (-1)^i} of the integer boundary map from
+    upper to lower simplices, where face i drops the i-th vertex."""
+    pos = {s: i for i, s in enumerate(lower)}
+    return [
+        {pos[s[:i] + s[i + 1:]]: (-1) ** i for i in range(len(s))} for s in upper
+    ]
+
+
 def bf_betti(family: SetFamily, scale: int, through: int) -> list[int]:
     """Reduced Betti numbers over GF(2), all ranks done densely.
 

@@ -235,7 +235,7 @@ def test_criterion_12_stretch_nine_sphere_bundle(record_criterion):
     ok = profile == (0, 0, 0, 0, 0, 0, 29, 0, 0, 7)
     for dim, want_rank in ((9, 7), (6, 29)):
         t1 = time.perf_counter()
-        rank, torsion = homology_integer(k, dim, max_cols=400000)
+        rank, torsion = homology_integer(k, dim)
         print(
             f"integer homology dim {dim}: rank {rank}, torsion {torsion} "
             f"in {time.perf_counter() - t1:.1f}s"

@@ -538,6 +538,21 @@ class TestCommandLine:
         assert doc["betti"][3] == 1
         assert all(t == [] for t in doc["torsion"])
 
+    def test_homology_integer_hypercube_at_scale_three(self, runner):
+        # once refused by a boundary-size guard; the reduction takes well
+        # under a second
+        result = runner.invoke(
+            main,
+            [
+                "homology", "--family", "power(5)", "--scale", "3",
+                "--max-dim", "10", "--coeff", "int",
+            ],
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["betti"] == [0, 0, 0, 0, 1, 0, 0, 10, 0, 0, 0]
+        assert doc["torsion"] == [[]] * 11
+
     def test_homology_bad_spec_is_usage_error(self, runner):
         result = runner.invoke(
             main, ["homology", "--family", "F(5,", "--scale", "2", "--max-dim", "2"]

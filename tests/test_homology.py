@@ -24,7 +24,12 @@ from vrlat.homology import (
 )
 from vrlat.setfam import SetFamily, Subset, gen_prefix, gen_uniform, gen_union
 
-from oracles import bf_betti, bf_coboundary_pivots, bf_components
+from oracles import (
+    bf_betti,
+    bf_coboundary_pivots,
+    bf_components,
+    bf_integer_columns,
+)
 
 
 def upto(m: int, n: int) -> SetFamily:
@@ -35,27 +40,71 @@ def octahedron():
     return build_flag(gen_uniform(4, 2), 2, 2)
 
 
+# the classical six-vertex triangulation of the real projective plane
+RP2_FACES = (
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
+)
+
+
+def from_facets(n: int, facets) -> Complex:
+    """The complete (non-flag) complex on vertices 0..n-1 spanned by facets."""
+    top = max(len(f) for f in facets) - 1
+    layers = [set() for _ in range(top + 1)]
+    for f in facets:
+        for size in range(1, len(f) + 1):
+            layers[size - 1].update(itertools.combinations(sorted(f), size))
+    simplices = tuple(tuple(sorted(layer)) for layer in layers)
+    return Complex(gen_uniform(n, 1), 2, top, simplices, flag=False, complete=True)
+
+
 def projective_plane():
-    """The classical six-vertex triangulation, assembled by hand."""
-    fam = gen_uniform(6, 1)
-    edges = tuple(itertools.combinations(range(6), 2))
-    faces = tuple(
-        sorted(
-            [
-                (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
-                (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
-            ]
-        )
+    """RP^2 on six vertices; every pair of vertices spans an edge."""
+    return from_facets(6, RP2_FACES)
+
+
+def projective_plane_join(interleaved: bool) -> Complex:
+    """RP^2 * RP^2: by the Kunneth formula for joins, H~_3 = Z/2 (from
+    Z/2 (x) Z/2) and H~_4 = Z/2 (from Tor(Z/2, Z/2)), all else 0.  The
+    copies sit on 0..5 and 6..11, or on the even and the odd labels."""
+    first, second = (
+        (lambda v: 2 * v, lambda v: 2 * v + 1) if interleaved
+        else (lambda v: v, lambda v: v + 6)
     )
-    verts = tuple((i,) for i in range(6))
-    return Complex(fam, 2, 2, (verts, edges, faces), flag=False, complete=True)
+    return from_facets(
+        12,
+        [
+            tuple(map(first, t)) + tuple(map(second, u))
+            for t in RP2_FACES
+            for u in RP2_FACES
+        ],
+    )
+
+
+def projective_plane_cone() -> Complex:
+    """The cone over RP^2 with apex 0: contractible, so torsion-free."""
+    return from_facets(7, [(0,) + tuple(v + 1 for v in t) for t in RP2_FACES])
+
+
+def hypercube_sample() -> SetFamily:
+    """A 33-set subfamily of power(6) whose scale-3 complex has a pivot -2
+    under a later entry 1: a gcd step settles it, as it is an artefact of
+    the column order, not torsion."""
+    text = (
+        "{1} {2} {3} {4} {5} {1,3} {2,3} {2,5} {3,6} {4,5} {4,6} {5,6} "
+        "{1,2,4} {1,3,4} {1,3,5} {1,3,6} {2,3,4} {2,3,5} {2,3,6} {2,4,6} "
+        "{3,4,5} {1,2,3,4} {1,2,3,5} {1,2,3,6} {1,3,4,5} {2,3,4,6} {3,4,5,6} "
+        "{1,2,3,4,5} {1,2,3,4,6} {1,2,3,5,6} {1,2,4,5,6} {2,3,4,5,6} "
+        "{1,2,3,4,5,6}"
+    )
+    return SetFamily.from_subsets(6, [Subset.parse(t, 6) for t in text.split()])
 
 
 class TestBoundaryMatrix:
     def test_octahedron_shapes(self):
         k = octahedron()
-        d1 = list(hm._integer_columns(k, 1))
-        d2 = list(hm._integer_columns(k, 2))
+        d1 = bf_integer_columns(k.simplices[0], k.simplices[1])
+        d2 = bf_integer_columns(k.simplices[1], k.simplices[2])
         assert len(d1) == 12 and len(d2) == 8
         assert {r for c in d1 for r in c} == set(range(6))
         assert {r for c in d2 for r in c} == set(range(12))
@@ -65,8 +114,8 @@ class TestBoundaryMatrix:
     def test_boundary_of_boundary_vanishes_over_integers(self):
         k = build_flag(gen_uniform(5, 2), 2, 3)
         for dim in (2, 3):
-            lower = list(hm._integer_columns(k, dim - 1))
-            for col in hm._integer_columns(k, dim):
+            lower = bf_integer_columns(k.simplices[dim - 2], k.simplices[dim - 1])
+            for col in bf_integer_columns(k.simplices[dim - 1], k.simplices[dim]):
                 acc: dict[int, int] = {}
                 for face, sign in col.items():
                     for r, v in lower[face].items():
@@ -340,11 +389,18 @@ class TestIntegerHomology:
         with pytest.raises(TruncatedComplex):
             homology_integer(k, 5)
 
-    def test_size_guard(self):
-        with pytest.raises(MatrixTooLarge) as err:
-            homology_integer(octahedron(), 1, max_cols=3)
-        assert err.value.n_cols == 12
-        assert err.value.limit == 3
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_projective_plane_join_torsion(self, interleaved):
+        k = projective_plane_join(interleaved)
+        assert k.f_vector == (12, 66, 200, 345, 300, 100)
+        got = [homology_integer(k, d) for d in range(6)]
+        assert got == [(0, ())] * 3 + [(0, (2,)), (0, (2,)), (0, ())]
+        # universal coefficients: Z/2 in H~_3 and H~_4 gives 1, 1 + 1 and 1
+        assert betti_z2(k, 5).values == (0, 0, 0, 1, 2, 1)
+
+    def test_cone_over_projective_plane_is_torsion_free(self):
+        k = projective_plane_cone()
+        assert [homology_integer(k, d) for d in range(4)] == [(0, ())] * 4
 
     def test_free_rank_agrees_with_z2_in_torsion_free_cases(self):
         k = build_flag(gen_uniform(5, 2), 2, 3)
@@ -416,6 +472,55 @@ class TestIntegerHomology:
         assert got == [(1, ()) if d == 9 else (0, ()) for d in range(20)]
         assert calls == []
 
+    def test_hypercube_sample_needs_no_smith_form(self, monkeypatch):
+        calls = self._count_snf_calls(monkeypatch)
+        k = build_flag(hypercube_sample(), 3, 32)
+        assert k.complete and sum(k.f_vector) == 17508
+        got = [homology_integer(k, d) for d in range(k.max_dim + 1)]
+        want = [(0, ())] * (k.max_dim + 1)
+        want[3], want[4] = (1, ()), (2, ())
+        assert got == want
+        assert calls == []
+
+    def test_hypercube_at_scale_three_needs_no_smith_form(self, monkeypatch):
+        # VR(Q_6; 3): 853,680 simplices, complete through dimension 11
+        calls = self._count_snf_calls(monkeypatch)
+        k = build_flag(gen_prefix(6, Subset.full(6)), 3, 12)
+        assert k.complete and sum(k.f_vector) == 853680 and not k.f_vector[12]
+        got = [homology_integer(k, d) for d in range(12)]
+        want = [(0, ())] * 12
+        want[4], want[7] = (11, ()), (60, ())
+        assert got == want
+        assert calls == []
+
+
+class TestGcdStep:
+    @pytest.mark.parametrize(
+        "a, b",
+        [(2, 3), (3, -2), (-4, 6), (6, 10), (4, 2), (2, 4), (-6, 3), (5, 1)],
+    )
+    def test_pair_keeps_the_gcd_and_loses_the_low_row(self, a, b):
+        # (4, 2) and (-6, 3) have x = 0, (2, 4) has y = 0: the zero
+        # combinations must leave no zero entries behind
+        low = 9
+        settled = {low: a, 5: 1, 3: -2, 1: 3}
+        col = {low: b, 5: 2, 4: -1, 1: 3}
+        kept, rest = hm._gcd_step(settled, col, low)
+        assert abs(kept[low]) == math.gcd(a, b)
+        assert low not in rest
+        assert 0 not in kept.values() and 0 not in rest.values()
+        # the 2x2 operation has determinant -1, so it flips every 2x2 minor
+        for r1, r2 in itertools.combinations(sorted(settled.keys() | col.keys()), 2):
+            before = settled.get(r1, 0) * col.get(r2, 0) - col.get(r1, 0) * settled.get(r2, 0)
+            after = kept.get(r1, 0) * rest.get(r2, 0) - rest.get(r1, 0) * kept.get(r2, 0)
+            assert after == -before
+
+    def test_cancelled_rows_are_dropped(self):
+        # 3 * settled - 2 * col vanishes on row 0
+        kept, rest = hm._gcd_step({1: 2, 0: 2}, {1: 3, 0: 3}, 1)
+        assert kept in ({1: 1, 0: 1}, {1: -1, 0: -1})
+        assert rest == {}
+
 
 class TestEulerCharacteristic:
     def test_sphere_value(self):
@@ -483,7 +588,8 @@ class TestProperties:
         def rank_and_diag(d):
             if d < 1 or d > k.max_dim or not k.f_vector[d]:
                 return 0, ()
-            diag = smith_diagonal(hm._integer_columns(k, d), d).diag
+            columns = bf_integer_columns(k.simplices[d - 1], k.simplices[d])
+            diag = smith_diagonal(columns, d).diag
             return len(diag), diag
 
         for d in range(k.max_dim + 1):
