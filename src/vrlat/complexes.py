@@ -14,7 +14,8 @@ which is what entitles Euler-characteristic and top-dimension homology
 claims.
 """
 
-from itertools import combinations
+from array import array
+from itertools import accumulate, combinations
 
 from .setfam import SetFamily, Subset, dist, gen_uniform
 
@@ -63,6 +64,9 @@ class Complex:
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
         # and the unit pivot rows of the last one, for clearing the next
         self._coboundary: tuple[list, set[int]] = ([], set())
+        # set by build_flag: per dimension d, the end of each d-simplex's
+        # child block in layer d+1; see homology._coface_blocks
+        self._ends: tuple[array, ...] | None = None
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -128,6 +132,11 @@ def build_flag(
     coface, whose candidates are the bits left above u that are also
     neighbours of u.  Only the finished layer's tuple and its candidate
     list stay alive while the next layer grows.
+
+    So the cofaces s + (u,) of a simplex s, u > max(s), form one
+    contiguous child block of the next layer, in order of u (the simplex
+    tree's children).  The end of each block is recorded, one unsigned
+    entry per simplex below the top layer, for the coboundary reducer.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -139,18 +148,23 @@ def build_flag(
     adj = _distance_adjacency(f, r)
 
     layers: list[tuple[Simplex, ...]] = [tuple((i,) for i in range(n))]
+    # the vertex tuples, shared so appending u builds one tuple, not two
+    singles = layers[0]
     count = n
     # candidate set of a simplex: higher-indexed common neighbors
     cands = [adj[i] >> (i + 1) << (i + 1) for i in range(n)]
+    ends: list[array] = []
     complete = False
     for d in range(1, max_dim + 1):
+        # s has one child per candidate bit
+        ends.append(array("I", accumulate(map(int.bit_count, cands))))
         simplices, nxt_cands = [], []
         for s, cand in zip(layers[-1], cands):
             while cand:
                 low = cand & -cand
                 cand ^= low
                 u = low.bit_length() - 1
-                simplices.append(s + (u,))
+                simplices.append(s + singles[u])
                 nxt_cands.append(cand & adj[u])
         count += len(simplices)
         if max_simplices is not None and count > max_simplices:
@@ -158,6 +172,7 @@ def build_flag(
         if not simplices:
             complete = True
             layers.extend(() for _ in range(d, max_dim + 1))
+            ends.extend(array("I") for _ in range(d, max_dim))
             break
         layers.append(tuple(simplices))
         cands = nxt_cands
@@ -165,9 +180,11 @@ def build_flag(
         # any higher simplex would extend a stored one by a higher-indexed
         # common neighbor, so empty candidate sets certify completeness
         complete = not any(cands)
-    return Complex(
+    k = Complex(
         f, r, max_dim, tuple(layers), flag=True, complete=complete, adjacency=adj
     )
+    k._ends = tuple(ends)
+    return k
 
 
 def _degeneracy_order(adj: tuple[int, ...], n: int) -> list[int]:

@@ -9,6 +9,11 @@ equivalent to a cocycle with a unit pivot entry.  delta^0 needs no column
 operations: its pivots are the edges that join two components of a
 union-find forest, taken from the largest edge down.
 
+Rows come from the clique tree, as Ripser's cofaces do: the cofaces
+s + (u,), u > max(s), of a simplex s are one contiguous child block of
+the next layer, so a column's top coface is its block's last row unless
+the block is empty.  Only such a column, and a rebuilt one, look rows up.
+
 betti_z2 runs the reduction mod 2 on every call, where every nonzero
 entry is a unit.  Integer homology runs it over Z once per complex and
 memoizes the ranks on the complex.  Over Z a column whose pivot entry is
@@ -29,7 +34,8 @@ reads off the Z/2 Betti numbers of every vertex prefix of the complex.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import lt
 
 from .complexes import Complex
 
@@ -268,25 +274,58 @@ def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
     return SNFDiagonal(dim, tuple(diag))
 
 
-def _cofaces(s, adjacency, positions: dict):
-    """(row, sign) of each stored coface of s, largest row first.
+def _coface_blocks(k: Complex, dim: int):
+    """The dim- and (dim+1)-simplices of k in lexicographic order, and
+    ends[j], the number of (dim+1)-simplices t with t[:-1] <= layer[j]:
+    the end of layer[j]'s child block.
 
-    Candidates are the common neighbours of s's vertices; only those found
-    among the stored simplices count, so non-flag complexes stay exact.
-    Inserting v at position p of s gives a coface whose boundary holds s
-    with sign (-1)^p.  Adding a larger vertex gives a lexicographically
-    larger coface, so with rows ranked lexicographically the vertices are
-    tried from the top down.
+    build_flag records the ends; for any other complex one merge walk
+    counts them, sorting only layers that are out of order.
     """
+    if k._ends is not None:
+        return k.simplices[dim], k.simplices[dim + 1], k._ends[dim]
+    layer, upper = _in_order(k.simplices[dim]), _in_order(k.simplices[dim + 1])
+    ends = []
+    i, n = 0, len(upper)
+    for s in layer:
+        while i < n and upper[i][:-1] <= s:
+            i += 1
+        ends.append(i)
+    return layer, upper, ends
+
+
+def _in_order(layer):
+    """layer if it is in lexicographic order, else a sorted copy."""
+    return layer if all(map(lt, layer, islice(layer, 1, None))) else sorted(layer)
+
+
+def _cofaces(j: int, layer, upper, ends, adjacency):
+    """(row, sign) of each stored coface of s = layer[j], largest row first.
+
+    First the child block upper[start:end] from its last row down: those
+    cofaces append a vertex above max(s), so s is their face (-1)^len(s).
+    Every other coface inserts a common neighbour v < max(s) at position p
+    of s, with sign (-1)^p, and lies before the block, so it is looked up
+    by bisection below start; only those found count, so non-flag
+    complexes stay exact.  A larger v gives a lexicographically larger
+    coface, so the vertices are tried from the top down.
+    """
+    s = layer[j]
+    start, end = ends[j - 1] if j else 0, ends[j]
+    sign = -1 if len(s) & 1 else 1
+    for row in range(end - 1, start - 1, -1):
+        yield row, sign
     common = adjacency[s[0]]
     for u in s[1:]:
         common &= adjacency[u]
+    common &= (1 << s[-1]) - 1
     while common:
         v = common.bit_length() - 1
         common ^= 1 << v
         p = bisect_left(s, v)
-        row = positions.get(s[:p] + (v,) + s[p:])
-        if row is not None:
+        t = s[:p] + (v,) + s[p:]
+        row = bisect_left(upper, t, 0, start)
+        if row < start and upper[row] == t:
             yield row, -1 if p & 1 else 1
 
 
@@ -300,7 +339,7 @@ def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
     exactly the edges that join two components.  An incidence matrix is
     totally unimodular, so there is never torsion.
     """
-    edges = sorted(k.simplices[1])
+    edges = _in_order(k.simplices[1])
     parent = list(range(len(k.family)))
 
     def root(v: int) -> int:
@@ -358,17 +397,19 @@ def _reduce_coboundary(
     first.  delta^0 goes to _spanning_forest, which finds the same pivots
     with no column operations.  A raw coboundary has only +-1 entries, so
     a column whose top coface is not yet a pivot settles at once (an
-    apparent pair) and is kept as its index alone, to be rebuilt if a
-    later column needs it.  The top coface is found inline, as the first
-    stored one in _cofaces order: in a flag complex every common
-    neighbour spans a stored coface, so the highest one settles it in a
-    single lookup.
+    apparent pair) and is kept as its index alone, to be rebuilt by
+    _cofaces if a later column needs it.  The top coface of a column with
+    a non-empty child block is the block's last row, read off the block
+    ends (_coface_blocks) with no lookup; only a column with no child
+    looks for its top coface, by bisection among the rows before its
+    block.
 
     A column whose low entry is a multiple of the settled pivot's is
     reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
     pair, leaving the gcd as the settled pivot.  Every operation is
     unimodular.  If some pivots are still not +-1 at the end, their
-    columns are fully reduced on the unit pivot rows, and the invariant
+    columns are fully reduced on the unit pivot rows (a raw unit column
+    is rebuilt once and kept for the rest), and the invariant
     factors are 1 per unit pivot plus smith_diagonal of that residual.
     Only unit pivot rows are returned for the next dimension to clear:
     clearing a non-unit row is valid over Q but not over Z.  Mod 2 every
@@ -378,9 +419,7 @@ def _reduce_coboundary(
         return 0, (), set()
     if dim == 0:
         return _spanning_forest(k)
-    # local, so only one dimension's position dict is alive at a time
-    positions = {t: i for i, t in enumerate(sorted(k.simplices[dim + 1]))}
-    layer = sorted(k.simplices[dim])
+    layer, upper, ends = _coface_blocks(k, dim)
     adjacency = k.adjacency
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
@@ -388,22 +427,17 @@ def _reduce_coboundary(
     for j in range(len(layer) - 1, -1, -1):
         if j in cleared:
             continue
-        s = layer[j]
-        common = adjacency[s[0]]
-        for u in s[1:]:
-            common &= adjacency[u]
-        top = None
-        while common and top is None:
-            v = common.bit_length() - 1
-            common ^= 1 << v
-            p = bisect_left(s, v)
-            top = positions.get(s[:p] + (v,) + s[p:])
-        if top is None:
-            continue
+        start = ends[j - 1] if j else 0
+        if start < ends[j]:
+            top = ends[j] - 1
+        else:
+            top = next(_cofaces(j, layer, upper, ends, adjacency), (None,))[0]
+            if top is None:
+                continue
         if top not in reduced:
             reduced[top] = j
             continue
-        col = dict(_cofaces(s, adjacency, positions))
+        col = dict(_cofaces(j, layer, upper, ends, adjacency))
         while col:
             low = max(col)
             settled = reduced.get(low)
@@ -413,7 +447,7 @@ def _reduce_coboundary(
                     nonunit.add(low)
                 break
             if isinstance(settled, int):
-                settled = dict(_cofaces(layer[settled], adjacency, positions))
+                settled = dict(_cofaces(settled, layer, upper, ends, adjacency))
                 if next(iter(settled)) != low:
                     # a wrong apparent pair would make this loop run forever
                     raise RuntimeError(f"raw column filed under row {low}")
@@ -443,7 +477,8 @@ def _reduce_coboundary(
         while (r := max((q for q in col if q in units), default=-1)) >= 0:
             unit = reduced[r]
             if isinstance(unit, int):
-                unit = dict(_cofaces(layer[unit], adjacency, positions))
+                # rebuilt once: later residual columns reuse it
+                unit = reduced[r] = dict(_cofaces(unit, layer, upper, ends, adjacency))
             factor = col[r] * unit[r]
             for r2, v in unit.items():
                 new = col.get(r2, 0) - factor * v

@@ -218,11 +218,11 @@ def test_criterion_11_star_cluster_hypothesis(record_criterion):
 def test_criterion_12_stretch_nine_sphere_bundle(record_criterion):
     """Exact integer homology of the scale-4 triple layer on seven elements.
 
-    Runs in about 7 s and peaks around 220 MB on a 2-core x86 host: the
-    build takes about 1.1 s, the mod-2 profile about 2.9 s and the exact
-    integer ranks about 2.9 s (before the dimension-0 forest and the inline
-    apparent pair: 2.4 s, 3.6 s, 3.6 s and 227 MB).  The profile and the
-    ranks come from the same bottom-up coboundary reduction over dimensions
+    Runs in about 1.2 s and peaks around 210 MB on a 2-core x86 host: the
+    build takes about 0.56 s, the mod-2 profile about 0.33 s and the exact
+    integer ranks about 0.32 s (before the recorded child-block ends, on
+    the same host: 3.2 s, 0.52 s, 1.3 s, 1.3 s and 222 MB).  The profile
+    and the ranks come from the same bottom-up coboundary reduction over dimensions
     0..9, run once mod 2 and once over the integers.  The integer pivots
     are all +-1, which certifies the ranks and the absence of torsion
     without a Smith normal form.

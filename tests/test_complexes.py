@@ -417,6 +417,20 @@ class TestProperties:
         assert [list(layer) for layer in k.simplices] == bf_simplices(fam, scale, 3)
 
     @settings(max_examples=60, deadline=None)
+    @given(small_family_and_scale(), st.integers(min_value=0, max_value=5))
+    def test_child_block_ends_match_bruteforce(self, fam_scale, max_dim):
+        # ends[d][j] is where the child block of the j-th d-simplex ends:
+        # the number of (d+1)-simplices t with t[:-1] <= that simplex
+        fam, scale = fam_scale
+        k = build_flag(fam, scale, max_dim)
+        layers = bf_simplices(fam, scale, max_dim)
+        assert len(k._ends) == max_dim
+        for d, ends in enumerate(k._ends):
+            assert list(ends) == [
+                sum(1 for t in layers[d + 1] if t[:-1] <= s) for s in layers[d]
+            ]
+
+    @settings(max_examples=60, deadline=None)
     @given(small_family_and_scale())
     def test_facets_agree_with_bruteforce(self, fam_scale):
         fam, scale = fam_scale

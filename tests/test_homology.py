@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrlat.homology as hm
-from vrlat.complexes import Complex, build_flag, full_subcomplex, skeleton, star
+from vrlat.complexes import (
+    Complex,
+    build_flag,
+    full_subcomplex,
+    link,
+    skeleton,
+    star,
+)
 from vrlat.formulas import upto_betti3
 from vrlat.homology import (
     BettiVector,
@@ -26,8 +33,10 @@ from vrlat.setfam import SetFamily, Subset, gen_prefix, gen_uniform, gen_union
 
 from oracles import (
     bf_betti,
+    bf_boundary_columns,
     bf_coboundary_pivots,
     bf_components,
+    bf_gf2_rank,
     bf_integer_columns,
 )
 
@@ -289,6 +298,53 @@ class TestCoboundaryPivots:
             _, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus=2)
             rows = sorted(k.simplices[d + 1])
             assert {rows[r] for r in pivots} == bf_coboundary_pivots(fam, scale, d, 2)
+
+
+def derived_complexes(k: Complex, rng: random.Random) -> list[Complex]:
+    """A star, a link, a skeleton, a full subcomplex and a shuffled copy
+    of k: complexes build_flag did not make."""
+    n = len(k.family)
+    layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
+    return [
+        star(k, rng.randrange(n)),
+        link(k, rng.randrange(n)),
+        skeleton(k, rng.randint(0, k.max_dim)),
+        full_subcomplex(k, rng.sample(range(n), rng.randint(1, n))),
+        Complex(k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete),
+    ]
+
+
+def dense_betti_z2(k: Complex) -> list[int]:
+    """Reduced Z/2 Betti numbers of a complete complex from dense ranks of
+    its own boundary matrices."""
+    layers = [sorted(layer) for layer in k.simplices] + [[]]
+    ranks = [1 if layers[0] else 0] + [
+        bf_gf2_rank(bf_boundary_columns(layers[d - 1], layers[d]), len(layers[d - 1]))
+        for d in range(1, k.max_dim + 2)
+    ]
+    return [len(layers[d]) - ranks[d] - ranks[d + 1] for d in range(k.max_dim + 1)]
+
+
+class TestDerivedComplexes:
+    @settings(max_examples=60, deadline=None)
+    @given(small_family(max_size=8), st.integers(min_value=0, max_value=2**32))
+    def test_ranks_match_dense_ranks(self, case, seed):
+        # these complexes carry no recorded child-block ends, so the
+        # reducer counts them by a merge walk, sorting shuffled layers
+        fam, scale = case
+        k = build_flag(fam, scale, len(fam) - 1)
+        for sub in derived_complexes(k, random.Random(seed)):
+            assert sub._ends is None and sub.complete
+            want = dense_betti_z2(sub)
+            assert list(betti_z2(sub, sub.max_dim).values) == want
+            # universal coefficients: b_d mod 2 is the free rank of H_d plus
+            # the even invariant factors of H_d and of H_(d-1)
+            groups = [homology_integer(sub, d) for d in range(sub.max_dim + 1)]
+            even = [sum(1 for t in torsion if t % 2 == 0) for _, torsion in groups]
+            assert [
+                rank + even[d] + (even[d - 1] if d else 0)
+                for d, (rank, _) in enumerate(groups)
+            ] == want
 
 
 class TestSmithDiagonal:
