@@ -30,6 +30,10 @@ factors of d_(d+1).
 prefix_betti_z2 runs the same reducer mod 2 once as a persistence pass
 over the vertex filtration (a simplex is born at its largest vertex) and
 reads off the Z/2 Betti numbers of every vertex prefix of the complex.
+The pass reduces the complex with its vertices relabelled v -> n-1-v.
+When that relabelling maps a build_flag complex's graph onto itself, as
+complementation does on power(m), the relabelled complex is the complex
+itself, and the pass reduces it with no copy.
 """
 
 from bisect import bisect_left
@@ -133,6 +137,14 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
     the number of pivots in it.  So one run of the mod-2 coboundary
     reducer on the relabelled complex counts every prefix's ranks: the
     pivots are the persistence pairs' deaths.
+
+    The relabelled complex is k itself when k was made by build_flag (so
+    its layers are all the cliques of its graph through max_dim) and the
+    relabelling maps k's graph onto itself: it then maps the cliques onto
+    themselves, simplex for simplex.  That holds for power(m) and for the
+    middle layer F(2n, n), since complementation keeps distances and
+    reverses the (size, lex) order.  Both conditions are checked at run
+    time; otherwise a relabelled copy is built and reduced.
     """
     return tuple(bv for _, _, bv in _prefix_z2(k, through))
 
@@ -141,23 +153,30 @@ def _prefix_z2(
     k: Complex, through: int
 ) -> list[tuple[tuple[int, ...], int | None, BettiVector]]:
     """f-vector, Euler characteristic (None unless complete) and betti_z2
-    of every vertex prefix K_i of k; see prefix_betti_z2."""
+    of every vertex prefix K_i of k; see prefix_betti_z2, which says when
+    k is its own relabelled copy and is reduced with no copy built."""
     if through < 0:
         raise ValueError("through must be nonnegative")
     n = len(k.family)
     top = min(through + 1, k.max_dim)
-    flipped = Complex(
-        k.family,
-        k.scale,
-        top,
-        tuple(
-            tuple(sorted(tuple(n - 1 - v for v in reversed(s)) for s in layer))
-            for layer in k.simplices[: top + 1]
-        ),
-        flag=k.flag,
-        complete=False,
-        adjacency=tuple(int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency)),
-    )
+    adjacency = tuple(int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency))
+    if k._ends is not None and adjacency == k.adjacency:
+        # built by build_flag, so k's layers are the cliques of its graph,
+        # which v -> n-1-v maps onto itself: the relabelled copy is k
+        flipped = k
+    else:
+        flipped = Complex(
+            k.family,
+            k.scale,
+            top,
+            tuple(
+                tuple(sorted(tuple(n - 1 - v for v in reversed(s)) for s in layer))
+                for layer in k.simplices[: top + 1]
+            ),
+            flag=k.flag,
+            complete=False,
+            adjacency=adjacency,
+        )
     # births[d][i]: f_d of K_i; deaths[d][i]: rank d_d on K_i, from the
     # pivot rows of delta^(d-1)
     births = []

@@ -28,7 +28,8 @@ from vrlat.cli import (
     run_verify,
     worker_count,
 )
-from vrlat.setfam import gen_uniform
+from vrlat import formulas
+from vrlat.setfam import Subset, gen_prefix, gen_uniform
 
 
 class TestParsing:
@@ -339,6 +340,18 @@ class TestPrefixTask:
                 spec, 2, max_dim, "z2", "prefix_betti3", oracle, None, None
             )
             assert replace(entry, wall_time_ms=None) == replace(want, wall_time_ms=None)
+
+    def test_oracles_are_the_closed_form(self):
+        tasks = cli._suite_tasks("prefix", 8)
+        assert [t[1] for t in tasks] == list(range(3, 9))
+        for _, m, _, _, _, _, specs in tasks:
+            subsets = gen_prefix(m, Subset.full(m)).vertices
+            assert len(specs) == len(subsets)
+            for a, (spec, oracle) in zip(subsets, specs):
+                (term,) = parse_family_spec(spec).terms
+                assert Subset.of(term.elements, m) == a
+                value = formulas.prefix_betti3(m, a) if a.size >= 3 else 0
+                assert oracle == (0, 0, 0, value)
 
     def test_power_entries_agree_with_their_last_prefix(self):
         entries = {e.spec: e for e in run_verify("all", 6).entries}

@@ -14,6 +14,7 @@ from vrlat.formulas import (
     layer_increment,
     power_betti3,
     prefix_betti3,
+    prefix_betti3_terms,
     prefix_increment,
     skip_increment,
     skip_layer_sum,
@@ -177,6 +178,18 @@ class TestPrefixAndUpto:
                 if b.size >= 3
             )
             assert prefix_betti3(m, a) == expected
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_prefix_terms_are_a_prefix_of_the_full_list(self, m):
+        # the prefix suite reads every prefix_betti3(m, a) as a running total
+        # of this one list
+        full = prefix_betti3_terms(m, Subset.full(m))
+        for a in sized_subsets(m, lo=0):
+            terms = prefix_betti3_terms(m, a)
+            assert terms == full[: len(terms)]
+            assert len(terms) == sum(
+                1 for b in sized_subsets(m, lo=3) if b.sort_key() <= a.sort_key()
+            )
 
     def test_upto_values(self):
         assert upto_betti3(4, 4) == 9

@@ -254,6 +254,66 @@ class TestPrefixBettiZ2:
             assert got.complete_through == 1
             assert got == betti_z2(full_subcomplex(cut, range(i + 1)), 3)
 
+    @pytest.mark.parametrize(
+        "family, scale, through",
+        [(gen_prefix(m, Subset.full(m)), 2, 4) for m in range(1, 7)]
+        + [(gen_prefix(m, Subset.full(m)), r, 3) for m in range(1, 6) for r in (1, 3)]
+        + [(gen_uniform(6, 3), 2, 3), (gen_uniform(6, 3), 4, 3),
+           (gen_uniform(4, 2), 2, 3)],
+    )
+    def test_mirror_symmetric_build_matches_the_relabelled_copy(
+        self, family, scale, through
+    ):
+        # complementation reverses the (size, lex) order and keeps distances,
+        # so v -> n-1-v is an automorphism and the pass reduces k itself; a
+        # complex with the same layers but no recorded block ends takes the
+        # relabelled copy
+        k = build_flag(family, scale, through + 1)
+        copy = Complex(
+            k.family, k.scale, k.max_dim, k.simplices, flag=k.flag,
+            complete=k.complete, adjacency=k.adjacency,
+        )
+        assert copy._ends is None
+        assert hm._prefix_z2(k, through) == hm._prefix_z2(copy, through)
+
+    @pytest.mark.parametrize("scale", [2, 3])
+    def test_mirror_asymmetric_build_matches_each_prefix(self, scale):
+        k = build_flag(gen_uniform(5, 2), scale, 4)
+        n = len(k.family)
+        assert k.adjacency != tuple(
+            int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency)
+        )
+        for i, got in enumerate(prefix_betti_z2(k, 3)):
+            assert got == betti_z2(full_subcomplex(k, range(i + 1)), 3)
+
+    def test_mirror_symmetric_graph_of_a_non_flag_complex(self):
+        # the graph of power(4) is mirror symmetric, but keeping only the
+        # triangles on vertex 0 makes the complex itself not so
+        k = build_flag(gen_prefix(4, Subset.full(4)), 2, 2)
+        layers = k.simplices[:2] + (tuple(t for t in k.simplices[2] if t[0] == 0),)
+        part = Complex(k.family, 2, 2, layers, flag=False, complete=True)
+        assert part.adjacency == k.adjacency
+        for i, got in enumerate(prefix_betti_z2(part, 2)):
+            assert got == betti_z2(full_subcomplex(part, range(i + 1)), 2)
+
+    def test_power_set_prefix_task_builds_one_complex(self, monkeypatch):
+        import vrlat.cli as cli
+        import vrlat.complexes as cx
+
+        made = []
+
+        class Counted(Complex):
+            def __init__(self, *args, **kwargs):
+                made.append(args[2])  # max_dim
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cx, "Complex", Counted)
+        monkeypatch.setattr(hm, "Complex", Counted)
+        _, m, scale, max_dim, coeff, name, specs = cli._suite_tasks("prefix", 5)[-1]
+        entries = cli._prefix_entries(m, scale, max_dim, coeff, name, specs, None, None)
+        assert all(e.status == "ok" and e.match for e in entries)
+        assert made == [4]  # power(5) through dim 4, from build_flag
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_upto_prefixes_match_closed_form(self, m):
         # upto(m, n) is the prefix of power(m) that ends at the last n-subset
