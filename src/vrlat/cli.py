@@ -348,18 +348,17 @@ def _compute_entry(
         fam = parse_family_spec(spec_text).family()
         k = build_flag(fam, scale, max_dim, max_simplices=max_simplices)
         through = max_dim if k.complete else max_dim - 1
-        bv = betti_z2(k, through)
-        torsion = None
+        if through < 0:
+            raise ValueError(
+                "max_dim 0 stores no edges, so no Betti number is complete; "
+                "--max-dim must be >= 1"
+            )
         if coeff == "int":
-            ranks, torsion_lists = [], []
-            for d in range(bv.complete_through + 1):
-                rank, tors = homology_integer(k, d)
-                ranks.append(rank)
-                torsion_lists.append(tuple(tors))
-            values = tuple(ranks)
-            torsion = tuple(torsion_lists)
+            groups = [homology_integer(k, d) for d in range(through + 1)]
+            values = tuple(rank for rank, _ in groups)
+            torsion = tuple(tuple(tors) for _, tors in groups)
         else:
-            values = bv.values
+            values, torsion = betti_z2(k, through).values, None
         chi = euler_characteristic(k) if k.complete else None
     except Exception as e:  # per-entry errors are recorded, not raised
         return _failed(base, e, _ms_since(started))
@@ -368,7 +367,7 @@ def _compute_entry(
         status="ok",
         f_vector=k.f_vector,
         betti=values,
-        complete_through=bv.complete_through,
+        complete_through=through,
         chi=chi,
         torsion=torsion,
         wall_time_ms=_ms_since(started),

@@ -5,6 +5,10 @@ indices into the underlying family.  Construction expands cliques of the
 scale graph incrementally (each simplex extended only by higher-indexed
 common neighbors), which yields lexicographic order with no duplicates.
 
+Every complex keeps its layers in that order and carries the end of each
+simplex's child block (see Complex), which the coboundary reducer reads
+its rows from.
+
 Complexes carry two bookkeeping bits.  `flag` records that the object
 represents the full clique complex of its 1-skeleton, so graph-level
 certificates (cone detection, the star-cluster hypothesis check) are valid;
@@ -15,7 +19,8 @@ claims.
 """
 
 from array import array
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
+from operator import lt
 
 from .setfam import SetFamily, Subset, dist, gen_uniform
 
@@ -37,7 +42,14 @@ class BuildBudgetExceeded(RuntimeError):
 
 
 class Complex:
-    """Immutable dimension-graded simplicial complex over a SetFamily."""
+    """Immutable dimension-graded simplicial complex over a SetFamily.
+
+    simplices[d] holds the d-simplices in lexicographic order (a layer
+    passed out of order is sorted).  ends[d][j] is the number of
+    (d+1)-simplices t with t[:-1] <= simplices[d][j]: the end of that
+    simplex's child block, its cofaces s + (u,), u > max(s).  build_flag
+    passes the ends it records; otherwise one merge walk counts them.
+    """
 
     def __init__(
         self,
@@ -49,11 +61,20 @@ class Complex:
         flag: bool,
         complete: bool,
         adjacency: tuple[int, ...] | None = None,
+        ends: tuple[array, ...] | None = None,
     ):
+        if ends is None:
+            simplices = tuple(
+                layer if all(map(lt, layer, islice(layer, 1, None)))
+                else tuple(sorted(layer))
+                for layer in simplices
+            )
+            ends = tuple(map(_block_ends, simplices, simplices[1:]))
         self.family = family
         self.scale = scale
         self.max_dim = max_dim
         self.simplices = simplices
+        self.ends = ends
         self.flag = flag
         self.complete = complete
         if adjacency is None:
@@ -64,9 +85,6 @@ class Complex:
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
         # and the unit pivot rows of the last one, for clearing the next
         self._coboundary: tuple[list, set[int]] = ([], set())
-        # set by build_flag: per dimension d, the end of each d-simplex's
-        # child block in layer d+1; see homology._coface_blocks
-        self._ends: tuple[array, ...] | None = None
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -89,6 +107,17 @@ class Complex:
             f"Complex(scale={self.scale}, max_dim={self.max_dim}, "
             f"f_vector={self.f_vector}, flag={self.flag}, complete={self.complete})"
         )
+
+
+def _block_ends(layer: tuple[Simplex, ...], upper: tuple[Simplex, ...]) -> array:
+    """Child-block ends of two lexicographic layers, by one merge walk."""
+    ends = array("I")
+    i, n = 0, len(upper)
+    for s in layer:
+        while i < n and upper[i][:-1] <= s:
+            i += 1
+        ends.append(i)
+    return ends
 
 
 def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
@@ -136,7 +165,7 @@ def build_flag(
     So the cofaces s + (u,) of a simplex s, u > max(s), form one
     contiguous child block of the next layer, in order of u (the simplex
     tree's children).  The end of each block is recorded, one unsigned
-    entry per simplex below the top layer, for the coboundary reducer.
+    entry per simplex below the top layer, as the complex's ends.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -180,11 +209,10 @@ def build_flag(
         # any higher simplex would extend a stored one by a higher-indexed
         # common neighbor, so empty candidate sets certify completeness
         complete = not any(cands)
-    k = Complex(
-        f, r, max_dim, tuple(layers), flag=True, complete=complete, adjacency=adj
+    return Complex(
+        f, r, max_dim, tuple(layers), flag=True, complete=complete, adjacency=adj,
+        ends=tuple(ends),
     )
-    k._ends = tuple(ends)
-    return k
 
 
 def _degeneracy_order(adj: tuple[int, ...], n: int) -> list[int]:

@@ -9,10 +9,12 @@ equivalent to a cocycle with a unit pivot entry.  delta^0 needs no column
 operations: its pivots are the edges that join two components of a
 union-find forest, taken from the largest edge down.
 
-Rows come from the clique tree, as Ripser's cofaces do: the cofaces
-s + (u,), u > max(s), of a simplex s are one contiguous child block of
-the next layer, so a column's top coface is its block's last row unless
-the block is empty.  Only such a column, and a rebuilt one, look rows up.
+Rows come from the clique tree, as Ripser's cofaces do: every complex
+keeps its layers in lexicographic order and carries the end of each
+simplex's child block (Complex.ends), the cofaces s + (u,), u > max(s),
+which are contiguous in the next layer.  So a column's top coface is its
+block's last row unless the block is empty.  Only such a column, and a
+rebuilt one, look rows up.  Pivot rows index the complex's own layers.
 
 betti_z2 runs the reduction mod 2 on every call, where every nonzero
 entry is a unit.  Integer homology runs it over Z once per complex and
@@ -31,15 +33,14 @@ prefix_betti_z2 runs the same reducer mod 2 once as a persistence pass
 over the vertex filtration (a simplex is born at its largest vertex) and
 reads off the Z/2 Betti numbers of every vertex prefix of the complex.
 The pass reduces the complex with its vertices relabelled v -> n-1-v.
-When that relabelling maps a build_flag complex's graph onto itself, as
+When that relabelling maps a flag complex's graph onto itself, as
 complementation does on power(m), the relabelled complex is the complex
 itself, and the pass reduces it with no copy.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from operator import lt
+from itertools import accumulate
 
 from .complexes import Complex
 
@@ -106,18 +107,24 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
     if through < 0:
         raise ValueError("through must be nonnegative")
     ct = through if k.complete else min(through, k.max_dim - 1)
-    top = min(ct + 1, k.max_dim)
-    ranks = {0: 1 if k.f_vector[0] else 0}
     # rank d_(d+1) = rank delta^d, reduced mod 2 without the integer memo
     # on the complex, so the two coefficient routes stay independent
-    pivots: set[int] = set()
-    for d in range(top):
-        ranks[d + 1], _, pivots = _reduce_coboundary(k, d, pivots, modulus=2)
-    values = []
-    for d in range(ct + 1):
-        f_d = k.f_vector[d] if d <= k.max_dim else 0
-        values.append(f_d - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return BettiVector(coeff="z2", values=tuple(values), complete_through=ct)
+    ranks, pivots = [], set()
+    for d in range(min(ct + 1, k.max_dim)):
+        rank, _, pivots = _reduce_coboundary(k, d, pivots, modulus=2)
+        ranks.append(rank)
+    values = _reduced_betti(k.f_vector, ranks, ct)
+    return BettiVector(coeff="z2", values=values, complete_through=ct)
+
+
+def _reduced_betti(f_vector, ranks, through: int) -> tuple[int, ...]:
+    """b_d = f_d - r_d - r_(d+1) for d = 0..through, where r_(d+1) =
+    ranks[d] is rank d_(d+1) and r_0 = [f_0 > 0]; f-vector entries and
+    ranks past the given ones are 0."""
+    r = [1 if f_vector[0] else 0, *ranks]
+    r += [0] * (through + 2 - len(r))
+    f = list(f_vector) + [0] * (through + 1 - len(f_vector))
+    return tuple(f[d] - r[d] - r[d + 1] for d in range(through + 1))
 
 
 def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
@@ -138,13 +145,14 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
     reducer on the relabelled complex counts every prefix's ranks: the
     pivots are the persistence pairs' deaths.
 
-    The relabelled complex is k itself when k was made by build_flag (so
-    its layers are all the cliques of its graph through max_dim) and the
-    relabelling maps k's graph onto itself: it then maps the cliques onto
-    themselves, simplex for simplex.  That holds for power(m) and for the
-    middle layer F(2n, n), since complementation keeps distances and
-    reverses the (size, lex) order.  Both conditions are checked at run
-    time; otherwise a relabelled copy is built and reduced.
+    The relabelled complex is k itself when k is flag (its layers are all
+    the cliques of its graph through max_dim) and the relabelling maps k's
+    graph onto itself: it then maps the cliques onto themselves, simplex
+    for simplex.  The pass never reads layer 0, so isolated vertices do
+    not matter.  That holds for power(m) and for the middle layer
+    F(2n, n), since complementation keeps distances and reverses the
+    (size, lex) order.  Both conditions are checked at run time;
+    otherwise a relabelled copy is made and reduced.
     """
     return tuple(bv for _, _, bv in _prefix_z2(k, through))
 
@@ -160,9 +168,9 @@ def _prefix_z2(
     n = len(k.family)
     top = min(through + 1, k.max_dim)
     adjacency = tuple(int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency))
-    if k._ends is not None and adjacency == k.adjacency:
-        # built by build_flag, so k's layers are the cliques of its graph,
-        # which v -> n-1-v maps onto itself: the relabelled copy is k
+    if k.flag and adjacency == k.adjacency:
+        # k's layers are the cliques of its graph, which v -> n-1-v maps
+        # onto itself: the relabelled copy is k
         flipped = k
     else:
         flipped = Complex(
@@ -170,7 +178,7 @@ def _prefix_z2(
             k.scale,
             top,
             tuple(
-                tuple(sorted(tuple(n - 1 - v for v in reversed(s)) for s in layer))
+                tuple(tuple(n - 1 - v for v in reversed(s)) for s in layer)
                 for layer in k.simplices[: top + 1]
             ),
             flag=k.flag,
@@ -199,12 +207,7 @@ def _prefix_z2(
     for i, f in enumerate(zip(*births)):
         complete = i < first_clique
         ct = through if complete else min(through, k.max_dim - 1)
-        ranks = [1 if f[0] else 0] + [deaths[d][i] for d in range(1, top + 1)]
-        ranks += [0] * (ct + 2 - len(ranks))
-        values = tuple(
-            (f[d] if d <= k.max_dim else 0) - ranks[d] - ranks[d + 1]
-            for d in range(ct + 1)
-        )
+        values = _reduced_betti(f, [deaths[d][i] for d in range(1, top + 1)], ct)
         bv = BettiVector(coeff="z2", values=values, complete_through=ct)
         out.append((f, _alternating_sum(f) if complete else None, bv))
     return out
@@ -255,16 +258,16 @@ _RESIDUAL_LIMIT = 40
 def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
     """Invariant factors of an integer matrix given as sparse columns.
 
-    Accepts any iterable of {row: value} columns.  Each +-1 entry is a
-    pivot in turn: column operations clear the rest of its row, so a row
-    operation would clear the rest of its column without touching any
-    other, and the pivot contributes an invariant factor 1.  What is left
-    once no entry is +-1 goes through sympy's exact Smith normal form.
-    The integer coboundary reduction hands it only its non-unit residual;
-    called on a whole boundary, it is an independent route to the same
-    invariant factors.
+    Accepts any iterable of {row: value} columns; zero entries are
+    dropped.  Each +-1 entry is a pivot in turn: column operations clear
+    the rest of its row, so a row operation would clear the rest of its
+    column without touching any other, and the pivot contributes an
+    invariant factor 1.  What is left once no entry is +-1 goes through
+    sympy's exact Smith normal form.  The integer coboundary reduction
+    hands it only its non-unit residual; called on a whole boundary, it is
+    an independent route to the same invariant factors.
     """
-    cols = [dict(col) for col in columns if col]
+    cols = [c for c in ({r: v for r, v in col.items() if v} for col in columns) if c]
     units = 0
     while True:
         pivot = next(
@@ -278,12 +281,7 @@ def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
         for target in cols:
             factor = target.get(r, 0) * pivot_col[r]
             if factor:
-                for r2, v in pivot_col.items():
-                    new = target.get(r2, 0) - factor * v
-                    if new:
-                        target[r2] = new
-                    else:
-                        del target[r2]
+                _subtract(target, factor, pivot_col)
         cols = [col for col in cols if col]
         units += 1
     residual_rows = len({r for col in cols for r in col})
@@ -293,29 +291,17 @@ def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
     return SNFDiagonal(dim, tuple(diag))
 
 
-def _coface_blocks(k: Complex, dim: int):
-    """The dim- and (dim+1)-simplices of k in lexicographic order, and
-    ends[j], the number of (dim+1)-simplices t with t[:-1] <= layer[j]:
-    the end of layer[j]'s child block.
-
-    build_flag records the ends; for any other complex one merge walk
-    counts them, sorting only layers that are out of order.
-    """
-    if k._ends is not None:
-        return k.simplices[dim], k.simplices[dim + 1], k._ends[dim]
-    layer, upper = _in_order(k.simplices[dim]), _in_order(k.simplices[dim + 1])
-    ends = []
-    i, n = 0, len(upper)
-    for s in layer:
-        while i < n and upper[i][:-1] <= s:
-            i += 1
-        ends.append(i)
-    return layer, upper, ends
-
-
-def _in_order(layer):
-    """layer if it is in lexicographic order, else a sorted copy."""
-    return layer if all(map(lt, layer, islice(layer, 1, None))) else sorted(layer)
+def _subtract(col: dict, factor: int, other: dict, modulus: int = 0) -> None:
+    """col -= factor * other in place, each updated entry reduced mod
+    modulus unless it is 0; zero entries are dropped."""
+    for r, v in other.items():
+        new = col.get(r, 0) - factor * v
+        if modulus:
+            new %= modulus
+        if new:
+            col[r] = new
+        else:
+            del col[r]
 
 
 def _cofaces(j: int, layer, upper, ends, adjacency):
@@ -358,7 +344,7 @@ def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
     exactly the edges that join two components.  An incidence matrix is
     totally unimodular, so there is never torsion.
     """
-    edges = _in_order(k.simplices[1])
+    edges = k.simplices[1]
     parent = list(range(len(k.family)))
 
     def root(v: int) -> int:
@@ -411,17 +397,16 @@ def _reduce_coboundary(
     columns.
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
-    Rows and columns are ranked lexicographically, whatever order the
-    complex stores them in.  Columns are reduced from the last to the
-    first.  delta^0 goes to _spanning_forest, which finds the same pivots
+    Rows and columns are the complex's own lexicographic layers, so pivot
+    rows index k.simplices[dim + 1].  Columns are reduced from the last to
+    the first.  delta^0 goes to _spanning_forest, which finds the same pivots
     with no column operations.  A raw coboundary has only +-1 entries, so
     a column whose top coface is not yet a pivot settles at once (an
     apparent pair) and is kept as its index alone, to be rebuilt by
     _cofaces if a later column needs it.  The top coface of a column with
-    a non-empty child block is the block's last row, read off the block
-    ends (_coface_blocks) with no lookup; only a column with no child
-    looks for its top coface, by bisection among the rows before its
-    block.
+    a non-empty child block is the block's last row, read off k.ends with
+    no lookup; only a column with no child looks for its top coface, by
+    bisection among the rows before its block.
 
     A column whose low entry is a multiple of the settled pivot's is
     reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
@@ -438,7 +423,7 @@ def _reduce_coboundary(
         return 0, (), set()
     if dim == 0:
         return _spanning_forest(k)
-    layer, upper, ends = _coface_blocks(k, dim)
+    layer, upper, ends = k.simplices[dim], k.simplices[dim + 1], k.ends[dim]
     adjacency = k.adjacency
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
@@ -476,15 +461,7 @@ def _reduce_coboundary(
                 if reduced[low][low] in (1, -1):
                     nonunit.discard(low)
                 continue
-            factor = b // a
-            for r, v in settled.items():
-                new = col.get(r, 0) - factor * v
-                if modulus:
-                    new %= modulus
-                if new:
-                    col[r] = new
-                else:
-                    del col[r]
+            _subtract(col, b // a, settled, modulus)
     units = reduced.keys() - nonunit
     if not nonunit:
         return len(reduced), (), units
@@ -498,13 +475,7 @@ def _reduce_coboundary(
             if isinstance(unit, int):
                 # rebuilt once: later residual columns reuse it
                 unit = reduced[r] = dict(_cofaces(unit, layer, upper, ends, adjacency))
-            factor = col[r] * unit[r]
-            for r2, v in unit.items():
-                new = col.get(r2, 0) - factor * v
-                if new:
-                    col[r2] = new
-                else:
-                    del col[r2]
+            _subtract(col, col[r] * unit[r], unit)
         residual.append(col)
     snf = smith_diagonal(residual, dim + 1)
     return len(reduced), tuple(v for v in snf.diag if v > 1), units
@@ -540,9 +511,8 @@ def homology_integer(k: Complex, dim: int) -> tuple[int, tuple[int, ...]]:
         rank, torsion, pivots = _reduce_coboundary(k, d, pivots)
         done.append((rank, torsion))
         k._coboundary = (done, pivots)
-    rank_lower = (1 if f[0] else 0) if dim == 0 else done[dim - 1][0]
-    rank_upper, torsion = done[dim]
-    return (f[dim] - rank_lower - rank_upper, torsion)
+    betti = _reduced_betti(f, [rank for rank, _ in done[: dim + 1]], dim)
+    return (betti[dim], done[dim][1])
 
 
 def euler_characteristic(k: Complex) -> int:

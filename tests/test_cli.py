@@ -1,5 +1,6 @@
 """Spec grammar, report plumbing, and the command-line surface."""
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -263,6 +264,15 @@ class TestRunVerify:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_verify("everything", 5)
+
+    def test_all_suite_output_is_pinned(self, monkeypatch):
+        # the byte-exact report of every suite through m = 7; a change that
+        # moves it changes what the paper's checks print
+        monkeypatch.delenv("VRLAT_THREADS", raising=False)
+        out = emit_report(run_verify("all", 7), "json", include_timing=False)
+        assert hashlib.sha256(out).hexdigest() == (
+            "0783469b067638094e40a346701a411140cd66d9418f61ef5cc1b6d60d400cae"
+        )
         with pytest.raises(ValueError):
             run_verify("uniform", 0)
 
@@ -565,6 +575,52 @@ class TestCommandLine:
         doc = json.loads(result.output)
         assert doc["betti"] == [0, 0, 0, 0, 1, 0, 0, 10, 0, 0, 0]
         assert doc["torsion"] == [[]] * 11
+
+    def test_homology_integer_route_runs_no_mod_2_pass(self, runner, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("betti_z2 called on the integer route")
+
+        monkeypatch.setattr(cli, "betti_z2", refuse)
+        result = runner.invoke(
+            main,
+            [
+                "homology", "--family", "F(5,2)", "--scale", "2",
+                "--max-dim", "3", "--coeff", "int",
+            ],
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["betti"] == [0, 0, 4, 0]
+        assert doc["complete_through"] == 3
+
+    @pytest.mark.parametrize("coeff", ["z2", "int"])
+    def test_homology_max_dim_zero_is_refused(self, runner, coeff):
+        result = runner.invoke(
+            main,
+            [
+                "homology", "--family", "F(4,2)", "--scale", "2",
+                "--max-dim", "0", "--coeff", coeff,
+            ],
+        )
+        assert result.exit_code == 1
+        assert "max_dim 0 stores no edges" in result.output
+        assert "--max-dim must be >= 1" in result.output
+
+    @pytest.mark.parametrize("coeff", ["z2", "int"])
+    def test_homology_max_dim_zero_without_edges_answers(self, runner, coeff):
+        # at scale 0 no two vertices are joined, so dimension 0 is complete
+        result = runner.invoke(
+            main,
+            [
+                "homology", "--family", "F(4,2)", "--scale", "0",
+                "--max-dim", "0", "--coeff", coeff,
+            ],
+        )
+        assert result.exit_code == 0
+        doc = json.loads(result.output)
+        assert doc["betti"] == [5]
+        assert doc["complete_through"] == 0
+        assert doc["chi"] == 6
 
     def test_homology_bad_spec_is_usage_error(self, runner):
         result = runner.invoke(

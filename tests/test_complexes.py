@@ -1,6 +1,7 @@
 """Complex construction, subcomplex operators, and facet enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from vrlat.complexes import (
     BuildBudgetExceeded,
+    Complex,
     build_flag,
     facet_dump,
     full_subcomplex,
@@ -37,6 +39,20 @@ def octahedron():
 
 def simplex_set(k):
     return {s for layer in k.simplices for s in layer}
+
+
+def derived_complexes(k: Complex, rng: random.Random) -> list[Complex]:
+    """A star, a link, a skeleton, a full subcomplex and a shuffled copy
+    of k: complexes build_flag did not make."""
+    n = len(k.family)
+    layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
+    return [
+        star(k, rng.randrange(n)),
+        link(k, rng.randrange(n)),
+        skeleton(k, rng.randint(0, k.max_dim)),
+        full_subcomplex(k, rng.sample(range(n), rng.randint(1, n))),
+        Complex(k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete),
+    ]
 
 
 class TestBuildFlag:
@@ -417,18 +433,27 @@ class TestProperties:
         assert [list(layer) for layer in k.simplices] == bf_simplices(fam, scale, 3)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_family_and_scale(), st.integers(min_value=0, max_value=5))
-    def test_child_block_ends_match_bruteforce(self, fam_scale, max_dim):
+    @given(
+        small_family_and_scale(),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_child_block_ends_match_bruteforce(self, fam_scale, max_dim, seed):
         # ends[d][j] is where the child block of the j-th d-simplex ends:
-        # the number of (d+1)-simplices t with t[:-1] <= that simplex
+        # the number of (d+1)-simplices t with t[:-1] <= that simplex.
+        # build_flag records them; every other complex sorts its layers and
+        # counts them when it is made
         fam, scale = fam_scale
         k = build_flag(fam, scale, max_dim)
-        layers = bf_simplices(fam, scale, max_dim)
-        assert len(k._ends) == max_dim
-        for d, ends in enumerate(k._ends):
-            assert list(ends) == [
-                sum(1 for t in layers[d + 1] if t[:-1] <= s) for s in layers[d]
-            ]
+        assert [list(layer) for layer in k.simplices] == bf_simplices(fam, scale, max_dim)
+        for c in [k, *derived_complexes(k, random.Random(seed))]:
+            layers = [sorted(layer) for layer in c.simplices]
+            assert [list(layer) for layer in c.simplices] == layers
+            assert len(c.ends) == c.max_dim
+            for d, ends in enumerate(c.ends):
+                assert list(ends) == [
+                    sum(1 for t in layers[d + 1] if t[:-1] <= s) for s in layers[d]
+                ]
 
     @settings(max_examples=60, deadline=None)
     @given(small_family_and_scale())

@@ -13,8 +13,6 @@ from vrlat.complexes import (
     Complex,
     build_flag,
     full_subcomplex,
-    link,
-    skeleton,
     star,
 )
 from vrlat.formulas import upto_betti3
@@ -39,6 +37,7 @@ from oracles import (
     bf_gf2_rank,
     bf_integer_columns,
 )
+from test_complexes import derived_complexes
 
 
 def upto(m: int, n: int) -> SetFamily:
@@ -261,20 +260,17 @@ class TestPrefixBettiZ2:
         + [(gen_uniform(6, 3), 2, 3), (gen_uniform(6, 3), 4, 3),
            (gen_uniform(4, 2), 2, 3)],
     )
-    def test_mirror_symmetric_build_matches_the_relabelled_copy(
+    def test_mirror_symmetric_build_matches_prefix_builds(
         self, family, scale, through
     ):
         # complementation reverses the (size, lex) order and keeps distances,
-        # so v -> n-1-v is an automorphism and the pass reduces k itself; a
-        # complex with the same layers but no recorded block ends takes the
-        # relabelled copy
+        # so v -> n-1-v is an automorphism and the pass reduces k itself
         k = build_flag(family, scale, through + 1)
-        copy = Complex(
-            k.family, k.scale, k.max_dim, k.simplices, flag=k.flag,
-            complete=k.complete, adjacency=k.adjacency,
-        )
-        assert copy._ends is None
-        assert hm._prefix_z2(k, through) == hm._prefix_z2(copy, through)
+        for i, (f, chi, bv) in enumerate(hm._prefix_z2(k, through)):
+            own = build_flag(SetFamily(family.m, family.vertices[: i + 1]), scale, through + 1)
+            assert f == own.f_vector
+            assert chi == (euler_characteristic(own) if own.complete else None)
+            assert bv == betti_z2(own, through)
 
     @pytest.mark.parametrize("scale", [2, 3])
     def test_mirror_asymmetric_build_matches_each_prefix(self, scale):
@@ -360,20 +356,6 @@ class TestCoboundaryPivots:
             assert {rows[r] for r in pivots} == bf_coboundary_pivots(fam, scale, d, 2)
 
 
-def derived_complexes(k: Complex, rng: random.Random) -> list[Complex]:
-    """A star, a link, a skeleton, a full subcomplex and a shuffled copy
-    of k: complexes build_flag did not make."""
-    n = len(k.family)
-    layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
-    return [
-        star(k, rng.randrange(n)),
-        link(k, rng.randrange(n)),
-        skeleton(k, rng.randint(0, k.max_dim)),
-        full_subcomplex(k, rng.sample(range(n), rng.randint(1, n))),
-        Complex(k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete),
-    ]
-
-
 def dense_betti_z2(k: Complex) -> list[int]:
     """Reduced Z/2 Betti numbers of a complete complex from dense ranks of
     its own boundary matrices."""
@@ -389,12 +371,12 @@ class TestDerivedComplexes:
     @settings(max_examples=60, deadline=None)
     @given(small_family(max_size=8), st.integers(min_value=0, max_value=2**32))
     def test_ranks_match_dense_ranks(self, case, seed):
-        # these complexes carry no recorded child-block ends, so the
-        # reducer counts them by a merge walk, sorting shuffled layers
+        # these complexes sort shuffled layers and count their child-block
+        # ends by a merge walk when they are made
         fam, scale = case
         k = build_flag(fam, scale, len(fam) - 1)
         for sub in derived_complexes(k, random.Random(seed)):
-            assert sub._ends is None and sub.complete
+            assert sub.complete
             want = dense_betti_z2(sub)
             assert list(betti_z2(sub, sub.max_dim).values) == want
             # universal coefficients: b_d mod 2 is the free rank of H_d plus
@@ -418,6 +400,10 @@ class TestSmithDiagonal:
 
     def test_zero_matrix(self):
         assert smith_diagonal([{}, {}]).diag == ()
+
+    def test_explicit_zero_entries_are_dropped(self):
+        assert smith_diagonal([{0: 1, 1: 0}, {0: 2}]).diag == (1,)
+        assert smith_diagonal([{0: 0}, {1: 2, 2: 0}]).diag == (2,)
 
     def test_diagonal_matrix_reordered(self):
         cols = [{0: 6}, {1: 2}, {2: 4}]
