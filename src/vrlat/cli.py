@@ -6,11 +6,12 @@ errors carry byte offsets.  Verification suites enumerate in-regime
 instances in a canonical order, compute Betti numbers, and compare them
 against the closed-form oracles; entries that blow a budget are reported
 as skipped rather than dropped.  Every instance is built on its own except
-the prefix(m;A): those of one m are the vertex prefixes of power(m), so
-one build of power(m) and one persistence pass over it give them all, and
-their budgets and wall time are those of that one task.  Their oracles are
-the running totals of one list of prefix_betti3 increments per m.
-VRLAT_THREADS sizes the worker pool.
+the prefix(m;A) and power(m): those of one m are the vertex prefixes of
+power(m), power(m) the last of them, so one build of power(m) and one
+persistence pass over it give them all, and their budgets and wall time
+are those of that one task.  The prefix oracles are the running totals of
+one list of prefix_betti3 increments per m.  VRLAT_THREADS sizes the
+worker pool.
 """
 
 import json
@@ -287,15 +288,19 @@ def _task_error(
     )
 
 
-def _task_errors(
-    kind: str, head, scale, max_dim, coeff, oracle_name, oracle, *budgets
-) -> list[ReportEntry]:
+def _task_errors(kind, head, scale, max_dim, coeff, *rest) -> list[ReportEntry]:
     """Error entries naming every instance of a suite task (see
     _suite_tasks), with nothing computed."""
-    specs = oracle if kind == "prefix" else ((head, oracle),)
+    if kind == "entry":
+        oracle_name, oracle = rest[:2]
+        return [_task_error(head, scale, max_dim, coeff, oracle_name, oracle)]
+    power_oracle, specs = rest[:2]
+    named = [(spec, "prefix_betti3", oracle) for spec, oracle in specs]
+    if power_oracle is not None:
+        named.append((f"power({head})", "power_betti3", power_oracle))
     return [
-        _task_error(spec, scale, max_dim, coeff, oracle_name, spec_oracle)
-        for spec, spec_oracle in specs
+        _task_error(spec, scale, max_dim, coeff, name, oracle)
+        for spec, name, oracle in named
     ]
 
 
@@ -332,6 +337,18 @@ def _judged(entry: ReportEntry, budget_ms: int | None) -> ReportEntry:
     return entry
 
 
+def _complete_through(k) -> int:
+    """The last dimension whose Betti number the built complex decides;
+    a complex that decides none is refused."""
+    through = k.max_dim if k.complete else k.max_dim - 1
+    if through < 0:
+        raise ValueError(
+            "max_dim 0 stores no edges, so no Betti number is complete; "
+            "--max-dim must be >= 1"
+        )
+    return through
+
+
 def _compute_entry(
     spec_text: str,
     scale: int,
@@ -347,12 +364,7 @@ def _compute_entry(
     try:
         fam = parse_family_spec(spec_text).family()
         k = build_flag(fam, scale, max_dim, max_simplices=max_simplices)
-        through = max_dim if k.complete else max_dim - 1
-        if through < 0:
-            raise ValueError(
-                "max_dim 0 stores no edges, so no Betti number is complete; "
-                "--max-dim must be >= 1"
-            )
+        through = _complete_through(k)
         if coeff == "int":
             groups = [homology_integer(k, d) for d in range(through + 1)]
             values = tuple(rank for rank, _ in groups)
@@ -380,33 +392,40 @@ def _prefix_entries(
     scale: int,
     max_dim: int,
     coeff: str,
-    oracle_name: str,
+    power_oracle: tuple[int, ...] | None,
     specs: tuple[tuple[str, tuple[int, ...]], ...],
     budget_ms: int | None,
     max_simplices: int | None,
 ) -> list[ReportEntry]:
-    """The entries of every prefix(m;A), A in the vertex order of power(m),
-    from one build of power(m) and one persistence pass over it.
+    """The entries of every prefix(m;A) in specs, A in the vertex order of
+    power(m), then that of power(m) if power_oracle is given, from one
+    build of power(m) and one persistence pass over it.
 
     prefix(m;A) is the first index(A)+1 vertices of power(m), so its complex
-    is the full subcomplex of power(m)'s on them (see prefix_betti_z2); the
-    pass is mod 2, so coeff is "z2".  Budgets apply to the task as a whole:
-    max_simplices bounds the one build, budget_ms is compared with the
+    is the full subcomplex of power(m)'s on them (see prefix_betti_z2), and
+    power(m) is the last prefix.  The pass is mod 2, so coeff is "z2".
+    The task answers or fails as a whole: max_simplices bounds the one
+    build, a max_dim that leaves power(m)'s Betti numbers undecided is
+    refused as _compute_entry refuses it, budget_ms is compared with the
     task's wall time, and every entry reports that time.
     """
-    bases = _task_errors("prefix", m, scale, max_dim, coeff, oracle_name, specs)
+    bases = _task_errors("prefix", m, scale, max_dim, coeff, power_oracle, specs)
     started = time.perf_counter()
     try:
         k = build_flag(
             gen_prefix(m, Subset.full(m)), scale, max_dim, max_simplices=max_simplices
         )
+        _complete_through(k)
         prefixes = _prefix_z2(k, max_dim)
     except Exception as e:  # the failure is every entry's
         elapsed = _ms_since(started)
         return [_failed(base, e, elapsed) for base in bases]
     elapsed = _ms_since(started)
+    results = prefixes[: len(specs)]
+    if power_oracle is not None:
+        results.append(prefixes[-1])
     entries = []
-    for base, (f, chi, bv) in zip(bases, prefixes):
+    for base, (f, chi, bv) in zip(bases, results):
         entry = replace(
             base,
             status="ok",
@@ -425,13 +444,25 @@ def _run_task(task: tuple) -> list[ReportEntry]:
     return _prefix_entries(*args) if kind == "prefix" else [_compute_entry(*args)]
 
 
+# suite -> the oracle of its entries, in the canonical order of a report
+_SUITES = {
+    "uniform": "uniform_betti2",
+    "adjacent": "adjacent_pair_betti2",
+    "skip": "skip_pair_betti3",
+    "prefix": "prefix_betti3",
+    "power": "power_betti3",
+}
+
+
 def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
-    """The suite's tasks in canonical order, before budgets.
+    """The suite's tasks, before budgets.
 
     ("entry", spec, scale, max_dim, "z2", oracle name, oracle) is one
-    instance; ("prefix", m, scale, max_dim, "z2", oracle name,
-    ((spec, oracle), ...)) is every prefix(m;A), A in the vertex order of
-    power(m).
+    instance.  ("prefix", m, scale, max_dim, "z2", power oracle or None,
+    ((spec, oracle), ...)) is one pass over power(m) for the prefix and
+    power suites: the specs are every prefix(m;A), A in the vertex order of
+    power(m), or none, and power(m) is the last prefix.  Its entries come
+    out prefix suite first, so run_verify sorts them into suite order.
     """
     tasks = []
     if suite in ("uniform", "all"):
@@ -457,22 +488,23 @@ def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
                     ("entry", f"F({m},{n})+F({m},{n+2})", 2, 4, "z2",
                      "skip_pair_betti3", oracle)
                 )
-    if suite in ("prefix", "all"):
+    if suite in ("prefix", "power", "all"):
         for m in range(3, m_max + 1):
-            full = Subset.full(m)
-            # prefix_betti3(m, A) sums the increments of the size >= 3 sets up
-            # to A in order, so its values are running totals of the last list
-            totals = accumulate(v for _, _, v in formulas.prefix_betti3_terms(m, full))
             specs = []
-            for a in gen_prefix(m, full).vertices:
-                elems = ",".join(str(e) for e in a.elements)
-                value = next(totals) if a.size >= 3 else 0
-                specs.append((f"prefix({m};{{{elems}}})", (0, 0, 0, value)))
-            tasks.append(("prefix", m, 2, 4, "z2", "prefix_betti3", tuple(specs)))
-    if suite in ("power", "all"):
-        for m in range(3, m_max + 1):
-            oracle = (0, 0, 0, formulas.power_betti3(m))
-            tasks.append(("entry", f"power({m})", 2, 4, "z2", "power_betti3", oracle))
+            if suite != "power":
+                full = Subset.full(m)
+                # prefix_betti3(m, A) sums the increments of the size >= 3
+                # sets up to A in order, so its values are running totals of
+                # the last list
+                totals = accumulate(
+                    v for _, _, v in formulas.prefix_betti3_terms(m, full)
+                )
+                for a in gen_prefix(m, full).vertices:
+                    elems = ",".join(str(e) for e in a.elements)
+                    value = next(totals) if a.size >= 3 else 0
+                    specs.append((f"prefix({m};{{{elems}}})", (0, 0, 0, value)))
+            power = (0, 0, 0, formulas.power_betti3(m)) if suite != "prefix" else None
+            tasks.append(("prefix", m, 2, 4, "z2", power, tuple(specs)))
     return tasks
 
 
@@ -493,13 +525,15 @@ def run_verify(
 ) -> Report:
     """Compare computed Betti numbers against formula oracles, suite-wide.
 
-    Tasks (one instance each, or every prefix of one m) run in a worker
-    pool sized by VRLAT_THREADS; entries are aggregated in canonical
-    enumeration order regardless of completion.  If a worker process dies,
-    every instance of the tasks it left unfinished becomes an error entry
-    naming the crash.
+    Tasks (one instance each, or one pass over power(m) for the prefix and
+    power suites, power(m) being its last prefix) run in a worker pool
+    sized by VRLAT_THREADS.  Entries come back in canonical order whatever
+    the completion order: suite by suite (uniform, adjacent, skip, prefix,
+    power), each in enumeration order.  If a worker process dies, every
+    instance of the tasks it left unfinished becomes an error entry naming
+    the crash.
     """
-    if suite not in ("uniform", "adjacent", "skip", "prefix", "power", "all"):
+    if suite not in (*_SUITES, "all"):
         raise ValueError(f"unknown suite {suite!r}")
     if not 1 <= m_max <= MAX_GROUND:
         raise ValueError(f"m_max out of range 1..{MAX_GROUND}")
@@ -525,7 +559,9 @@ def run_verify(
                         replace(entry, detail=f"worker process crashed: {e}")
                         for entry in _task_errors(*task)
                     ])
-    return Report(tuple(entry for entries in results for entry in entries))
+    rank = {name: i for i, name in enumerate(_SUITES.values())}
+    entries = [entry for task_entries in results for entry in task_entries]
+    return Report(tuple(sorted(entries, key=lambda e: rank[e.oracle_name])))
 
 
 def run_three_layer_check(
@@ -766,7 +802,7 @@ def facets(family_text, scale, closed_form):
 @main.command()
 @click.option(
     "--suite",
-    type=click.Choice(["uniform", "adjacent", "skip", "prefix", "power", "all"]),
+    type=click.Choice([*_SUITES, "all"]),
     required=True,
 )
 @click.option("--m-max", type=click.IntRange(min=1, max=MAX_GROUND), required=True)

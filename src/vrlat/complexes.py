@@ -22,7 +22,7 @@ from array import array
 from itertools import accumulate, combinations, islice
 from operator import lt
 
-from .setfam import SetFamily, Subset, dist, gen_uniform
+from .setfam import SetFamily, Subset, gen_uniform
 
 # A simplex is a strictly increasing tuple of vertex indices.
 Simplex = tuple[int, ...]
@@ -121,12 +121,16 @@ def _block_ends(layer: tuple[Simplex, ...], upper: tuple[Simplex, ...]) -> array
 
 
 def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
-    n = len(f.vertices)
+    # a SetFamily's vertices share one ground set, so dist is the popcount
+    # of the xor, with no per-pair ground-set check
+    bits = [v.bits for v in f.vertices]
+    n = len(bits)
     adj = [0] * n
-    for i, j in combinations(range(n), 2):
-        if dist(f.vertices[i], f.vertices[j]) <= scale:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    for i, a in enumerate(bits):
+        for j in range(i + 1, n):
+            if (a ^ bits[j]).bit_count() <= scale:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
     return tuple(adj)
 
 

@@ -249,6 +249,21 @@ class TestReportClean:
         )
 
 
+def _assert_crashed_like(entries, seq):
+    """entries is seq with some entries turned into worker-crash errors."""
+    assert [e.spec for e in entries] == [e.spec for e in seq]
+    for got, want in zip(entries, seq):
+        if got.status == "error":
+            assert got == replace(
+                want, status="error", f_vector=None, betti=None,
+                complete_through=None, chi=None, match=None,
+                detail=got.detail, wall_time_ms=None,
+            )
+            assert "worker process crashed" in got.detail
+        else:
+            assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
+
+
 class TestRunVerify:
     def test_uniform_suite(self):
         report = run_verify("uniform", 5)
@@ -292,11 +307,13 @@ class TestRunVerify:
         assert entry.match is None
 
     def test_parallel_run_matches_sequential(self, monkeypatch):
-        monkeypatch.setenv("VRLAT_THREADS", "1")
-        seq = emit_report(run_verify("uniform", 5), "json", include_timing=False)
-        monkeypatch.setenv("VRLAT_THREADS", "2")
-        par = emit_report(run_verify("uniform", 5), "json", include_timing=False)
-        assert seq == par
+        # "all" sorts the entries of its power(m) passes into suite order
+        for suite in ("uniform", "all"):
+            monkeypatch.setenv("VRLAT_THREADS", "1")
+            seq = emit_report(run_verify(suite, 5), "json", include_timing=False)
+            monkeypatch.setenv("VRLAT_THREADS", "2")
+            par = emit_report(run_verify(suite, 5), "json", include_timing=False)
+            assert seq == par
 
     def test_crashed_worker_becomes_error_entries(self, monkeypatch):
         monkeypatch.setenv("VRLAT_THREADS", "1")
@@ -312,27 +329,16 @@ class TestRunVerify:
         monkeypatch.setattr(cli, "_compute_entry", crash_on_f52)
         monkeypatch.setenv("VRLAT_THREADS", "2")
         report = run_verify("uniform", 6)
-        assert [e.spec for e in report.entries] == [e.spec for e in seq]
         crashed = report.entries[1]
         assert crashed.spec == "F(5,2)" and crashed.status == "error"
-        assert "worker process crashed" in crashed.detail
-        for got, want in zip(report.entries, seq):
-            if got.status == "error":
-                assert got == replace(
-                    want, status="error", f_vector=None, betti=None,
-                    complete_through=None, chi=None, match=None,
-                    detail=got.detail, wall_time_ms=None,
-                )
-                assert "worker process crashed" in got.detail
-            else:
-                assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
+        _assert_crashed_like(report.entries, seq)
 
 
 def _prefix_task(m: int, max_dim: int = 4):
     """The prefix task of the prefix suite at m, with max_dim and no budgets."""
-    kind, task_m, scale, _, coeff, name, specs = cli._suite_tasks("prefix", m)[-1]
-    assert (kind, task_m, coeff, name) == ("prefix", m, "z2", "prefix_betti3")
-    return m, scale, max_dim, coeff, name, specs, None, None
+    kind, task_m, scale, _, coeff, power, specs = cli._suite_tasks("prefix", m)[-1]
+    assert (kind, task_m, coeff, power) == ("prefix", m, "z2", None)
+    return m, scale, max_dim, coeff, power, specs, None, None
 
 
 class TestPrefixTask:
@@ -363,15 +369,47 @@ class TestPrefixTask:
                 value = formulas.prefix_betti3(m, a) if a.size >= 3 else 0
                 assert oracle == (0, 0, 0, value)
 
-    def test_power_entries_agree_with_their_last_prefix(self):
+    def test_power_entries_match_per_instance_entries(self):
+        # the suite reads power(m) off the last prefix of its pass; built
+        # and reduced on its own by betti_z2, it must give the same entry
         entries = {e.spec: e for e in run_verify("all", 6).entries}
         for m in range(3, 7):
-            power = entries[f"power({m})"]
-            last = entries[f"prefix({m};{{{','.join(map(str, range(1, m + 1)))}}})"]
-            assert power.status == last.status == "ok"
-            assert power.f_vector == last.f_vector
-            assert power.betti == last.betti
-            assert power.chi == last.chi
+            oracle = (0, 0, 0, formulas.power_betti3(m))
+            want = cli._compute_entry(
+                f"power({m})", 2, 4, "z2", "power_betti3", oracle, None, None
+            )
+            assert want.status == "ok" and want.match
+            got = entries[f"power({m})"]
+            assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
+
+    @pytest.mark.parametrize("suite", ["prefix", "power", "all"])
+    def test_each_power_set_is_built_once(self, monkeypatch, suite):
+        monkeypatch.delenv("VRLAT_THREADS", raising=False)
+        built = []
+        build = cli.build_flag
+
+        def counted(fam, *args, **kwargs):
+            built.append(fam)
+            return build(fam, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_flag", counted)
+        report = run_verify(suite, 5)
+        assert report_clean(report)
+        for m in (3, 4, 5):
+            assert built.count(gen_prefix(m, Subset.full(m))) == 1
+
+    def test_max_dim_zero_is_refused_for_every_entry_of_a_pass(self):
+        report = run_verify("all", 4, max_dim=0)
+        passes = [e for e in report.entries if e.oracle_name in
+                  ("prefix_betti3", "power_betti3")]
+        assert len(passes) == 8 + 16 + 2
+        assert {e.status for e in report.entries} == {"error"}
+        assert {e.detail for e in report.entries} == {
+            "max_dim 0 stores no edges, so no Betti number is complete; "
+            "--max-dim must be >= 1"
+        }
+        assert all(e.betti is None and e.complete_through is None
+                   for e in report.entries)
 
     def test_one_prefix_task_per_m(self):
         tasks = cli._suite_tasks("prefix", 6)
@@ -411,8 +449,11 @@ class TestPrefixTask:
         assert report_clean(report)
 
     def test_crashed_prefix_worker_becomes_error_entries(self, monkeypatch):
+        # under "all" the pass of m = 4 also carries power(4), which the
+        # report lists after every prefix entry
+        suites = {"prefix": 16, "all": 16 + 1}
         monkeypatch.setenv("VRLAT_THREADS", "1")
-        seq = run_verify("prefix", 5).entries
+        seq = {suite: run_verify(suite, 5).entries for suite in suites}
         prefix_entries = cli._prefix_entries
 
         def crash_at_m4(m, *rest):
@@ -423,21 +464,13 @@ class TestPrefixTask:
         # the pool forks, so its workers inherit the patched function
         monkeypatch.setattr(cli, "_prefix_entries", crash_at_m4)
         monkeypatch.setenv("VRLAT_THREADS", "2")
-        report = run_verify("prefix", 5)
-        assert [e.spec for e in report.entries] == [e.spec for e in seq]
-        crashed = [e for e in report.entries if e.spec.startswith("prefix(4;")]
-        assert len(crashed) == 16
-        assert all(e.status == "error" for e in crashed)
-        for got, want in zip(report.entries, seq):
-            if got.status == "error":
-                assert got == replace(
-                    want, status="error", f_vector=None, betti=None,
-                    complete_through=None, chi=None, match=None,
-                    detail=got.detail, wall_time_ms=None,
-                )
-                assert "worker process crashed" in got.detail
-            else:
-                assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
+        for suite, lost in suites.items():
+            report = run_verify(suite, 5)
+            crashed = [e for e in report.entries
+                       if e.spec.startswith("prefix(4;") or e.spec == "power(4)"]
+            assert len(crashed) == lost
+            assert all(e.status == "error" for e in crashed)
+            _assert_crashed_like(report.entries, seq[suite])
 
 
 class TestThreeLayerCheck:

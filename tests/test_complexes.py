@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vrlat.complexes import (
     BuildBudgetExceeded,
+    _distance_adjacency,
     Complex,
     build_flag,
     facet_dump,
@@ -23,7 +24,7 @@ from vrlat.complexes import (
     star_cluster,
 )
 from vrlat.homology import betti_z2
-from vrlat.setfam import SetFamily, Subset, gen_prefix, gen_uniform, gen_union
+from vrlat.setfam import SetFamily, Subset, dist, gen_prefix, gen_uniform, gen_union
 
 from oracles import bf_betti, bf_facets, bf_simplices
 
@@ -76,6 +77,23 @@ class TestBuildFlag:
         k = build_flag(family, scale, max_dim)
         expected = bf_simplices(family, scale, max_dim)
         assert [list(layer) for layer in k.simplices] == expected
+
+    def test_distance_adjacency_is_pairwise_dist(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            m = rng.randint(1, 8)
+            picked = rng.sample(range(1 << m), rng.randint(1, min(40, 1 << m)))
+            fam = SetFamily.from_subsets(m, [Subset(bits, m) for bits in picked])
+            for scale in range(m + 1):
+                n = len(fam)
+                assert _distance_adjacency(fam, scale) == tuple(
+                    sum(
+                        1 << j
+                        for j in range(n)
+                        if j != i and dist(fam.vertices[i], fam.vertices[j]) <= scale
+                    )
+                    for i in range(n)
+                )
 
     def test_singleton_layer_is_full_simplex(self):
         # singletons are pairwise at distance 2
