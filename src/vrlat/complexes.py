@@ -19,8 +19,9 @@ claims.
 """
 
 from array import array
+from functools import reduce
 from itertools import accumulate, combinations, islice
-from operator import lt
+from operator import lt, or_
 
 from .setfam import SetFamily, Subset, gen_uniform
 
@@ -49,6 +50,13 @@ class Complex:
     (d+1)-simplices t with t[:-1] <= simplices[d][j]: the end of that
     simplex's child block, its cofaces s + (u,), u > max(s).  build_flag
     passes the ends it records; otherwise one merge walk counts them.
+
+    complete_below says how many vertex prefixes are complete: the
+    simplices of k on vertices 0..i are all the simplices of their own
+    complex for i < complete_below.  That is len(family) for a complete
+    complex and 0 for an incomplete non-flag one.  For an incomplete flag
+    complex it is the largest vertex of the first (max_dim+1)-clique of
+    the graph: build_flag passes it, otherwise it is found on first use.
     """
 
     def __init__(
@@ -62,6 +70,7 @@ class Complex:
         complete: bool,
         adjacency: tuple[int, ...] | None = None,
         ends: tuple[array, ...] | None = None,
+        complete_below: int | None = None,
     ):
         if ends is None:
             simplices = tuple(
@@ -80,6 +89,11 @@ class Complex:
         if adjacency is None:
             adjacency = _adjacency_from_edges(len(family), simplices)
         self.adjacency = adjacency
+        if complete:
+            complete_below = len(family)
+        elif not flag:
+            complete_below = 0
+        self._complete_below = complete_below
         self._sets: dict[int, set[Simplex]] = {}
         # integer coboundary reduction, filled bottom up by
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
@@ -89,6 +103,12 @@ class Complex:
     @property
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.simplices)
+
+    @property
+    def complete_below(self) -> int:
+        if self._complete_below is None:
+            self._complete_below = _first_clique_birth(self)
+        return self._complete_below
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
@@ -107,6 +127,24 @@ class Complex:
             f"Complex(scale={self.scale}, max_dim={self.max_dim}, "
             f"f_vector={self.f_vector}, flag={self.flag}, complete={self.complete})"
         )
+
+
+def _first_clique_birth(k: Complex) -> int:
+    """Smallest largest vertex of a (max_dim+1)-clique, or len(k.family).
+
+    Each such clique extends its first max_dim+1 vertices, a stored top
+    simplex, by a common neighbour above them.
+    """
+    first = len(k.family)
+    adjacency = k.adjacency
+    for s in k.simplices[k.max_dim]:
+        common = adjacency[s[0]]
+        for u in s[1:]:
+            common &= adjacency[u]
+        above = common >> (s[-1] + 1)
+        if above:
+            first = min(first, s[-1] + (above & -above).bit_length())
+    return first
 
 
 def _block_ends(layer: tuple[Simplex, ...], upper: tuple[Simplex, ...]) -> array:
@@ -169,7 +207,9 @@ def build_flag(
     So the cofaces s + (u,) of a simplex s, u > max(s), form one
     contiguous child block of the next layer, in order of u (the simplex
     tree's children).  The end of each block is recorded, one unsigned
-    entry per simplex below the top layer, as the complex's ends.
+    entry per simplex below the top layer, as the complex's ends.  The
+    top layer's candidates are the common neighbours that would extend
+    it: their lowest bit is the complex's complete_below.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -209,13 +249,18 @@ def build_flag(
             break
         layers.append(tuple(simplices))
         cands = nxt_cands
-    if not complete:
-        # any higher simplex would extend a stored one by a higher-indexed
-        # common neighbor, so empty candidate sets certify completeness
-        complete = not any(cands)
+    # any higher simplex would extend a stored one by a higher-indexed
+    # common neighbor: empty candidate sets certify completeness, and the
+    # lowest candidate is the largest vertex of the first such clique
+    birth = None
+    if complete or not any(cands):
+        complete = True
+    else:
+        above = reduce(or_, cands)
+        birth = (above & -above).bit_length() - 1
     return Complex(
         f, r, max_dim, tuple(layers), flag=True, complete=complete, adjacency=adj,
-        ends=tuple(ends),
+        ends=tuple(ends), complete_below=birth,
     )
 
 
@@ -347,7 +392,7 @@ def full_subcomplex(k: Complex, vertices) -> Complex:
     """All stored simplices supported on the given vertex set.
 
     The full subcomplex of a flag complex is again flag, so the marker is
-    inherited.
+    inherited, with the induced graph (which max_dim 0 does not store).
     """
     vs = set(vertices)
     for v in vs:
@@ -355,7 +400,12 @@ def full_subcomplex(k: Complex, vertices) -> Complex:
     layers = tuple(
         tuple(s for s in layer if all(u in vs for u in s)) for layer in k.simplices
     )
-    return Complex(k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete)
+    mask = sum(1 << v for v in vs)
+    adjacency = tuple(a & mask if v in vs else 0 for v, a in enumerate(k.adjacency))
+    return Complex(
+        k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete,
+        adjacency=adjacency,
+    )
 
 
 def skeleton(k: Complex, d: int) -> Complex:

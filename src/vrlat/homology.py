@@ -2,12 +2,21 @@
 
 Both coefficient rings use one reducer.  It reduces the coboundaries
 delta^0, delta^1, ... in order, over Z or over Z/2, and rank delta^d is
-rank d_(d+1).  Columns are the d-simplices in reverse order and a
+rank d_(d+1).  Columns are the d-simplices, walked first to last, and a
 column's pivot is its largest row.  delta^d skips (clears) every column
 whose simplex is a unit pivot row of delta^(d-1): that column is
 equivalent to a cocycle with a unit pivot entry.  delta^0 needs no column
 operations: its pivots are the edges that join two components of a
 union-find forest, taken from the largest edge down.
+
+The pivot rows do not depend on the walk: after column operations that
+leave distinct largest-row pivots, the pivots in a row suffix count the
+rank of those rows, and clearing drops only columns in the span of
+lower-indexed ones.  Walked first to last, a column's top coface is
+rarely a pivot of an earlier, lexicographically smaller simplex, so
+nearly every column that has a pivot settles unreduced as an apparent
+pair, as in Ripser, and the columns left to reduce are mostly the
+essential cocycles, which reduce to zero.
 
 Rows come from the clique tree, as Ripser's cofaces do: every complex
 keeps its layers in lexicographic order and carries the end of each
@@ -132,9 +141,9 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
 
     Entry i is betti_z2(K_i, through), where K_i holds the simplices of k
     on vertices 0..i.  K_i is complete if k is, and also, for a flag
-    complex, while no (max_dim+1)-clique of k's graph lies on 0..i: that
-    is the birth of the first such clique, read off the common neighbours
-    of the top layer, so no further layer is built.
+    complex, while no (max_dim+1)-clique of k's graph lies on 0..i, that
+    is, for i < k.complete_below, which build_flag reads off the top
+    layer's candidates, so no further layer is built.
 
     The vertex filtration gives a simplex birth i at its largest vertex
     i, so rank d_(d+1) on K_i is the rank of the rows of delta^d born by
@@ -202,33 +211,14 @@ def _prefix_z2(
         for r in pivots:
             died[n - 1 - rows[r][0]] += 1
         deaths.append(list(accumulate(died)))
-    first_clique = n if k.complete else 0 if not k.flag else _first_clique_birth(k)
     out = []
     for i, f in enumerate(zip(*births)):
-        complete = i < first_clique
+        complete = i < k.complete_below
         ct = through if complete else min(through, k.max_dim - 1)
         values = _reduced_betti(f, [deaths[d][i] for d in range(1, top + 1)], ct)
         bv = BettiVector(coeff="z2", values=values, complete_through=ct)
         out.append((f, _alternating_sum(f) if complete else None, bv))
     return out
-
-
-def _first_clique_birth(k: Complex) -> int:
-    """Smallest largest vertex of a (max_dim+1)-clique, or len(k.family).
-
-    Each such clique extends its first max_dim+1 vertices, a stored top
-    simplex, by a common neighbour above them.
-    """
-    first = len(k.family)
-    adjacency = k.adjacency
-    for s in k.simplices[k.max_dim]:
-        common = adjacency[s[0]]
-        for u in s[1:]:
-            common &= adjacency[u]
-        above = common >> (s[-1] + 1)
-        if above:
-            first = min(first, s[-1] + (above & -above).bit_length())
-    return first
 
 
 def _snf_residual(cols: list[dict[int, int]]) -> list[int]:
@@ -398,15 +388,17 @@ def _reduce_coboundary(
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns are the complex's own lexicographic layers, so pivot
-    rows index k.simplices[dim + 1].  Columns are reduced from the last to
-    the first.  delta^0 goes to _spanning_forest, which finds the same pivots
+    rows index k.simplices[dim + 1].  Columns are reduced from the first to
+    the last.  delta^0 goes to _spanning_forest, which finds the same pivots
     with no column operations.  A raw coboundary has only +-1 entries, so
     a column whose top coface is not yet a pivot settles at once (an
     apparent pair) and is kept as its index alone, to be rebuilt by
-    _cofaces if a later column needs it.  The top coface of a column with
-    a non-empty child block is the block's last row, read off k.ends with
-    no lookup; only a column with no child looks for its top coface, by
-    bisection among the rows before its block.
+    _cofaces when a later column meets its pivot.  On this walk nearly
+    every column addition is against such a raw column, so a rebuilt one
+    is kept for the later additions on its row.  The top coface of a
+    column with a non-empty child block is the block's last row, read off
+    k.ends with no lookup; only a column with no child looks for its top
+    coface, by bisection among the rows before its block.
 
     A column whose low entry is a multiple of the settled pivot's is
     reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
@@ -428,7 +420,7 @@ def _reduce_coboundary(
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
     nonunit: set[int] = set()  # pivot rows whose entry is not +-1
-    for j in range(len(layer) - 1, -1, -1):
+    for j in range(len(layer)):
         if j in cleared:
             continue
         start = ends[j - 1] if j else 0
@@ -451,7 +443,10 @@ def _reduce_coboundary(
                     nonunit.add(low)
                 break
             if isinstance(settled, int):
-                settled = dict(_cofaces(settled, layer, upper, ends, adjacency))
+                # rebuilt once: later additions on this row reuse it
+                settled = reduced[low] = dict(
+                    _cofaces(settled, layer, upper, ends, adjacency)
+                )
                 if next(iter(settled)) != low:
                     # a wrong apparent pair would make this loop run forever
                     raise RuntimeError(f"raw column filed under row {low}")

@@ -149,8 +149,12 @@ def bf_coboundary_pivots(
     Rows are the (dim+1)-simplices and columns the dim-simplices, both in
     lexicographic order; (delta^dim s)(t) = (-1)^i when s is t without its
     i-th vertex.  Columns are reduced from the last to the first with no
-    clearing, and a column's pivot is its largest row.  Entries are
-    rationals for modulus 0 and residues for modulus 2.
+    clearing, and a column's pivot is its largest row.  The library's
+    reducer walks the columns the other way, first to last, and clears:
+    this walk is kept on purpose, so the two routes share neither the walk
+    nor the clearing, yet must find the same pivot rows (the pivots in a
+    row suffix count its rank, whatever the walk).  Entries are rationals
+    for modulus 0 and residues for modulus 2.
     """
     layers = bf_simplices(family, scale, dim + 1)
     cols: dict[tuple[int, ...], dict[int, Fraction | int]] = {

@@ -52,7 +52,10 @@ def derived_complexes(k: Complex, rng: random.Random) -> list[Complex]:
         link(k, rng.randrange(n)),
         skeleton(k, rng.randint(0, k.max_dim)),
         full_subcomplex(k, rng.sample(range(n), rng.randint(1, n))),
-        Complex(k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete),
+        Complex(
+            k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete,
+            adjacency=k.adjacency,
+        ),
     ]
 
 
@@ -472,6 +475,33 @@ class TestProperties:
                 assert list(ends) == [
                     sum(1 for t in layers[d + 1] if t[:-1] <= s) for s in layers[d]
                 ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_family_and_scale(),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_complete_below_matches_bruteforce(self, fam_scale, max_dim, seed):
+        # the simplices on vertices 0..i are a complete complex while no
+        # (max_dim+1)-simplex ends at i or below; build_flag reads that off
+        # its candidates, a flag complex made otherwise walks its top layer,
+        # and an incomplete non-flag complex claims no complete prefix
+        fam, scale = fam_scale
+        n = len(fam)
+        deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
+        k = build_flag(fam, scale, max_dim)
+        for c in [k, *derived_complexes(k, random.Random(seed))]:
+            vertices = {s[0] for s in c.simplices[0]}
+            if c.complete:
+                expected = n
+            elif not c.flag:
+                expected = 0
+            else:
+                expected = min(
+                    (t[-1] for t in deeper if vertices.issuperset(t)), default=n
+                )
+            assert c.complete_below == expected
 
     @settings(max_examples=60, deadline=None)
     @given(small_family_and_scale())

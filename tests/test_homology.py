@@ -15,7 +15,7 @@ from vrlat.complexes import (
     full_subcomplex,
     star,
 )
-from vrlat.formulas import upto_betti3
+from vrlat.formulas import power_betti3, upto_betti3
 from vrlat.homology import (
     BettiVector,
     MatrixTooLarge,
@@ -310,6 +310,21 @@ class TestPrefixBettiZ2:
         assert all(e.status == "ok" and e.match for e in entries)
         assert made == [4]  # power(5) through dim 4, from build_flag
 
+    def test_build_flag_supplies_the_first_clique_birth(self, monkeypatch):
+        import vrlat.complexes as cx
+
+        k = build_flag(gen_prefix(5, Subset.full(5)), 2, 3)
+        assert not k.complete
+        # the same layers, not from build_flag: found by walking the top layer
+        copy = Complex(k.family, 2, 3, k.simplices, flag=True, complete=False)
+        expected = prefix_betti_z2(copy, 3)
+
+        def walk(_):
+            raise AssertionError("build_flag's complex walked its top layer")
+
+        monkeypatch.setattr(cx, "_first_clique_birth", walk)
+        assert prefix_betti_z2(k, 3) == expected
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_upto_prefixes_match_closed_form(self, m):
         # upto(m, n) is the prefix of power(m) that ends at the last n-subset
@@ -347,13 +362,46 @@ class TestCoboundaryPivots:
         # clearing drops only columns in the span of the others, and the
         # apparent pairs settle columns unreduced, so every dimension's
         # pivot rows are those of a naive reduction with neither
+        # (the oracle walks the columns the other way).  Over Z the rank is
+        # the rational rank, and the unit pivot rows are among the pivots
         fam, scale = case
         k = build_flag(fam, scale, 4)
+        for modulus in (2, 0):
+            pivots: set[int] = set()
+            for d in range(4):
+                rank, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+                rows = k.simplices[d + 1]
+                expected = bf_coboundary_pivots(fam, scale, d, modulus)
+                assert rank == len(expected)
+                if modulus:
+                    assert {rows[r] for r in pivots} == expected
+                else:
+                    assert {rows[r] for r in pivots} <= expected
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_power_set_top_coboundary_reduces_only_essential_columns(
+        self, m, monkeypatch
+    ):
+        # walked first to last, every column of delta^3 on power(m) that
+        # has a pivot is an apparent pair, so the only columns the reducer
+        # adds to are the b3 essential cocycles, which reduce to zero
+        k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
         pivots: set[int] = set()
-        for d in range(4):
+        for d in range(3):
             _, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus=2)
-            rows = sorted(k.simplices[d + 1])
-            assert {rows[r] for r in pivots} == bf_coboundary_pivots(fam, scale, d, 2)
+        added_to = []
+        subtract = hm._subtract
+
+        def counted(col, *args):
+            added_to.append(col)
+            subtract(col, *args)
+
+        monkeypatch.setattr(hm, "_subtract", counted)
+        hm._reduce_coboundary(k, 3, pivots, modulus=2)
+        # the list keeps every column alive, so distinct columns have
+        # distinct ids
+        assert len({id(col) for col in added_to}) == power_betti3(m)
+        assert not any(added_to)
 
 
 def dense_betti_z2(k: Complex) -> list[int]:
