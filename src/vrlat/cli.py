@@ -1,6 +1,8 @@
-"""Family-spec mini-language, verification suites, and the vrlat commands.
+"""Family-spec mini-language, verification suites, and their reports.
 
-The spec grammar is `spec := term ('+' term)*` with terms F(m,n),
+The library side of the vrlat command, whose click group lives in
+__main__.py, so that `import vrlat` loads neither click nor the process
+pool.  The spec grammar is `spec := term ('+' term)*` with terms F(m,n),
 prefix(m;{...}), power(m), upto(m,n); whitespace is insignificant and parse
 errors carry byte offsets.  Verification suites enumerate in-regime
 instances in a canonical order, compute Betti numbers, and compare them
@@ -17,23 +19,12 @@ worker pool.
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from io import StringIO
 from itertools import accumulate
 
-import click
-
-from . import __version__, formulas
-from .complexes import (
-    BuildBudgetExceeded,
-    build_flag,
-    facet_dump,
-    maximal_simplices_bk,
-    maximal_simplices_closed_form,
-    sc_hypothesis_check,
-)
+from . import formulas
+from .complexes import BuildBudgetExceeded, build_flag
 from .homology import _prefix_z2, betti_z2, euler_characteristic, homology_integer
 from .setfam import MAX_GROUND, SetFamily, Subset, gen_prefix, gen_uniform, gen_union
 
@@ -273,10 +264,9 @@ def _task_error(
     coeff: str,
     oracle_name: str | None,
     oracle: tuple[int, ...] | None,
-    *budgets,
 ) -> ReportEntry:
-    """Error entry naming a task (the arguments of _compute_entry), with
-    nothing computed."""
+    """Error entry naming a task (the arguments of _compute_entry before
+    its budgets), with nothing computed."""
     return ReportEntry(
         spec=spec_text,
         scale=scale,
@@ -546,6 +536,10 @@ def run_verify(
     if workers == 1 or len(tasks) <= 1:
         results = [_run_task(t) for t in tasks]
     else:
+        # imported here: the pool costs a serial run its import time
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_task, t) for t in tasks]
             results = []
@@ -680,202 +674,6 @@ def report_clean(r: Report) -> bool:
     return True
 
 
-def _subset_args(text: str) -> tuple[Subset]:
-    sc = _Scanner(text.strip())
-    elems = _parse_set(sc, MAX_GROUND)
-    if sc.pos != len(sc.text):
-        raise SpecParseError("trailing input", sc.pos, ("end of set",))
-    if not elems:
-        raise click.UsageError("this formula needs a nonempty subset")
-    return (Subset.of(elems, max(elems)),)
-
-
-def _m_args(text: str) -> tuple[int]:
-    return (int(text),)
-
-
-def _mn_args(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise click.UsageError(f"expected 'm,n', got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _prefix_args(text: str) -> tuple[int, Subset]:
-    head, _, tail = text.partition(";")
-    if not tail:
-        raise click.UsageError(f"expected 'm;{{elements}}', got {text!r}")
-    m = int(head)
-    return m, Subset.of(_parse_set(_Scanner(tail.strip()), m), m)
-
-
-# name -> (argument parser, value function, term function or None)
-_FORMULAS = {
-    name: (parse, getattr(formulas, name), getattr(formulas, f"{name}_terms", None))
-    for name, parse in [
-        ("prefix_increment", _subset_args),
-        ("skip_increment", _subset_args),
-        ("layer_increment", _mn_args),
-        ("power_betti3", _m_args),
-        ("uniform_betti2", _mn_args),
-        ("adjacent_pair_betti2", _mn_args),
-        ("prefix_betti3", _prefix_args),
-        ("upto_betti3", _mn_args),
-        ("skip_layer_sum", _mn_args),
-        ("skip_pair_betti3", _mn_args),
-        ("cross_polytope_sphere_dim", _mn_args),
-    ]
-}
-
-
-@click.group(name="vrlat")
-@click.version_option(version=__version__, prog_name="vrlat")
-def main():
-    """Rips complexes of set families under the symmetric-difference metric."""
-
-
-@main.command()
-@click.option("--family", "family_text", required=True, help="Family spec.")
-@click.option("--scale", type=click.IntRange(min=0), required=True)
-@click.option("--max-dim", type=click.IntRange(min=0), required=True)
-@click.option("--coeff", type=click.Choice(["z2", "int"]), default="z2")
-@click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json"
-)
-@click.option("--max-simplices", type=click.IntRange(min=1), default=None)
-def homology(family_text, scale, max_dim, coeff, fmt, max_simplices):
-    """Betti numbers of the family's complex at the given scale."""
-    try:
-        spec = parse_family_spec(family_text)
-    except SpecParseError as e:
-        raise click.UsageError(str(e))
-    entry = _compute_entry(
-        spec.render(), scale, max_dim, coeff, None, None, None, max_simplices
-    )
-    if entry.status == "error":
-        raise click.ClickException(entry.detail or "computation failed")
-    if entry.status == "skipped":
-        raise click.ClickException(entry.detail or "budget exceeded")
-    if fmt == "json":
-        full = _entry_dict(entry, False)
-        keep = (
-            "family", "scale", "coeff", "betti", "complete_through", "chi", "torsion"
-        )
-        doc = {k: full[k] for k in keep if k in full}
-        click.echo(json.dumps(doc, separators=(",", ":")))
-    else:
-        click.echo(emit_report(Report((entry,)), fmt).decode(), nl=False)
-
-
-@main.command()
-@click.option("--family", "family_text", required=True, help="Family spec.")
-@click.option("--scale", type=click.IntRange(min=0), required=True)
-@click.option(
-    "--closed-form",
-    is_flag=True,
-    help="Use the two-type facet formula (single uniform layer only).",
-)
-def facets(family_text, scale, closed_form):
-    """List the maximal simplices of the family's complex."""
-    try:
-        spec = parse_family_spec(family_text)
-    except SpecParseError as e:
-        raise click.UsageError(str(e))
-    fam = spec.family()
-    if closed_form:
-        if len(spec.terms) != 1 or not isinstance(spec.terms[0], UniformTerm):
-            raise click.UsageError(
-                "--closed-form applies to a single F(m,n) term at scale 2"
-            )
-        if scale != 2:
-            raise click.UsageError("--closed-form is a scale-2 statement")
-        term = spec.terms[0]
-        try:
-            simplices = maximal_simplices_closed_form(term.m, term.n)
-        except ValueError as e:
-            raise click.UsageError(str(e))
-    else:
-        simplices = maximal_simplices_bk(fam, scale)
-    click.echo(facet_dump(fam, scale, simplices, spec.render()), nl=False)
-
-
-@main.command()
-@click.option(
-    "--suite",
-    type=click.Choice([*_SUITES, "all"]),
-    required=True,
-)
-@click.option("--m-max", type=click.IntRange(min=1, max=MAX_GROUND), required=True)
-@click.option("--budget-ms", type=click.IntRange(min=1), default=None)
-@click.option("--max-simplices", type=click.IntRange(min=1), default=None)
-@click.option("--max-dim", type=click.IntRange(min=1), default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text"
-)
-@click.option("--no-timing", is_flag=True, help="Omit wall times (stable output).")
-def verify(suite, m_max, budget_ms, max_simplices, max_dim, fmt, no_timing):
-    """Run a formula-verification suite; exit 1 on any mismatch or error."""
-    report = run_verify(
-        suite, m_max, budget_ms=budget_ms, max_simplices=max_simplices, max_dim=max_dim
-    )
-    click.echo(emit_report(report, fmt, include_timing=not no_timing).decode(), nl=False)
-    if not report_clean(report):
-        raise SystemExit(1)
-
-
-@main.command()
-@click.argument("name")
-@click.option("--args", "argtext", required=True, help="Formula arguments.")
-@click.option("--show-terms", is_flag=True)
-def formula(name, argtext, show_terms):
-    """Evaluate a closed-form count; optionally list its term decomposition."""
-    if name not in _FORMULAS:
-        raise click.UsageError(
-            f"unknown formula {name!r}; available: {', '.join(sorted(_FORMULAS))}"
-        )
-    parse, value_fn, terms_fn = _FORMULAS[name]
-    try:
-        args = parse(argtext)
-        value = value_fn(*args)
-        terms = terms_fn(*args) if show_terms and terms_fn else []
-    except ValueError as e:  # SpecParseError included
-        raise click.UsageError(str(e))
-    click.echo(str(value))
-    for template, label_args, term_value in terms:
-        click.echo(f"  {template.format(*label_args)} = {term_value}")
-
-
-@main.command("check-sc")
-@click.option("--family", "family_text", required=True)
-@click.option("--scale", type=click.IntRange(min=0), required=True)
-@click.option("--subfamily", "subfamily_text", required=True)
-def check_sc(family_text, scale, subfamily_text):
-    """Check the star-cluster hypothesis for a vertex subfamily.
-
-    Exit 0 when it holds, 1 with a witnessing pair when violated.
-    """
-    try:
-        spec = parse_family_spec(family_text)
-        sub = parse_family_spec(subfamily_text)
-    except SpecParseError as e:
-        raise click.UsageError(str(e))
-    if sub.m != spec.m:
-        raise click.UsageError("subfamily ground size differs from family")
-    fam = spec.family()
-    try:
-        indices = [fam.index(v) for v in sub.family().vertices]
-    except KeyError as e:
-        raise click.UsageError(f"subfamily vertex {e.args[0]} not in family")
-    # adjacency is all the check needs, so build the graph only
-    k = build_flag(fam, scale, 1)
-    witness = sc_hypothesis_check(k, indices)
-    if witness is None:
-        click.echo("holds")
-        return
-    v, w = witness
-    click.echo(f"violated({fam.vertices[v]},{fam.vertices[w]})")
-    raise SystemExit(1)
-
-
 if __name__ == "__main__":
-    main()
+    # the command moved to __main__.py; fail rather than verify nothing
+    raise SystemExit("vrlat.cli holds no command; run `python -m vrlat`")

@@ -1,17 +1,24 @@
 """Spec grammar, report plumbing, and the command-line surface."""
 
 import hashlib
+import importlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vrlat
 import vrlat.cli as cli
+from vrlat.__main__ import main
 from vrlat.cli import (
     FamilySpec,
     PowerTerm,
@@ -22,7 +29,6 @@ from vrlat.cli import (
     UniformTerm,
     UpToTerm,
     emit_report,
-    main,
     parse_family_spec,
     report_clean,
     run_three_layer_check,
@@ -803,3 +809,57 @@ class TestCommandLine:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "vrlat" in result.output
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on the checkout's sources, run serially."""
+    env = {k: v for k, v in os.environ.items() if k != "VRLAT_THREADS"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    return subprocess.run(
+        [sys.executable, *args], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestEntryPoints:
+    def test_library_path_imports_neither_click_nor_the_pool(self):
+        # the library path the paper's checks run; the command and the
+        # worker pool are the only users of these modules
+        proc = _run_python("-c", (
+            "import sys, vrlat\n"
+            "vrlat.emit_report(vrlat.run_verify('uniform', 5), 'json')\n"
+            "heavy = ('click', 'concurrent.futures', 'multiprocessing', 'sympy')\n"
+            "print(','.join(m for m in heavy if m in sys.modules))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+
+    def test_python_dash_m_prints_the_version(self):
+        proc = _run_python("-m", "vrlat", "--version")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"vrlat, version {vrlat.__version__}\n"
+
+    def test_console_script_is_the_click_group(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPO / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["vrlat"]
+        module, _, attr = target.partition(":")
+        group = getattr(importlib.import_module(module), attr)
+        assert isinstance(group, click.Group) and group.name == "vrlat"
+        assert group is main
+
+    def test_old_module_entry_fails_loudly(self):
+        # a verify that printed nothing and exited 0 would read as a pass
+        proc = _run_python(
+            "-m", "vrlat.cli", "verify", "--suite", "uniform", "--m-max", "4"
+        )
+        assert proc.returncode != 0
+        assert "python -m vrlat" in proc.stderr
+
+    def test_importing_the_main_module_runs_nothing(self):
+        proc = _run_python("-c", "import vrlat.__main__")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
