@@ -1,13 +1,13 @@
 """Flag complexes of set families at a distance scale.
 
-A complex stores its simplices as dimension-graded sorted tuples of vertex
-indices into the underlying family.  Construction expands cliques of the
-scale graph incrementally (each simplex extended only by higher-indexed
-common neighbors), which yields lexicographic order with no duplicates.
-
-Every complex keeps its layers in that order and carries the end of each
-simplex's child block (see Complex), which the coboundary reducer reads
-its rows from.
+A complex stores its simplices as a clique tree (a simplex tree, after
+Boissonnat and Maria): each simplex is its parent, the simplex without its
+largest vertex, plus that vertex, its label.  Construction expands cliques
+of the scale graph incrementally (each simplex extended only by
+higher-indexed common neighbors), which walks this tree and yields every
+layer in lexicographic order with no duplicates.  The tuples of vertex
+indices are a view, built on first read, for the derived complexes and
+the tests that want them; the reducer reads the tree alone.
 
 Complexes carry two bookkeeping bits.  `flag` records that the object
 represents the full clique complex of its 1-skeleton, so graph-level
@@ -27,6 +27,8 @@ from .setfam import SetFamily, Subset, gen_uniform
 
 # A simplex is a strictly increasing tuple of vertex indices.
 Simplex = tuple[int, ...]
+# A clique tree: the labels and candidate sets of each layer (see Complex).
+Tree = tuple[tuple[array, ...], tuple[list[int], ...]]
 
 
 class BuildBudgetExceeded(RuntimeError):
@@ -45,11 +47,17 @@ class BuildBudgetExceeded(RuntimeError):
 class Complex:
     """Immutable dimension-graded simplicial complex over a SetFamily.
 
-    simplices[d] holds the d-simplices in lexicographic order (a layer
-    passed out of order is sorted).  ends[d][j] is the number of
-    (d+1)-simplices t with t[:-1] <= simplices[d][j]: the end of that
-    simplex's child block, its cofaces s + (u,), u > max(s).  build_flag
-    passes the ends it records; otherwise one merge walk counts them.
+    The simplices are a clique tree, every layer in lexicographic order.
+    labels[d][j] is the largest vertex of the j-th d-simplex.  Its parent
+    is the (d-1)-simplex without that vertex, and its children, the
+    cofaces s + (u,), u > max(s), form one contiguous block of layer d+1:
+    cands[d][j] is the bitset of their labels and ends[d][j] the end of
+    the block, the number of (d+1)-simplices t with t[:-1] <= s.  The root
+    is the empty simplex, whose children are the vertices (vertex_mask).
+    build_flag passes the labels and candidate sets it walks; a complex
+    made from tuple layers (sorted if out of order) gets them from one
+    merge walk.  simplices[d] holds the d-simplices as tuples, built from
+    the tree on first read.
 
     complete_below says how many vertex prefixes are complete: the
     simplices of k on vertices 0..i are all the simplices of their own
@@ -64,45 +72,61 @@ class Complex:
         family: SetFamily,
         scale: int,
         max_dim: int,
-        simplices: tuple[tuple[Simplex, ...], ...],
+        simplices: tuple[tuple[Simplex, ...], ...] | None = None,
         *,
         flag: bool,
         complete: bool,
         adjacency: tuple[int, ...] | None = None,
-        ends: tuple[array, ...] | None = None,
+        tree: Tree | None = None,
         complete_below: int | None = None,
     ):
-        if ends is None:
+        if tree is None:
             simplices = tuple(
                 layer if all(map(lt, layer, islice(layer, 1, None)))
                 else tuple(sorted(layer))
                 for layer in simplices
             )
-            ends = tuple(map(_block_ends, simplices, simplices[1:]))
+            tree = _tree(simplices)
         self.family = family
         self.scale = scale
         self.max_dim = max_dim
-        self.simplices = simplices
-        self.ends = ends
+        self._simplices = simplices
+        self.labels, self.cands = tree
+        self.ends = tuple(
+            array("I", accumulate(map(int.bit_count, c))) for c in self.cands
+        )
+        self.vertex_mask = reduce(or_, (1 << v for v in self.labels[0]), 0)
         self.flag = flag
         self.complete = complete
         if adjacency is None:
-            adjacency = _adjacency_from_edges(len(family), simplices)
+            adjacency = _adjacency_from_edges(len(family), self.labels[0], self.cands)
         self.adjacency = adjacency
         if complete:
             complete_below = len(family)
         elif not flag:
             complete_below = 0
         self._complete_below = complete_below
-        self._sets: dict[int, set[Simplex]] = {}
         # integer coboundary reduction, filled bottom up by
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
         # and the unit pivot rows of the last one, for clearing the next
         self._coboundary: tuple[list, set[int]] = ([], set())
 
     @property
+    def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
+        if self._simplices is None:
+            layers = [tuple((v,) for v in self.labels[0])]
+            for labels, ends in zip(self.labels[1:], self.ends):
+                layers.append(tuple(
+                    s + (u,)
+                    for s, start, end in zip(layers[-1], (0, *ends), ends)
+                    for u in labels[start:end]
+                ))
+            self._simplices = tuple(layers)
+        return self._simplices
+
+    @property
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.simplices)
+        return tuple(map(len, self.labels))
 
     @property
     def complete_below(self) -> int:
@@ -112,15 +136,23 @@ class Complex:
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
-        return tuple(s[0] for s in self.simplices[0])
+        return tuple(self.labels[0])
 
     def has(self, simplex: Simplex) -> bool:
-        d = len(simplex) - 1
-        if d < 0 or d > self.max_dim:
+        """Whether the simplex is stored, by one descent from the root:
+        a node's child u is stored if u is a candidate bit, and its index
+        is the end of the node's block less the candidates from u up."""
+        if not 0 < len(simplex) <= self.max_dim + 1:
             return False
-        if d not in self._sets:
-            self._sets[d] = set(self.simplices[d])
-        return simplex in self._sets[d]
+        bits, j = self.vertex_mask, len(self.labels[0])
+        for d, v in enumerate(simplex):
+            if d:
+                bits, j = self.cands[d - 1][j], self.ends[d - 1][j]
+            above = bits >> v if v >= 0 else 0
+            if not above & 1:
+                return False
+            j -= above.bit_count()
+        return True
 
     def __repr__(self) -> str:
         return (
@@ -147,15 +179,23 @@ def _first_clique_birth(k: Complex) -> int:
     return first
 
 
-def _block_ends(layer: tuple[Simplex, ...], upper: tuple[Simplex, ...]) -> array:
-    """Child-block ends of two lexicographic layers, by one merge walk."""
-    ends = array("I")
-    i, n = 0, len(upper)
-    for s in layer:
-        while i < n and upper[i][:-1] <= s:
-            i += 1
-        ends.append(i)
-    return ends
+def _tree(layers: tuple[tuple[Simplex, ...], ...]) -> Tree:
+    """Labels and candidate sets of lexicographic layers, by one merge
+    walk per pair of layers."""
+    labels = tuple(array("I", (s[-1] for s in layer)) for layer in layers)
+    cands = []
+    for layer, upper in zip(layers, layers[1:]):
+        bits, i, n = [], 0, len(upper)
+        for s in layer:
+            children = 0
+            while i < n and upper[i][:-1] == s:
+                children |= 1 << upper[i][-1]
+                i += 1
+            bits.append(children)
+        if i < n:
+            raise ValueError(f"simplex {upper[i]} lacks its face {upper[i][:-1]}")
+        cands.append(bits)
+    return labels, tuple(cands)
 
 
 def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
@@ -172,12 +212,12 @@ def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _adjacency_from_edges(n: int, simplices) -> tuple[int, ...]:
+def _adjacency_from_edges(n: int, vertices, cands) -> tuple[int, ...]:
     adj = [0] * n
-    if len(simplices) > 1:
-        for i, j in simplices[1]:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    for a, above in zip(vertices, cands[0] if cands else ()):
+        adj[a] |= above
+        for b in _bits(above):
+            adj[b] |= 1 << a
     return tuple(adj)
 
 
@@ -197,19 +237,20 @@ def build_flag(
     BuildBudgetExceeded (naming the dimension reached) if more than
     max_simplices would be stored.
 
-    Each layer is grown from the one below, kept as parallel sequences of
-    simplices and candidate bitsets (the higher-indexed common neighbours).
-    Peeling the lowest candidate bit u off a simplex gives the next
-    coface, whose candidates are the bits left above u that are also
-    neighbours of u.  Only the finished layer's tuple and its candidate
-    list stay alive while the next layer grows.
+    Each layer is grown from the one below, kept as the labels and
+    candidate bitsets (the higher-indexed common neighbours) of its
+    simplices.  Peeling the lowest candidate bit u off a simplex gives the
+    next coface, labelled u, whose candidates are the bits left above u
+    that are also neighbours of u.  The children of a candidate set do not
+    depend on the simplex, so each distinct set is expanded once per call
+    and every simplex with it extends the next layer by that expansion.
 
     So the cofaces s + (u,) of a simplex s, u > max(s), form one
     contiguous child block of the next layer, in order of u (the simplex
-    tree's children).  The end of each block is recorded, one unsigned
-    entry per simplex below the top layer, as the complex's ends.  The
-    top layer's candidates are the common neighbours that would extend
-    it: their lowest bit is the complex's complete_below.
+    tree's children), and the labels and candidate sets of every layer
+    below the top are the complex's tree.  The top layer's
+    candidates are the common neighbours that would extend it: their
+    lowest bit is the complex's complete_below.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -220,34 +261,32 @@ def build_flag(
         raise BuildBudgetExceeded(0, n, max_simplices)
     adj = _distance_adjacency(f, r)
 
-    layers: list[tuple[Simplex, ...]] = [tuple((i,) for i in range(n))]
-    # the vertex tuples, shared so appending u builds one tuple, not two
-    singles = layers[0]
+    labels = [array("I", range(n))]
     count = n
     # candidate set of a simplex: higher-indexed common neighbors
     cands = [adj[i] >> (i + 1) << (i + 1) for i in range(n)]
-    ends: list[array] = []
+    tree_cands: list[list[int]] = []
+    # candidate set -> the labels and candidate sets of its children
+    children: dict[int, tuple[list[int], list[int]]] = {}
     complete = False
     for d in range(1, max_dim + 1):
-        # s has one child per candidate bit
-        ends.append(array("I", accumulate(map(int.bit_count, cands))))
-        simplices, nxt_cands = [], []
-        for s, cand in zip(layers[-1], cands):
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                u = low.bit_length() - 1
-                simplices.append(s + singles[u])
-                nxt_cands.append(cand & adj[u])
-        count += len(simplices)
+        tree_cands.append(cands)
+        layer, nxt_cands = [], []
+        for cand in filter(None, cands):
+            kids = children.get(cand)
+            if kids is None:
+                kids = children[cand] = _children(cand, adj)
+            layer += kids[0]
+            nxt_cands += kids[1]
+        count += len(layer)
         if max_simplices is not None and count > max_simplices:
             raise BuildBudgetExceeded(d, count, max_simplices)
-        if not simplices:
+        if not layer:
             complete = True
-            layers.extend(() for _ in range(d, max_dim + 1))
-            ends.extend(array("I") for _ in range(d, max_dim))
+            labels.extend(array("I") for _ in range(d, max_dim + 1))
+            tree_cands.extend([] for _ in range(d, max_dim))
             break
-        layers.append(tuple(simplices))
+        labels.append(array("I", layer))
         cands = nxt_cands
     # any higher simplex would extend a stored one by a higher-indexed
     # common neighbor: empty candidate sets certify completeness, and the
@@ -259,9 +298,21 @@ def build_flag(
         above = reduce(or_, cands)
         birth = (above & -above).bit_length() - 1
     return Complex(
-        f, r, max_dim, tuple(layers), flag=True, complete=complete, adjacency=adj,
-        ends=tuple(ends), complete_below=birth,
+        f, r, max_dim, flag=True, complete=complete, adjacency=adj,
+        tree=(tuple(labels), tuple(tree_cands)), complete_below=birth,
     )
+
+
+def _children(cand: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Labels and candidate sets of the children of a candidate set."""
+    labels, cands = [], []
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        u = low.bit_length() - 1
+        labels.append(u)
+        cands.append(cand & adj[u])
+    return labels, cands
 
 
 def _degeneracy_order(adj: tuple[int, ...], n: int) -> list[int]:
@@ -419,7 +470,8 @@ def skeleton(k: Complex, d: int) -> Complex:
             f"dimension {d} not built (max_dim={k.max_dim}); rebuild required"
         )
     return Complex(
-        k.family, k.scale, d, k.simplices[: d + 1], flag=False, complete=True
+        k.family, k.scale, d, flag=False, complete=True,
+        tree=(k.labels[: d + 1], k.cands[:d]),
     )
 
 

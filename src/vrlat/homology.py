@@ -18,12 +18,14 @@ nearly every column that has a pivot settles unreduced as an apparent
 pair, as in Ripser, and the columns left to reduce are mostly the
 essential cocycles, which reduce to zero.
 
-Rows come from the clique tree, as Ripser's cofaces do: every complex
-keeps its layers in lexicographic order and carries the end of each
-simplex's child block (Complex.ends), the cofaces s + (u,), u > max(s),
-which are contiguous in the next layer.  So a column's top coface is its
-block's last row unless the block is empty.  Only such a column, and a
-rebuilt one, look rows up.  Pivot rows index the complex's own layers.
+Rows and columns are indices into the layers of the complex's clique
+tree (see Complex), and no simplex tuple is built.  A simplex's vertices
+are the labels on its path from the root, and its cofaces s + (u,),
+u > max(s), are its child block, contiguous in the next layer.  A column
+with a non-empty child block is always an apparent pair with the block's
+last row.  Only a childless column, and a rebuilt one, enumerate their
+cofaces, as Ripser does, from the adjacency bitsets: each coface that
+inserts a vertex inside s is found by descending the tree.
 
 betti_z2 runs the reduction mod 2 on every call, where every nonzero
 entry is a unit.  Integer homology runs it over Z once per complex and
@@ -47,9 +49,11 @@ complementation does on power(m), the relabelled complex is the complex
 itself, and the pass reduces it with no copy.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, count
+from operator import getitem
 
 from .complexes import Complex
 
@@ -195,21 +199,26 @@ def _prefix_z2(
             adjacency=adjacency,
         )
     # births[d][i]: f_d of K_i; deaths[d][i]: rank d_d on K_i, from the
-    # pivot rows of delta^(d-1)
+    # pivot rows of delta^(d-1).  A simplex is born at its label, and a
+    # pivot row's first vertex is the layer-0 node whose subtree holds it:
+    # subtree_ends[i] is where the subtree of that node ends in layer d + 1
     births = []
-    for layer in k.simplices:
-        born = [0] * n
-        for s in layer:
-            born[s[-1]] += 1
-        births.append(list(accumulate(born)))
+    for labels in k.labels:
+        born = Counter(labels)
+        births.append(list(accumulate(born[v] for v in range(n))))
     deaths = [[0] * n]
     pivots: set[int] = set()
+    vertices = flipped.labels[0]
+    subtree_ends = range(1, len(vertices) + 1)
     for d in range(top):
         _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2)
+        ends = flipped.ends[d]
+        subtree_ends = [ends[e - 1] if e else 0 for e in subtree_ends]
+        rows = sorted(pivots)
+        below = [bisect_left(rows, e) for e in subtree_ends]
         died = [0] * n
-        rows = flipped.simplices[d + 1]
-        for r in pivots:
-            died[n - 1 - rows[r][0]] += 1
+        for v, a, b in zip(vertices, [0, *below], below):
+            died[n - 1 - v] = b - a
         deaths.append(list(accumulate(died)))
     out = []
     for i, f in enumerate(zip(*births)):
@@ -294,22 +303,30 @@ def _subtract(col: dict, factor: int, other: dict, modulus: int = 0) -> None:
             del col[r]
 
 
-def _cofaces(j: int, layer, upper, ends, adjacency):
-    """(row, sign) of each stored coface of s = layer[j], largest row first.
+def _column(k: Complex, d: int, j: int) -> dict[int, int]:
+    """The raw coboundary column of the j-th d-simplex s: row -> sign of
+    each stored coface, largest row first.
 
-    First the child block upper[start:end] from its last row down: those
-    cofaces append a vertex above max(s), so s is their face (-1)^len(s).
-    Every other coface inserts a common neighbour v < max(s) at position p
-    of s, with sign (-1)^p, and lies before the block, so it is looked up
-    by bisection below start; only those found count, so non-flag
-    complexes stay exact.  A larger v gives a lexicographically larger
-    coface, so the vertices are tried from the top down.
+    s's vertices are the labels of its ancestors, one bisection of the
+    child-block ends per level.  First come the rows of s's child block,
+    from the last down: those cofaces append a vertex above max(s), so s
+    is their face (-1)^len(s).  Every other coface inserts a common
+    neighbour v < max(s) at position p of s, with sign (-1)^p, and lies
+    before the block.  Its row is found by descending the tree from s[:p]
+    through v, s[p], ..., max(s), as Complex.has does; only those found
+    count, so non-flag complexes stay exact.  A larger v gives a
+    lexicographically larger coface, so the vertices are tried from the
+    top down.
     """
-    s = layer[j]
-    start, end = ends[j - 1] if j else 0, ends[j]
-    sign = -1 if len(s) & 1 else 1
-    for row in range(end - 1, start - 1, -1):
-        yield row, sign
+    labels, cands, ends, adjacency = k.labels, k.cands, k.ends, k.adjacency
+    path = [j]
+    for e in reversed(ends[:d]):
+        path.append(bisect_right(e, path[-1]))
+    path.reverse()
+    s = list(map(getitem, labels, path))
+    col = dict.fromkeys(
+        range(ends[d][j] - 1, ends[d][j - 1] - 1 if j else -1, -1), 1 if d & 1 else -1
+    )
     common = adjacency[s[0]]
     for u in s[1:]:
         common &= adjacency[u]
@@ -318,10 +335,23 @@ def _cofaces(j: int, layer, upper, ends, adjacency):
         v = common.bit_length() - 1
         common ^= 1 << v
         p = bisect_left(s, v)
-        t = s[:p] + (v,) + s[p:]
-        row = bisect_left(upper, t, 0, start)
-        if row < start and upper[row] == t:
-            yield row, -1 if p & 1 else 1
+        if p:
+            i = path[p - 1]
+            bits, i = cands[p - 1][i], ends[p - 1][i]
+        else:
+            bits, i = k.vertex_mask, len(labels[0])
+        above = bits >> v
+        if not above & 1:
+            continue
+        i -= above.bit_count()
+        for level in range(p, d + 1):
+            above = cands[level][i] >> s[level]
+            if not above & 1:
+                break
+            i = ends[level][i] - above.bit_count()
+        else:
+            col[i] = -1 if p & 1 else 1
+    return col
 
 
 def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
@@ -334,7 +364,7 @@ def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
     exactly the edges that join two components.  An incidence matrix is
     totally unimodular, so there is never torsion.
     """
-    edges = k.simplices[1]
+    vertices, labels, ends = k.labels[0], k.labels[1], k.ends[0]
     parent = list(range(len(k.family)))
 
     def root(v: int) -> int:
@@ -343,12 +373,15 @@ def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
         return v
 
     pivots = set()
-    for r in range(len(edges) - 1, -1, -1):
-        a, b = edges[r]
-        a, b = root(a), root(b)
-        if a != b:
-            parent[a] = b
-            pivots.add(r)
+    for i in range(len(vertices) - 1, -1, -1):
+        a = root(vertices[i])
+        for r in range(ends[i] - 1, ends[i - 1] - 1 if i else -1, -1):
+            b = root(labels[r])
+            if a != b:
+                # the vertex's tree now hangs below b
+                parent[a] = b
+                a = b
+                pivots.add(r)
     return len(pivots), (), pivots
 
 
@@ -387,18 +420,24 @@ def _reduce_coboundary(
     columns.
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
-    Rows and columns are the complex's own lexicographic layers, so pivot
-    rows index k.simplices[dim + 1].  Columns are reduced from the first to
-    the last.  delta^0 goes to _spanning_forest, which finds the same pivots
-    with no column operations.  A raw coboundary has only +-1 entries, so
-    a column whose top coface is not yet a pivot settles at once (an
-    apparent pair) and is kept as its index alone, to be rebuilt by
-    _cofaces when a later column meets its pivot.  On this walk nearly
-    every column addition is against such a raw column, so a rebuilt one
-    is kept for the later additions on its row.  The top coface of a
-    column with a non-empty child block is the block's last row, read off
-    k.ends with no lookup; only a column with no child looks for its top
-    coface, by bisection among the rows before its block.
+    Rows and columns index the complex's own lexicographic layers dim + 1
+    and dim.  Columns are reduced from the first to the last.  delta^0 goes
+    to _spanning_forest, which finds the same pivots with no column
+    operations.
+
+    A column s with a non-empty child block, if not cleared, is an
+    apparent pair with the block's last row t = s + (u,), and settles
+    with no lookup.  t is s's largest coface, since every other coface
+    inserts a vertex below max(s) and lies before the block.  And s is
+    the lexicographically smallest face of t: dropping t[i], i <= dim,
+    puts t[i+1] > t[i] at position i.  So every column walked before s,
+    raw or reduced (a combination of earlier columns), is zero in row t,
+    and t is not yet a pivot.  Such a column is kept as its index alone,
+    to be rebuilt by _column when a later column meets its pivot.  On
+    this walk nearly every column addition is against such a raw column,
+    so a rebuilt one is kept for the later additions on its row.  A
+    childless column is built once, and settles unreduced if its top
+    coface is not yet a pivot.
 
     A column whose low entry is a multiple of the settled pivot's is
     reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
@@ -415,25 +454,17 @@ def _reduce_coboundary(
         return 0, (), set()
     if dim == 0:
         return _spanning_forest(k)
-    layer, upper, ends = k.simplices[dim], k.simplices[dim + 1], k.ends[dim]
-    adjacency = k.adjacency
+    ends = k.ends[dim]
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
     nonunit: set[int] = set()  # pivot rows whose entry is not +-1
-    for j in range(len(layer)):
+    for j, start, end in zip(count(), chain((0,), ends), ends):
         if j in cleared:
             continue
-        start = ends[j - 1] if j else 0
-        if start < ends[j]:
-            top = ends[j] - 1
-        else:
-            top = next(_cofaces(j, layer, upper, ends, adjacency), (None,))[0]
-            if top is None:
-                continue
-        if top not in reduced:
-            reduced[top] = j
+        if start < end:
+            reduced[end - 1] = j
             continue
-        col = dict(_cofaces(j, layer, upper, ends, adjacency))
+        col = _column(k, dim, j)
         while col:
             low = max(col)
             settled = reduced.get(low)
@@ -444,9 +475,7 @@ def _reduce_coboundary(
                 break
             if isinstance(settled, int):
                 # rebuilt once: later additions on this row reuse it
-                settled = reduced[low] = dict(
-                    _cofaces(settled, layer, upper, ends, adjacency)
-                )
+                settled = reduced[low] = _column(k, dim, settled)
                 if next(iter(settled)) != low:
                     # a wrong apparent pair would make this loop run forever
                     raise RuntimeError(f"raw column filed under row {low}")
@@ -469,7 +498,7 @@ def _reduce_coboundary(
             unit = reduced[r]
             if isinstance(unit, int):
                 # rebuilt once: later residual columns reuse it
-                unit = reduced[r] = dict(_cofaces(unit, layer, upper, ends, adjacency))
+                unit = reduced[r] = _column(k, dim, unit)
             _subtract(col, col[r] * unit[r], unit)
         residual.append(col)
     snf = smith_diagonal(residual, dim + 1)

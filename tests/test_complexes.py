@@ -23,7 +23,7 @@ from vrlat.complexes import (
     star,
     star_cluster,
 )
-from vrlat.homology import betti_z2
+from vrlat.homology import _column, betti_z2
 from vrlat.setfam import SetFamily, Subset, dist, gen_prefix, gen_uniform, gen_union
 
 from oracles import bf_betti, bf_facets, bf_simplices
@@ -475,6 +475,48 @@ class TestProperties:
                 assert list(ends) == [
                     sum(1 for t in layers[d + 1] if t[:-1] <= s) for s in layers[d]
                 ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_family_and_scale(),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_tree_matches_tuple_layers(self, fam_scale, max_dim, seed):
+        # has() and the coboundary columns read the clique tree alone, and
+        # must agree with the tuple layers on every complex: derived ones
+        # (a link's layer 0 lacks vertices), shuffled ones, and the copy
+        # relabelled v -> n-1-v that the prefix pass reduces when the
+        # relabelling does not keep the graph
+        fam, scale = fam_scale
+        n = len(fam)
+        k = build_flag(fam, scale, max_dim)
+        relabelled = Complex(
+            fam, scale, max_dim,
+            tuple(
+                tuple(tuple(n - 1 - v for v in reversed(s)) for s in layer)
+                for layer in k.simplices
+            ),
+            flag=k.flag, complete=k.complete,
+        )
+        for c in [k, relabelled, *derived_complexes(k, random.Random(seed))]:
+            layers = c.simplices
+            stored = {s for layer in layers for s in layer}
+            for size in range(1, c.max_dim + 2):
+                for s in itertools.combinations(range(n), size):
+                    assert c.has(s) == (s in stored)
+            for d in range(c.max_dim):
+                for j, s in enumerate(layers[d]):
+                    # (delta s)(t) = (-1)^i where t[i] is the vertex s lacks
+                    expected = sorted(
+                        (
+                            (r, (-1) ** next(i for i, v in enumerate(t) if v not in s))
+                            for r, t in enumerate(layers[d + 1])
+                            if set(s) <= set(t)
+                        ),
+                        reverse=True,
+                    )
+                    assert list(_column(c, d, j).items()) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -44,6 +44,12 @@ def upto(m: int, n: int) -> SetFamily:
     return gen_union([gen_uniform(m, i) for i in range(0, n + 1)])
 
 
+def f73_subfamily(seed: int) -> SetFamily:
+    """A seeded half of F(7,3): 17 of its 35 sets."""
+    chosen = random.Random(seed).sample(gen_uniform(7, 3).vertices, 17)
+    return SetFamily.from_subsets(7, sorted(chosen, key=lambda s: s.sort_key()))
+
+
 def octahedron():
     return build_flag(gen_uniform(4, 2), 2, 2)
 
@@ -402,6 +408,70 @@ class TestCoboundaryPivots:
         # distinct ids
         assert len({id(col) for col in added_to}) == power_betti3(m)
         assert not any(added_to)
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    @pytest.mark.parametrize(
+        "family, scale, through",
+        [
+            (gen_prefix(4, Subset.full(4)), 2, 3),
+            (gen_prefix(5, Subset.full(5)), 2, 2),
+            (gen_prefix(6, Subset.full(6)), 2, 1),
+            (gen_uniform(6, 3), 4, 1),
+            (f73_subfamily(1), 4, 2),
+            (f73_subfamily(2), 4, 1),
+        ],
+        ids=["power4", "power5", "power6", "F63", "F73-seed1", "F73-seed2"],
+    )
+    def test_child_block_tops_are_pivots(self, family, scale, through, modulus):
+        # a column s with a non-empty child block is the smallest face of
+        # its block's last row, so no column walked before s reaches that
+        # row and the reducer files s there without looking: the naive
+        # reduction, with no clearing and walked the other way, must have
+        # every such row of a column the reducer does not clear as a pivot.
+        # The oracle enumerates every vertex subset, so the dimensions are
+        # kept low
+        k = build_flag(family, scale, through + 1)
+        cleared: set[int] = set()
+        for d in range(through + 1):
+            rows, ends = k.simplices[d + 1], k.ends[d]
+            tops = {
+                rows[end - 1]
+                for j, (start, end) in enumerate(zip((0, *ends), ends))
+                if start < end and j not in cleared
+            }
+            assert tops
+            assert tops <= bf_coboundary_pivots(family, scale, d, modulus)
+            _, _, cleared = hm._reduce_coboundary(k, d, cleared, modulus)
+
+
+class TestTreeRoute:
+    def test_reduction_never_builds_the_tuple_view(self, monkeypatch):
+        # the reducer and the prefix pass read the clique tree alone: the
+        # integer route, betti_z2 and _prefix_z2 build no simplex tuple
+        def refused(self):
+            raise AssertionError("the tuple view of the complex was built")
+
+        monkeypatch.setattr(Complex, "simplices", property(refused))
+        cases = [
+            (gen_uniform(6, 3), 4, 9, True),
+            (gen_prefix(5, Subset.full(5)), 2, 4, True),
+            (f73_subfamily(3), 4, 16, False),
+        ]
+        for family, scale, max_dim, symmetric in cases:
+            k = build_flag(family, scale, max_dim)
+            top = max(d for d, f in enumerate(k.f_vector) if f)
+            through = top if k.complete else max_dim - 1
+            groups = [homology_integer(k, d) for d in range(through + 1)]
+            # universal coefficients: the mod-2 Betti numbers count the
+            # free rank and the even invariant factors of H_d and H_(d-1)
+            even = [sum(1 for t in tors if t % 2 == 0) for _, tors in groups]
+            assert betti_z2(k, through).values == tuple(
+                rank + even[d] + (even[d - 1] if d else 0)
+                for d, (rank, _) in enumerate(groups)
+            )
+            if symmetric:
+                # a graph that v -> n-1-v maps onto itself needs no copy
+                assert hm._prefix_z2(k, through)[-1][2] == betti_z2(k, through)
 
 
 def dense_betti_z2(k: Complex) -> list[int]:
