@@ -16,7 +16,6 @@ one list of prefix_betti3 increments per m.  VRLAT_THREADS sizes the
 worker pool.
 """
 
-import json
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -540,7 +539,8 @@ def run_verify(
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool forks all its workers at once: no more than the tasks
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             futures = [pool.submit(_run_task, t) for t in tasks]
             results = []
             for task, future in zip(tasks, futures):
@@ -616,6 +616,8 @@ def _betti_cell(v: tuple[int, ...] | None) -> str:
 def emit_report(r: Report, format: str, include_timing: bool = True) -> bytes:
     """Deterministic serialization of a report (timing droppable)."""
     if format == "json":
+        import json
+
         doc = {"entries": [_entry_dict(e, include_timing) for e in r.entries]}
         return json.dumps(doc, separators=(",", ":")).encode()
     if format == "csv":

@@ -139,20 +139,38 @@ class Complex:
         return tuple(self.labels[0])
 
     def has(self, simplex: Simplex) -> bool:
-        """Whether the simplex is stored, by one descent from the root:
-        a node's child u is stored if u is a candidate bit, and its index
-        is the end of the node's block less the candidates from u up."""
+        """Whether the simplex is stored (see row)."""
         if not 0 < len(simplex) <= self.max_dim + 1:
             return False
-        bits, j = self.vertex_mask, len(self.labels[0])
-        for d, v in enumerate(simplex):
-            if d:
-                bits, j = self.cands[d - 1][j], self.ends[d - 1][j]
-            above = bits >> v if v >= 0 else 0
-            if not above & 1:
+        n, key, last = len(self.adjacency), 0, -1
+        for v in simplex:
+            if not last < v < n:
                 return False
+            key |= 1 << (n - 1 - v)
+            last = v
+        return self.row(key) >= 0
+
+    def row(self, key: int) -> int:
+        """Index in its layer of the nonempty simplex whose reversed vertex
+        mask is key (bit n-1-v for each vertex v, n = len(adjacency)), or
+        -1 if it is not stored, by one descent from the root: the
+        vertices are the bits from the top down, a node's child u is
+        stored if u is a candidate bit, and its index is the end of the
+        node's block less the candidates from u up.  The key has at most
+        max_dim + 1 bits."""
+        n = len(self.adjacency)
+        bits, j, d = self.vertex_mask, len(self.labels[0]), 0
+        while True:
+            top = key.bit_length()
+            above = bits >> (n - top)
+            if not above & 1:
+                return -1
             j -= above.bit_count()
-        return True
+            key ^= 1 << (top - 1)
+            if not key:
+                return j
+            bits, j = self.cands[d][j], self.ends[d][j]
+            d += 1
 
     def __repr__(self) -> str:
         return (

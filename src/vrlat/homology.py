@@ -18,14 +18,18 @@ nearly every column that has a pivot settles unreduced as an apparent
 pair, as in Ripser, and the columns left to reduce are mostly the
 essential cocycles, which reduce to zero.
 
-Rows and columns are indices into the layers of the complex's clique
-tree (see Complex), and no simplex tuple is built.  A simplex's vertices
-are the labels on its path from the root, and its cofaces s + (u,),
-u > max(s), are its child block, contiguous in the next layer.  A column
-with a non-empty child block is always an apparent pair with the block's
-last row.  Only a childless column, and a rebuilt one, enumerate their
-cofaces, as Ripser does, from the adjacency bitsets: each coface that
-inserts a vertex inside s is found by descending the tree.
+Pivot rows and columns are indices into the layers of the complex's
+clique tree (see Complex), and no simplex tuple is built.  A simplex's
+cofaces s + (u,), u > max(s), are its child block, contiguous in the next
+layer, and a column with a non-empty child block is always an apparent
+pair with the block's last row, filed with nothing built.  Only a
+childless column, and a rebuilt one, enumerate their cofaces, as Ripser
+does, from the adjacency bitsets: a column is keyed by each coface's
+reversed vertex mask, the sum of 2^(n-1-v) over its vertices v, so a
+coface is one bit more than its face and the pivot is the smallest key.
+A pivot key becomes its row index by one descent of the tree, memoized
+per reduction, and a raw apparent column is rebuilt from its pivot's key
+less the lowest bit, which drops the pivot's largest vertex.
 
 betti_z2 runs the reduction mod 2 on every call, where every nonzero
 entry is a unit.  Integer homology runs it over Z once per complex and
@@ -53,7 +57,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
-from operator import getitem
 
 from .complexes import Complex
 
@@ -303,55 +306,53 @@ def _subtract(col: dict, factor: int, other: dict, modulus: int = 0) -> None:
             del col[r]
 
 
-def _column(k: Complex, d: int, j: int) -> dict[int, int]:
-    """The raw coboundary column of the j-th d-simplex s: row -> sign of
-    each stored coface, largest row first.
+def _key(k: Complex, d: int, j: int) -> int:
+    """Reversed vertex mask of the j-th d-simplex (see _keyed_column): its
+    vertices are the labels of its ancestors, one bisection of the
+    child-block ends per level."""
+    labels, ends, n = k.labels, k.ends, len(k.adjacency)
+    key = 1 << (n - 1 - labels[d][j])
+    for level in range(d - 1, -1, -1):
+        j = bisect_right(ends[level], j)
+        key |= 1 << (n - 1 - labels[level][j])
+    return key
 
-    s's vertices are the labels of its ancestors, one bisection of the
-    child-block ends per level.  First come the rows of s's child block,
-    from the last down: those cofaces append a vertex above max(s), so s
-    is their face (-1)^len(s).  Every other coface inserts a common
-    neighbour v < max(s) at position p of s, with sign (-1)^p, and lies
-    before the block.  Its row is found by descending the tree from s[:p]
-    through v, s[p], ..., max(s), as Complex.has does; only those found
-    count, so non-flag complexes stay exact.  A larger v gives a
-    lexicographically larger coface, so the vertices are tried from the
-    top down.
+
+def _keyed_column(k: Complex, key: int) -> dict[int, int]:
+    """The raw coboundary column of the simplex s whose reversed vertex
+    mask is key: coface key -> sign, smallest key (largest row) first.
+
+    key(t) = sum of 2^(n-1-v) over t's vertices v, n = len(k.adjacency).
+    Of two simplices of one size, the one holding min(A ^ B) has the
+    higher bit there, so the larger key is the lexicographically smaller
+    simplex, and a column's pivot is its smallest key.  Each common
+    neighbour v of s's vertices gives the coface key | 2^(n-1-v), with
+    sign (-1)^p for the p vertices of s below v, the bits of key above
+    v's.  In a flag complex built through s's cofaces every such clique
+    is stored; otherwise a coface counts only if the tree holds it
+    (Complex.row), so stars, links and skeletons stay exact.
     """
-    labels, cands, ends, adjacency = k.labels, k.cands, k.ends, k.adjacency
-    path = [j]
-    for e in reversed(ends[:d]):
-        path.append(bisect_right(e, path[-1]))
-    path.reverse()
-    s = list(map(getitem, labels, path))
-    col = dict.fromkeys(
-        range(ends[d][j] - 1, ends[d][j - 1] - 1 if j else -1, -1), 1 if d & 1 else -1
-    )
-    common = adjacency[s[0]]
-    for u in s[1:]:
-        common &= adjacency[u]
-    common &= (1 << s[-1]) - 1
+    adjacency, n, flag = k.adjacency, len(k.adjacency), k.flag
+    common, rest = -1, key
+    while rest:
+        top = rest.bit_length()
+        rest ^= 1 << (top - 1)
+        common &= adjacency[n - top]
+    col = {}
     while common:
         v = common.bit_length() - 1
         common ^= 1 << v
-        p = bisect_left(s, v)
-        if p:
-            i = path[p - 1]
-            bits, i = cands[p - 1][i], ends[p - 1][i]
-        else:
-            bits, i = k.vertex_mask, len(labels[0])
-        above = bits >> v
-        if not above & 1:
-            continue
-        i -= above.bit_count()
-        for level in range(p, d + 1):
-            above = cands[level][i] >> s[level]
-            if not above & 1:
-                break
-            i = ends[level][i] - above.bit_count()
-        else:
-            col[i] = -1 if p & 1 else 1
+        t = key | 1 << (n - 1 - v)
+        if flag or k.row(t) >= 0:
+            col[t] = -1 if (key >> (n - v)).bit_count() & 1 else 1
     return col
+
+
+def _column(k: Complex, d: int, j: int) -> dict[int, int]:
+    """The raw coboundary column of the j-th d-simplex: row index -> sign
+    of each stored coface, largest row first, its keyed column with each
+    key descended to its row."""
+    return {k.row(t): v for t, v in _keyed_column(k, _key(k, d, j)).items()}
 
 
 def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
@@ -432,12 +433,19 @@ def _reduce_coboundary(
     the lexicographically smallest face of t: dropping t[i], i <= dim,
     puts t[i+1] > t[i] at position i.  So every column walked before s,
     raw or reduced (a combination of earlier columns), is zero in row t,
-    and t is not yet a pivot.  Such a column is kept as its index alone,
-    to be rebuilt by _column when a later column meets its pivot.  On
-    this walk nearly every column addition is against such a raw column,
-    so a rebuilt one is kept for the later additions on its row.  A
-    childless column is built once, and settles unreduced if its top
-    coface is not yet a pivot.
+    and t is not yet a pivot.  Such a column is kept as its index alone.
+    When a later column meets its pivot t, it is rebuilt by _keyed_column
+    from key(s) = key(t) less its lowest bit, which is t's largest
+    vertex u.  On this walk nearly every column addition is against such
+    a raw column, so a rebuilt one is kept for the later additions on its
+    row.  A childless column is built once, its key read off one
+    bisection of the ends per level (_key), and settles unreduced if its
+    top coface is not yet a pivot.
+
+    Built columns are keyed by coface key (see _keyed_column), so a
+    column's low row is its smallest key, and each low key becomes its
+    row index by one descent (Complex.row), memoized for the call; the
+    pivot rows stay row indices.
 
     A column whose low entry is a multiple of the settled pivot's is
     reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
@@ -445,7 +453,8 @@ def _reduce_coboundary(
     unimodular.  If some pivots are still not +-1 at the end, their
     columns are fully reduced on the unit pivot rows (a raw unit column
     is rebuilt once and kept for the rest), and the invariant
-    factors are 1 per unit pivot plus smith_diagonal of that residual.
+    factors are 1 per unit pivot plus smith_diagonal of that residual,
+    whose few columns are turned into row indices first.
     Only unit pivot rows are returned for the next dimension to clear:
     clearing a non-unit row is valid over Q but not over Z.  Mod 2 every
     nonzero entry is a unit, so the torsion is always empty.
@@ -458,49 +467,59 @@ def _reduce_coboundary(
     # pivot row -> the column index if the column is raw, else the column
     reduced: dict[int, int | dict[int, int]] = {}
     nonunit: set[int] = set()  # pivot rows whose entry is not +-1
+    rows: dict[int, int] = {}  # coface key -> row index
+
+    def row(t: int) -> int:
+        r = rows.get(t)
+        if r is None:
+            r = rows[t] = k.row(t)
+        return r
+
     for j, start, end in zip(count(), chain((0,), ends), ends):
         if j in cleared:
             continue
         if start < end:
             reduced[end - 1] = j
             continue
-        col = _column(k, dim, j)
+        col = _keyed_column(k, _key(k, dim, j))
         while col:
-            low = max(col)
-            settled = reduced.get(low)
+            low = min(col)
+            r = row(low)
+            settled = reduced.get(r)
             if settled is None:
-                reduced[low] = col
+                reduced[r] = col
                 if col[low] not in (1, -1):
-                    nonunit.add(low)
+                    nonunit.add(r)
                 break
             if isinstance(settled, int):
-                # rebuilt once: later additions on this row reuse it
-                settled = reduced[low] = _column(k, dim, settled)
+                # rebuilt once, from the pivot without its largest vertex
+                # (low's lowest bit): later additions on this row reuse it
+                settled = reduced[r] = _keyed_column(k, low & (low - 1))
                 if next(iter(settled)) != low:
                     # a wrong apparent pair would make this loop run forever
-                    raise RuntimeError(f"raw column filed under row {low}")
+                    raise RuntimeError(f"raw column filed under row {r}")
             a, b = settled[low], col[low]
             if b % a:
-                reduced[low], col = _gcd_step(settled, col, low)
-                if reduced[low][low] in (1, -1):
-                    nonunit.discard(low)
+                reduced[r], col = _gcd_step(settled, col, low)
+                if reduced[r][low] in (1, -1):
+                    nonunit.discard(r)
                 continue
             _subtract(col, b // a, settled, modulus)
     units = reduced.keys() - nonunit
     if not nonunit:
         return len(reduced), (), units
     residual = []
-    for low in sorted(nonunit):
-        col = reduced[low]
+    for pivot in sorted(nonunit):
+        col = reduced[pivot]
         # largest unit row first: a unit column has no row above its pivot,
         # so the rows cleared before stay clear
-        while (r := max((q for q in col if q in units), default=-1)) >= 0:
-            unit = reduced[r]
+        while q := min((t for t in col if row(t) in units), default=0):
+            unit = reduced[row(q)]
             if isinstance(unit, int):
                 # rebuilt once: later residual columns reuse it
-                unit = reduced[r] = _column(k, dim, unit)
-            _subtract(col, col[r] * unit[r], unit)
-        residual.append(col)
+                unit = reduced[row(q)] = _keyed_column(k, q & (q - 1))
+            _subtract(col, col[q] * unit[q], unit)
+        residual.append({row(t): v for t, v in col.items()})
     snf = smith_diagonal(residual, dim + 1)
     return len(reduced), tuple(v for v in snf.diag if v > 1), units
 

@@ -7,7 +7,7 @@ total order, so every vertex has a stable integer index and downstream
 complexes and reports are deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations, takewhile
 
 MAX_GROUND = 63
@@ -109,12 +109,14 @@ class SetFamily:
     m: int
     vertices: tuple[Subset, ...]
     _pos: dict = field(default=None, init=False, repr=False, compare=False)
+    # the vertices' sort keys, if the caller has computed them already
+    sort_keys: InitVar[list | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, sort_keys) -> None:
         for v in self.vertices:
             if v.m != self.m:
                 raise ValueError("ground-set mismatch")
-        keys = [v.sort_key() for v in self.vertices]
+        keys = sort_keys or [v.sort_key() for v in self.vertices]
         if any(x >= y for x, y in zip(keys, keys[1:])):
             raise ValueError("family vertices must be strictly increasing")
         object.__setattr__(self, "_pos", {v.bits: i for i, v in enumerate(self.vertices)})
@@ -123,8 +125,10 @@ class SetFamily:
     def from_subsets(cls, m: int, subsets) -> "SetFamily":
         """Deduplicate and sort arbitrary subsets into a family."""
         unique = {s.bits: s for s in subsets}
-        ordered = sorted(unique.values(), key=Subset.sort_key)
-        return cls(m, tuple(ordered))
+        # each key once, for the sort and the order check; distinct bits
+        # have distinct keys, so no two subsets are compared
+        ordered = sorted((s.sort_key(), s) for s in unique.values())
+        return cls(m, tuple(s for _, s in ordered), [key for key, _ in ordered])
 
     def __len__(self) -> int:
         return len(self.vertices)

@@ -339,6 +339,40 @@ class TestRunVerify:
         assert crashed.spec == "F(5,2)" and crashed.status == "error"
         _assert_crashed_like(report.entries, seq)
 
+    @pytest.mark.parametrize(
+        "threads, tasks", [("100000", "all"), ("2", "all"), ("3", "uniform")]
+    )
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch, threads, tasks):
+        # the pool forks all of its max_workers at once, so VRLAT_THREADS
+        # past the task count must not ask for more; the stub pool runs
+        # the tasks inline and starts no process
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setenv("VRLAT_THREADS", "1")
+        seq = emit_report(run_verify(tasks, 5), "json", include_timing=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setenv("VRLAT_THREADS", threads)
+        par = emit_report(run_verify(tasks, 5), "json", include_timing=False)
+        assert par == seq
+        assert sizes == [min(int(threads), len(cli._suite_tasks(tasks, 5)))]
+
 
 def _prefix_task(m: int, max_dim: int = 4):
     """The prefix task of the prefix suite at m, with max_dim and no budgets."""
@@ -830,12 +864,14 @@ class TestEntryPoints:
         # worker pool are the only users of these modules
         proc = _run_python("-c", (
             "import sys, vrlat\n"
+            "print('json' in sys.modules)\n"
             "vrlat.emit_report(vrlat.run_verify('uniform', 5), 'json')\n"
             "heavy = ('click', 'concurrent.futures', 'multiprocessing', 'sympy')\n"
             "print(','.join(m for m in heavy if m in sys.modules))\n"
         ))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "\n"
+        # json is loaded by the JSON report alone
+        assert proc.stdout == "False\n\n"
 
     def test_python_dash_m_prints_the_version(self):
         proc = _run_python("-m", "vrlat", "--version")

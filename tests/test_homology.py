@@ -474,6 +474,95 @@ class TestTreeRoute:
                 assert hm._prefix_z2(k, through)[-1][2] == betti_z2(k, through)
 
 
+def vertex_key(k: Complex, simplex) -> int:
+    """The reversed vertex mask of a simplex: bit n-1-v for each vertex v."""
+    n = len(k.adjacency)
+    return sum(1 << (n - 1 - v) for v in simplex)
+
+
+def assert_keyed_columns_are_coboundaries(k: Complex) -> None:
+    layers = k.simplices
+    for d in range(k.max_dim):
+        rows = layers[d + 1]
+        for r, t in enumerate(rows):
+            assert k.row(vertex_key(k, t)) == r
+        blocks = zip(layers[d], (0, *k.ends[d]), k.ends[d])
+        for j, (s, start, end) in enumerate(blocks):
+            key = vertex_key(k, s)
+            assert hm._key(k, d, j) == key
+            # (delta s)(t) = (-1)^i where t[i] is the vertex s lacks
+            cofaces = {
+                r: (-1) ** next(i for i, v in enumerate(t) if v not in s)
+                for r, t in enumerate(rows)
+                if set(s) <= set(t)
+            }
+            col = hm._keyed_column(k, key)
+            assert {vertex_key(k, rows[r]): v for r, v in cofaces.items()} == col
+            if not col:
+                continue
+            low = min(col)
+            assert k.row(low) == max(cofaces)
+            if start < end:
+                # an apparent pair: its pivot less its largest vertex is s
+                assert low & (low - 1) == key
+
+
+class TestKeyedColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(small_family(max_size=8), st.integers(min_value=0, max_value=2**32))
+    def test_keyed_columns_match_naive_coboundaries(self, case, seed):
+        # flag complexes (build_flag, a full subcomplex, a shuffled copy)
+        # take every common neighbour; stars, links and skeletons keep only
+        # the cofaces the tree holds
+        fam, scale = case
+        k = build_flag(fam, scale, len(fam) - 1)
+        for c in [k, *derived_complexes(k, random.Random(seed))]:
+            assert_keyed_columns_are_coboundaries(c)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            projective_plane,
+            projective_plane_cone,
+            lambda: projective_plane_join(False),
+            lambda: projective_plane_join(True),
+        ],
+        ids=["rp2", "cone", "join", "join-interleaved"],
+    )
+    def test_torsion_fixtures(self, make):
+        assert_keyed_columns_are_coboundaries(make())
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    def test_flag_reduction_descends_only_to_pivots(self, monkeypatch, modulus):
+        # in a flag complex every common neighbour gives a stored coface,
+        # so the only descents are of low keys, each once, and each finds
+        # a pivot row; a non-flag copy checks its cofaces by descent too
+        k = build_flag(gen_prefix(5, Subset.full(5)), 2, 4)
+        copy = Complex(
+            k.family, k.scale, k.max_dim, flag=False, complete=k.complete,
+            adjacency=k.adjacency, tree=(k.labels, k.cands),
+        )
+        found = []
+        row = Complex.row
+
+        def recorded(self, key):
+            found.append((key, row(self, key)))
+            return found[-1][1]
+
+        monkeypatch.setattr(Complex, "row", recorded)
+        for c, flag in ((k, True), (copy, False)):
+            pivots: set[int] = set()
+            for d in range(4):
+                found.clear()
+                _, _, pivots = hm._reduce_coboundary(c, d, pivots, modulus)
+                keys = [key for key, _ in found]
+                if flag:
+                    assert len(keys) == len(set(keys))
+                    assert {r for _, r in found} <= pivots
+                elif d == 3:
+                    assert not {r for _, r in found} <= pivots
+
+
 def dense_betti_z2(k: Complex) -> list[int]:
     """Reduced Z/2 Betti numbers of a complete complex from dense ranks of
     its own boundary matrices."""

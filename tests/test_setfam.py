@@ -202,6 +202,26 @@ class TestGenerators:
         with pytest.raises(ValueError):
             SetFamily(3, (S((2,), 3), S((1,), 3)))
 
+    def test_from_subsets_computes_each_key_once(self, monkeypatch):
+        # the sort and the order check share one key per vertex
+        subsets = [*gen_uniform(6, 4), *gen_uniform(6, 2), *gen_uniform(6, 4)]
+        calls = []
+        sort_key = Subset.sort_key
+
+        def counted(self):
+            calls.append(self)
+            return sort_key(self)
+
+        monkeypatch.setattr(Subset, "sort_key", counted)
+        fam = SetFamily.from_subsets(6, subsets)
+        assert len(fam) == 30
+        assert len(calls) <= len(fam)
+        assert fam.vertices == (*gen_uniform(6, 2), *gen_uniform(6, 4))
+        calls.clear()
+        with pytest.raises(ValueError):
+            SetFamily(6, fam.vertices[::-1])
+        assert calls
+
 
 class TestComplementMap:
     def test_maps_layer_to_opposite_layer(self):
