@@ -108,8 +108,8 @@ class Complex:
         self._complete_below = complete_below
         # integer coboundary reduction, filled bottom up by
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
-        # and the unit pivot rows of the last one, for clearing the next
-        self._coboundary: tuple[list, set[int]] = ([], set())
+        # and the last one's unit pivot rows, a byte per row, to clear the next
+        self._coboundary: tuple[list, bytearray] = ([], bytearray())
 
     @property
     def simplices(self) -> tuple[tuple[Simplex, ...], ...]:

@@ -19,12 +19,14 @@ pair, as in Ripser, and the columns left to reduce are mostly the
 essential cocycles, which reduce to zero.
 
 Pivot rows and columns are indices into the layers of the complex's
-clique tree (see Complex), and no simplex tuple is built.  A simplex's
-cofaces s + (u,), u > max(s), are its child block, contiguous in the next
-layer, and a column with a non-empty child block is always an apparent
-pair with the block's last row, filed with nothing built.  Only a
-childless column, and a rebuilt one, enumerate their cofaces, as Ripser
-does, from the adjacency bitsets: a column is keyed by each coface's
+clique tree (see Complex), and no simplex tuple is built.  A dimension's
+pivot rows are a bytearray, 1 byte per row, which the next dimension
+reads as its cleared columns.  A simplex's cofaces s + (u,), u > max(s),
+are its child block, contiguous in the next layer, and a column with a
+non-empty child block is always an apparent pair with the block's last
+row, filed as that row's byte alone.  Only a childless column, and a
+rebuilt one, enumerate their cofaces, as Ripser does, from the
+adjacency bitsets: a column is keyed by each coface's
 reversed vertex mask, the sum of 2^(n-1-v) over its vertices v, so a
 coface is one bit more than its face and the pivot is the smallest key.
 A pivot key becomes its row index by one descent of the tree, memoized
@@ -53,7 +55,7 @@ complementation does on power(m), the relabelled complex is the complex
 itself, and the pass reduces it with no copy.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
@@ -125,7 +127,7 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
     ct = through if k.complete else min(through, k.max_dim - 1)
     # rank d_(d+1) = rank delta^d, reduced mod 2 without the integer memo
     # on the complex, so the two coefficient routes stay independent
-    ranks, pivots = [], set()
+    ranks, pivots = [], bytearray()
     for d in range(min(ct + 1, k.max_dim)):
         rank, _, pivots = _reduce_coboundary(k, d, pivots, modulus=2)
         ranks.append(rank)
@@ -210,18 +212,16 @@ def _prefix_z2(
         born = Counter(labels)
         births.append(list(accumulate(born[v] for v in range(n))))
     deaths = [[0] * n]
-    pivots: set[int] = set()
+    pivots = bytearray()
     vertices = flipped.labels[0]
     subtree_ends = range(1, len(vertices) + 1)
     for d in range(top):
         _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2)
         ends = flipped.ends[d]
         subtree_ends = [ends[e - 1] if e else 0 for e in subtree_ends]
-        rows = sorted(pivots)
-        below = [bisect_left(rows, e) for e in subtree_ends]
         died = [0] * n
-        for v, a, b in zip(vertices, [0, *below], below):
-            died[n - 1 - v] = b - a
+        for v, a, b in zip(vertices, [0, *subtree_ends], subtree_ends):
+            died[n - 1 - v] = pivots.count(1, a, b)
         deaths.append(list(accumulate(died)))
     out = []
     for i, f in enumerate(zip(*births)):
@@ -348,15 +348,8 @@ def _keyed_column(k: Complex, key: int) -> dict[int, int]:
     return col
 
 
-def _column(k: Complex, d: int, j: int) -> dict[int, int]:
-    """The raw coboundary column of the j-th d-simplex: row index -> sign
-    of each stored coface, largest row first, its keyed column with each
-    key descended to its row."""
-    return {k.row(t): v for t, v in _keyed_column(k, _key(k, d, j)).items()}
-
-
-def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
-    """Rank, torsion and pivot rows of delta^0, by union-find on the edges.
+def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], bytearray]:
+    """Rank, torsion and pivot row bytes of delta^0, by union-find on edges.
 
     The pivot rows of a reduced delta^0 are the rows where the rank of the
     row suffix goes up, and the rank of a set of edge rows is the number
@@ -373,7 +366,7 @@ def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
             parent[v] = v = parent[parent[v]]
         return v
 
-    pivots = set()
+    pivots = bytearray(len(labels))
     for i in range(len(vertices) - 1, -1, -1):
         a = root(vertices[i])
         for r in range(ends[i] - 1, ends[i - 1] - 1 if i else -1, -1):
@@ -382,8 +375,8 @@ def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], set[int]]:
                 # the vertex's tree now hangs below b
                 parent[a] = b
                 a = b
-                pivots.add(r)
-    return len(pivots), (), pivots
+                pivots[r] = 1
+    return pivots.count(1), (), pivots
 
 
 def _gcd_step(
@@ -415,16 +408,16 @@ def _gcd_step(
 
 
 def _reduce_coboundary(
-    k: Complex, dim: int, cleared: set[int], modulus: int = 0
-) -> tuple[int, tuple[int, ...], set[int]]:
+    k: Complex, dim: int, cleared: bytearray, modulus: int = 0
+) -> tuple[int, tuple[int, ...], bytearray]:
     """Rank, torsion and unit pivot rows of delta^dim, skipping cleared
     columns.
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns index the complex's own lexicographic layers dim + 1
-    and dim.  Columns are reduced from the first to the last.  delta^0 goes
-    to _spanning_forest, which finds the same pivots with no column
-    operations.
+    and dim; cleared has 1 byte per column and the pivot rows 1 per row.
+    Columns are reduced from the first to the last.  delta^0 goes to
+    _spanning_forest, which finds the same pivots with no column operations.
 
     A column s with a non-empty child block, if not cleared, is an
     apparent pair with the block's last row t = s + (u,), and settles
@@ -433,19 +426,18 @@ def _reduce_coboundary(
     the lexicographically smallest face of t: dropping t[i], i <= dim,
     puts t[i+1] > t[i] at position i.  So every column walked before s,
     raw or reduced (a combination of earlier columns), is zero in row t,
-    and t is not yet a pivot.  Such a column is kept as its index alone.
-    When a later column meets its pivot t, it is rebuilt by _keyed_column
-    from key(s) = key(t) less its lowest bit, which is t's largest
-    vertex u.  On this walk nearly every column addition is against such
-    a raw column, so a rebuilt one is kept for the later additions on its
-    row.  A childless column is built once, its key read off one
-    bisection of the ends per level (_key), and settles unreduced if its
-    top coface is not yet a pivot.
+    and t is not yet a pivot.  Such a column is t's byte alone, as in
+    Ripser.  When a later column meets its pivot t, it is rebuilt by
+    _keyed_column from key(s) = key(t) less its lowest bit, which is t's
+    largest vertex u.  On this walk nearly every column addition is
+    against such a raw column, so a rebuilt one is kept for the later
+    additions on its row.  A childless column is built once, its key read
+    off one bisection of the ends per level (_key), and settles unreduced
+    if its top coface is not yet a pivot.
 
     Built columns are keyed by coface key (see _keyed_column), so a
     column's low row is its smallest key, and each low key becomes its
-    row index by one descent (Complex.row), memoized for the call; the
-    pivot rows stay row indices.
+    row index by one descent (Complex.row), memoized for the call.
 
     A column whose low entry is a multiple of the settled pivot's is
     reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
@@ -455,17 +447,20 @@ def _reduce_coboundary(
     is rebuilt once and kept for the rest), and the invariant
     factors are 1 per unit pivot plus smith_diagonal of that residual,
     whose few columns are turned into row indices first.
-    Only unit pivot rows are returned for the next dimension to clear:
-    clearing a non-unit row is valid over Q but not over Z.  Mod 2 every
-    nonzero entry is a unit, so the torsion is always empty.
+    The non-unit pivot rows are unmarked before the pivot rows are
+    returned for the next dimension to clear: clearing a non-unit row is
+    valid over Q but not over Z.  Mod 2 every nonzero entry is a unit, so
+    the torsion is always empty.
     """
     if dim >= k.max_dim or not k.f_vector[dim + 1]:
-        return 0, (), set()
+        return 0, (), bytearray()
     if dim == 0:
         return _spanning_forest(k)
     ends = k.ends[dim]
-    # pivot row -> the column index if the column is raw, else the column
-    reduced: dict[int, int | dict[int, int]] = {}
+    pivots = bytearray(len(k.labels[dim + 1]))
+    # pivot row -> its column, once built: a pivot row with no entry is a
+    # raw apparent column
+    reduced: dict[int, dict[int, int]] = {}
     nonunit: set[int] = set()  # pivot rows whose entry is not +-1
     rows: dict[int, int] = {}  # coface key -> row index
 
@@ -475,53 +470,57 @@ def _reduce_coboundary(
             r = rows[t] = k.row(t)
         return r
 
+    def settled(r: int, low: int) -> dict[int, int]:
+        # a raw apparent column is rebuilt once, from its pivot without
+        # its largest vertex (low's lowest bit): later additions reuse it
+        col = reduced.get(r)
+        if col is None:
+            col = reduced[r] = _keyed_column(k, low & (low - 1))
+            if next(iter(col)) != low:
+                # a wrong apparent pair would make the reduction run forever
+                raise RuntimeError(f"raw column filed under row {r}")
+        return col
+
     for j, start, end in zip(count(), chain((0,), ends), ends):
-        if j in cleared:
+        if cleared[j]:
             continue
         if start < end:
-            reduced[end - 1] = j
+            pivots[end - 1] = 1
             continue
         col = _keyed_column(k, _key(k, dim, j))
         while col:
             low = min(col)
             r = row(low)
-            settled = reduced.get(r)
-            if settled is None:
+            if not pivots[r]:
+                pivots[r] = 1
                 reduced[r] = col
                 if col[low] not in (1, -1):
                     nonunit.add(r)
                 break
-            if isinstance(settled, int):
-                # rebuilt once, from the pivot without its largest vertex
-                # (low's lowest bit): later additions on this row reuse it
-                settled = reduced[r] = _keyed_column(k, low & (low - 1))
-                if next(iter(settled)) != low:
-                    # a wrong apparent pair would make this loop run forever
-                    raise RuntimeError(f"raw column filed under row {r}")
-            a, b = settled[low], col[low]
+            other = settled(r, low)
+            a, b = other[low], col[low]
             if b % a:
-                reduced[r], col = _gcd_step(settled, col, low)
+                reduced[r], col = _gcd_step(other, col, low)
                 if reduced[r][low] in (1, -1):
                     nonunit.discard(r)
                 continue
-            _subtract(col, b // a, settled, modulus)
-    units = reduced.keys() - nonunit
+            _subtract(col, b // a, other, modulus)
+    rank = pivots.count(1)
     if not nonunit:
-        return len(reduced), (), units
+        return rank, (), pivots
+    for r in nonunit:
+        pivots[r] = 0
     residual = []
     for pivot in sorted(nonunit):
         col = reduced[pivot]
         # largest unit row first: a unit column has no row above its pivot,
         # so the rows cleared before stay clear
-        while q := min((t for t in col if row(t) in units), default=0):
-            unit = reduced[row(q)]
-            if isinstance(unit, int):
-                # rebuilt once: later residual columns reuse it
-                unit = reduced[row(q)] = _keyed_column(k, q & (q - 1))
+        while q := min((t for t in col if pivots[row(t)]), default=0):
+            unit = settled(row(q), q)
             _subtract(col, col[q] * unit[q], unit)
         residual.append({row(t): v for t, v in col.items()})
     snf = smith_diagonal(residual, dim + 1)
-    return len(reduced), tuple(v for v in snf.diag if v > 1), units
+    return rank, tuple(v for v in snf.diag if v > 1), pivots
 
 
 def homology_integer(k: Complex, dim: int) -> tuple[int, tuple[int, ...]]:

@@ -23,7 +23,7 @@ from vrlat.complexes import (
     star,
     star_cluster,
 )
-from vrlat.homology import _column, betti_z2
+from vrlat.homology import _key, _keyed_column, betti_z2
 from vrlat.setfam import SetFamily, Subset, dist, gen_prefix, gen_uniform, gen_union
 
 from oracles import bf_betti, bf_facets, bf_simplices
@@ -36,6 +36,13 @@ def upto(m: int, n: int) -> SetFamily:
 def octahedron():
     # pairs of [4] at scale 2: six vertices, antipodal = complementary
     return build_flag(gen_uniform(4, 2), 2, 2)
+
+
+def _column(k: Complex, d: int, j: int) -> dict[int, int]:
+    """The raw coboundary column of the j-th d-simplex: row index -> sign
+    of each stored coface, largest row first, its keyed column with each
+    key descended to its row."""
+    return {k.row(t): v for t, v in _keyed_column(k, _key(k, d, j)).items()}
 
 
 def simplex_set(k):

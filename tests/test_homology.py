@@ -100,6 +100,37 @@ def projective_plane_cone() -> Complex:
     return from_facets(7, [(0,) + tuple(v + 1 for v in t) for t in RP2_FACES])
 
 
+# hand-built non-flag complexes, three of them with torsion
+TORSION_FIXTURES = pytest.mark.parametrize(
+    "make",
+    [
+        projective_plane,
+        projective_plane_cone,
+        lambda: projective_plane_join(False),
+        lambda: projective_plane_join(True),
+    ],
+    ids=["rp2", "cone", "join", "join-interleaved"],
+)
+
+
+def marked(pivots: bytearray) -> set[int]:
+    """The rows whose pivot byte is set."""
+    return {r for r, p in enumerate(pivots) if p}
+
+
+def record_builds(monkeypatch) -> list[int]:
+    """The keys _keyed_column is called with from now on, in call order."""
+    keys = []
+    build = hm._keyed_column
+
+    def recorded(k, key):
+        keys.append(key)
+        return build(k, key)
+
+    monkeypatch.setattr(hm, "_keyed_column", recorded)
+    return keys
+
+
 def hypercube_sample() -> SetFamily:
     """A 33-set subfamily of power(6) whose scale-3 complex has a pivot -2
     under a later entry 1: a gcd step settles it, as it is an artefact of
@@ -355,10 +386,12 @@ class TestCoboundaryPivots:
         k = build_flag(fam, scale, 1)
         edges = sorted(k.simplices[1])
         for modulus in (0, 2):
-            rank, torsion, pivots = hm._reduce_coboundary(k, 0, set(), modulus)
-            assert {edges[r] for r in pivots} == bf_coboundary_pivots(
+            rank, torsion, pivots = hm._reduce_coboundary(k, 0, bytearray(), modulus)
+            assert {edges[r] for r in marked(pivots)} == bf_coboundary_pivots(
                 fam, scale, 0, modulus
             )
+            assert len(pivots) == k.f_vector[1]
+            assert rank == pivots.count(1)
             assert rank == len(fam) - bf_components(fam, scale)
             assert torsion == ()
 
@@ -369,30 +402,56 @@ class TestCoboundaryPivots:
         # apparent pairs settle columns unreduced, so every dimension's
         # pivot rows are those of a naive reduction with neither
         # (the oracle walks the columns the other way).  Over Z the rank is
-        # the rational rank, and the unit pivot rows are among the pivots
+        # the rational rank, and the unit pivot rows are among the pivots.
+        # The pivot rows are one byte per row of the next layer
         fam, scale = case
         k = build_flag(fam, scale, 4)
         for modulus in (2, 0):
-            pivots: set[int] = set()
+            pivots = bytearray()
             for d in range(4):
-                rank, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+                rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
                 rows = k.simplices[d + 1]
                 expected = bf_coboundary_pivots(fam, scale, d, modulus)
                 assert rank == len(expected)
+                assert len(pivots) == k.f_vector[d + 1]
                 if modulus:
-                    assert {rows[r] for r in pivots} == expected
+                    assert {rows[r] for r in marked(pivots)} == expected
+                    assert pivots.count(1) == rank
                 else:
-                    assert {rows[r] for r in pivots} <= expected
+                    assert {rows[r] for r in marked(pivots)} <= expected
+                    assert rank - pivots.count(1) >= len(torsion)
 
-    @pytest.mark.parametrize("m", [4, 5, 6])
+    @pytest.mark.parametrize("modulus", [2, 0])
+    @TORSION_FIXTURES
+    def test_nonunit_pivot_rows_are_unmarked(self, make, modulus):
+        # mod 2 every pivot row is marked; over Z a non-unit pivot row is
+        # unmarked, so the next dimension does not clear its column, and
+        # each invariant factor above 1 comes from one such row
+        k = make()
+        pivots = bytearray()
+        for d in range(k.max_dim):
+            rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+            assert len(pivots) == k.f_vector[d + 1]
+            if modulus:
+                assert pivots.count(1) == rank
+            else:
+                assert rank - pivots.count(1) >= len(torsion)
+
+    @pytest.mark.parametrize(
+        "m, additions, builds",
+        [(4, 9, 14), (5, 98, 103), (6, 627, 552), (7, 3076, 2441)],
+        ids=["4", "5", "6", "7"],
+    )
     def test_power_set_top_coboundary_reduces_only_essential_columns(
-        self, m, monkeypatch
+        self, m, additions, builds, monkeypatch
     ):
         # walked first to last, every column of delta^3 on power(m) that
         # has a pivot is an apparent pair, so the only columns the reducer
-        # adds to are the b3 essential cocycles, which reduce to zero
+        # adds to are the b3 essential cocycles, which reduce to zero.  A
+        # raw apparent column rebuilt for an addition is kept, so no key
+        # is built twice
         k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
-        pivots: set[int] = set()
+        pivots = bytearray()
         for d in range(3):
             _, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus=2)
         added_to = []
@@ -403,11 +462,29 @@ class TestCoboundaryPivots:
             subtract(col, *args)
 
         monkeypatch.setattr(hm, "_subtract", counted)
+        keys = record_builds(monkeypatch)
         hm._reduce_coboundary(k, 3, pivots, modulus=2)
         # the list keeps every column alive, so distinct columns have
         # distinct ids
         assert len({id(col) for col in added_to}) == power_betti3(m)
         assert not any(added_to)
+        assert len(added_to) == additions
+        assert len(keys) == len(set(keys)) == builds
+
+    @pytest.mark.parametrize(
+        "interleaved, builds", [(False, 176), (True, 43)], ids=["join", "interleaved"]
+    )
+    def test_integer_route_builds_each_column_once(
+        self, interleaved, builds, monkeypatch
+    ):
+        # over Z a raw apparent column is rebuilt once and kept, in the main
+        # loop and in the non-unit residual: the interleaved join's residual
+        # rebuilds two raw unit columns
+        keys = record_builds(monkeypatch)
+        k = projective_plane_join(interleaved)
+        torsion = [homology_integer(k, d)[1] for d in range(6)]
+        assert torsion == [()] * 3 + [(2,)] * 2 + [()]
+        assert len(keys) == len(set(keys)) == builds
 
     @pytest.mark.parametrize("modulus", [2, 0])
     @pytest.mark.parametrize(
@@ -431,13 +508,13 @@ class TestCoboundaryPivots:
         # The oracle enumerates every vertex subset, so the dimensions are
         # kept low
         k = build_flag(family, scale, through + 1)
-        cleared: set[int] = set()
+        cleared = bytearray(k.f_vector[0])
         for d in range(through + 1):
             rows, ends = k.simplices[d + 1], k.ends[d]
             tops = {
                 rows[end - 1]
                 for j, (start, end) in enumerate(zip((0, *ends), ends))
-                if start < end and j not in cleared
+                if start < end and not cleared[j]
             }
             assert tops
             assert tops <= bf_coboundary_pivots(family, scale, d, modulus)
@@ -519,16 +596,7 @@ class TestKeyedColumns:
         for c in [k, *derived_complexes(k, random.Random(seed))]:
             assert_keyed_columns_are_coboundaries(c)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            projective_plane,
-            projective_plane_cone,
-            lambda: projective_plane_join(False),
-            lambda: projective_plane_join(True),
-        ],
-        ids=["rp2", "cone", "join", "join-interleaved"],
-    )
+    @TORSION_FIXTURES
     def test_torsion_fixtures(self, make):
         assert_keyed_columns_are_coboundaries(make())
 
@@ -551,16 +619,16 @@ class TestKeyedColumns:
 
         monkeypatch.setattr(Complex, "row", recorded)
         for c, flag in ((k, True), (copy, False)):
-            pivots: set[int] = set()
+            pivots = bytearray()
             for d in range(4):
                 found.clear()
                 _, _, pivots = hm._reduce_coboundary(c, d, pivots, modulus)
                 keys = [key for key, _ in found]
                 if flag:
                     assert len(keys) == len(set(keys))
-                    assert {r for _, r in found} <= pivots
+                    assert {r for _, r in found} <= marked(pivots)
                 elif d == 3:
-                    assert not {r for _, r in found} <= pivots
+                    assert not {r for _, r in found} <= marked(pivots)
 
 
 def dense_betti_z2(k: Complex) -> list[int]:
