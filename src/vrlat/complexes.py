@@ -65,6 +65,12 @@ class Complex:
     complex and 0 for an incomplete non-flag one.  For an incomplete flag
     complex it is the largest vertex of the first (max_dim+1)-clique of
     the graph: build_flag passes it, otherwise it is found on first use.
+
+    top_parents is the number of top-layer simplices that have a child in
+    the full flag complex, a common neighbour above their largest vertex.
+    It is 0 for a complete complex, and build_flag passes it for an
+    incomplete one; it is None (unknown) otherwise.  The coboundary
+    reducer reads it to bound the rank of the top coboundary it walks.
     """
 
     def __init__(
@@ -79,6 +85,7 @@ class Complex:
         adjacency: tuple[int, ...] | None = None,
         tree: Tree | None = None,
         complete_below: int | None = None,
+        top_parents: int | None = None,
     ):
         if tree is None:
             simplices = tuple(
@@ -102,10 +109,11 @@ class Complex:
             adjacency = _adjacency_from_edges(len(family), self.labels[0], self.cands)
         self.adjacency = adjacency
         if complete:
-            complete_below = len(family)
+            complete_below, top_parents = len(family), 0
         elif not flag:
             complete_below = 0
         self._complete_below = complete_below
+        self.top_parents = top_parents
         # integer coboundary reduction, filled bottom up by
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
         # and the last one's unit pivot rows, a byte per row, to clear the next
@@ -268,7 +276,8 @@ def build_flag(
     tree's children), and the labels and candidate sets of every layer
     below the top are the complex's tree.  The top layer's
     candidates are the common neighbours that would extend it: their
-    lowest bit is the complex's complete_below.
+    lowest bit is the complex's complete_below, and the top simplices
+    with one are its top_parents.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
@@ -309,15 +318,17 @@ def build_flag(
     # any higher simplex would extend a stored one by a higher-indexed
     # common neighbor: empty candidate sets certify completeness, and the
     # lowest candidate is the largest vertex of the first such clique
-    birth = None
+    birth = parents = None
     if complete or not any(cands):
         complete = True
     else:
         above = reduce(or_, cands)
         birth = (above & -above).bit_length() - 1
+        parents = len(cands) - cands.count(0)
     return Complex(
         f, r, max_dim, flag=True, complete=complete, adjacency=adj,
         tree=(tuple(labels), tuple(tree_cands)), complete_below=birth,
+        top_parents=parents,
     )
 
 

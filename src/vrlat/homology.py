@@ -15,8 +15,24 @@ rank of those rows, and clearing drops only columns in the span of
 lower-indexed ones.  Walked first to last, a column's top coface is
 rarely a pivot of an earlier, lexicographically smaller simplex, so
 nearly every column that has a pivot settles unreduced as an apparent
-pair, as in Ripser, and the columns left to reduce are mostly the
-essential cocycles, which reduce to zero.
+pair, as in Ripser.  The columns left are the childless ones, and where
+the counts below prove that they all reduce to zero, they are skipped
+unbuilt; otherwise they are reduced.
+
+The counts certify the rank.  Let W_d be the number of d-simplices with
+a child (a coface s + (u,), u > max(s)) and Z_(d+1) the number of
+childless (d+1)-simplices.  A column with a child block is an apparent
+pair with a +-1 entry in its block's last row, a childless row, and no
+two share that row, so rank delta^d >= W_d, over Z and mod 2 alike.  And
+im delta^d lies in ker delta^(d+1), of dimension at most f_(d+1) -
+W_(d+1) = Z_(d+1), so rank delta^d <= Z_(d+1); at the top layer W is
+counted in the full flag complex (Complex.top_parents).  When the free
+rows, the Z_(d+1) - W_d childless rows that are no apparent pair's
+pivot, number 0, rank delta^d = W_d, and every other column lies in the
+span of the apparent columns.  Their pivots are +-1 on distinct rows, so
+it reduces to zero over Z as well, with no torsion.  This is Ripser's
+apparent-pair argument (Bauer, arXiv:1908.02518) read as a discrete
+Morse count (Forman, "Morse theory for cell complexes", 1998).
 
 Pivot rows and columns are indices into the layers of the complex's
 clique tree (see Complex), and no simplex tuple is built.  A dimension's
@@ -407,6 +423,20 @@ def _gcd_step(
     return kept, rest
 
 
+def _certified(k: Complex, dim: int) -> bool:
+    """Whether the counts prove rank delta^dim = W_dim: Z_(dim+1) - W_dim,
+    the free rows, is 0 (see the module docstring).  Unknown, so False,
+    at the top layer of a complex with no top_parents."""
+    cands, f = k.cands, len(k.labels[dim + 1])
+    if dim + 1 < k.max_dim:
+        parents = f - cands[dim + 1].count(0)
+    elif k.top_parents is None:
+        return False
+    else:
+        parents = k.top_parents
+    return f - parents == len(cands[dim]) - cands[dim].count(0)
+
+
 def _reduce_coboundary(
     k: Complex, dim: int, cleared: bytearray, modulus: int = 0
 ) -> tuple[int, tuple[int, ...], bytearray]:
@@ -434,6 +464,17 @@ def _reduce_coboundary(
     additions on its row.  A childless column is built once, its key read
     off one bisection of the ends per level (_key), and settles unreduced
     if its top coface is not yet a pivot.
+
+    A column s with a child block is never cleared.  A cleared s is the
+    largest row of a reduced column z of delta^(dim-1), so
+    delta^dim z = 0 would be z(s) times column s plus columns before s,
+    which are all zero in row t, while z(s) is not.  So the walk files
+    all W_dim of them (see the module docstring).  At the first uncleared
+    childless column the counts are taken (_certified).  If no row is
+    free, the rank is W_dim, and this and every later childless column
+    reduce to zero with no torsion: they are skipped, and the pivot rows
+    are those the full reduction finds.  Otherwise every column is
+    walked as follows.
 
     Built columns are keyed by coface key (see _keyed_column), so a
     column's low row is its smallest key, and each low key becomes its
@@ -481,11 +522,16 @@ def _reduce_coboundary(
                 raise RuntimeError(f"raw column filed under row {r}")
         return col
 
+    certified = None  # counted at the first uncleared childless column
     for j, start, end in zip(count(), chain((0,), ends), ends):
         if cleared[j]:
             continue
         if start < end:
             pivots[end - 1] = 1
+            continue
+        if certified is None:
+            certified = _certified(k, dim)
+        if certified:
             continue
         col = _keyed_column(k, _key(k, dim, j))
         while col:

@@ -294,6 +294,17 @@ class TestRunVerify:
         assert hashlib.sha256(out).hexdigest() == (
             "0783469b067638094e40a346701a411140cd66d9418f61ef5cc1b6d60d400cae"
         )
+
+    def test_all_suite_output_through_eight_is_pinned(self, monkeypatch):
+        # the same report through m = 8, the bytes of
+        # `vrlat verify --suite all --m-max 8 --format json --no-timing`;
+        # it covers power(8)'s prefix pass, whose top coboundary's rank the
+        # clique tree's counts certify
+        monkeypatch.delenv("VRLAT_THREADS", raising=False)
+        out = emit_report(run_verify("all", 8), "json", include_timing=False)
+        assert hashlib.sha256(out).hexdigest() == (
+            "3d891a9845428ebd8164459411038cbf05058ea6a8ebee1a9131fc9a9911d6e8"
+        )
         with pytest.raises(ValueError):
             run_verify("uniform", 0)
 

@@ -1,7 +1,9 @@
 """Boundary columns, Z/2 reduction, and exact integer homology."""
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -132,9 +134,10 @@ def record_builds(monkeypatch) -> list[int]:
 
 
 def hypercube_sample() -> SetFamily:
-    """A 33-set subfamily of power(6) whose scale-3 complex has a pivot -2
-    under a later entry 1: a gcd step settles it, as it is an artefact of
-    the column order, not torsion."""
+    """A 33-set subfamily of power(6) whose scale-3 complex, its columns
+    walked last to first, has a pivot -2 under a later entry 1, an
+    artefact of the column order, not torsion.  The reducer walks first
+    to last and takes no gcd step on it."""
     text = (
         "{1} {2} {3} {4} {5} {1,3} {2,3} {2,5} {3,6} {4,5} {4,6} {5,6} "
         "{1,2,4} {1,3,4} {1,3,5} {1,3,6} {2,3,4} {2,3,5} {2,3,6} {2,4,6} "
@@ -443,14 +446,32 @@ class TestCoboundaryPivots:
         ids=["4", "5", "6", "7"],
     )
     def test_power_set_top_coboundary_reduces_only_essential_columns(
-        self, m, additions, builds, monkeypatch
+        self, m, additions, builds
     ):
         # walked first to last, every column of delta^3 on power(m) that
         # has a pivot is an apparent pair, so the only columns the reducer
         # adds to are the b3 essential cocycles, which reduce to zero.  A
         # raw apparent column rebuilt for an addition is kept, so no key
-        # is built twice
+        # is built twice.  The copy carries no top count, so nothing
+        # certifies the rank of delta^3 and the walk reduces every column
         k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
+        copy = Complex(k.family, 2, 4, k.simplices, flag=True, complete=False)
+        assert copy.top_parents is None
+        added_to, keys, pivots = self._top_coboundary_work(copy)
+        # the list keeps every column alive, so distinct columns have
+        # distinct ids
+        assert len({id(col) for col in added_to}) == power_betti3(m)
+        assert not any(added_to)
+        assert len(added_to) == additions
+        assert len(keys) == len(set(keys)) == builds
+        # build_flag's top count certifies rank delta^3 = W_3, so every
+        # childless column is skipped unbuilt, with the same pivot rows
+        assert self._top_coboundary_work(k) == ([], [], pivots)
+
+    @staticmethod
+    def _top_coboundary_work(k):
+        """The columns added to and the keys built while delta^3 of k is
+        reduced mod 2, and its pivot rows."""
         pivots = bytearray()
         for d in range(3):
             _, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus=2)
@@ -461,15 +482,11 @@ class TestCoboundaryPivots:
             added_to.append(col)
             subtract(col, *args)
 
-        monkeypatch.setattr(hm, "_subtract", counted)
-        keys = record_builds(monkeypatch)
-        hm._reduce_coboundary(k, 3, pivots, modulus=2)
-        # the list keeps every column alive, so distinct columns have
-        # distinct ids
-        assert len({id(col) for col in added_to}) == power_betti3(m)
-        assert not any(added_to)
-        assert len(added_to) == additions
-        assert len(keys) == len(set(keys)) == builds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hm, "_subtract", counted)
+            keys = record_builds(mp)
+            _, _, pivots = hm._reduce_coboundary(k, 3, pivots, modulus=2)
+        return added_to, keys, pivots
 
     @pytest.mark.parametrize(
         "interleaved, builds", [(False, 176), (True, 43)], ids=["join", "interleaved"]
@@ -519,6 +536,118 @@ class TestCoboundaryPivots:
             assert tops
             assert tops <= bf_coboundary_pivots(family, scale, d, modulus)
             _, _, cleared = hm._reduce_coboundary(k, d, cleared, modulus)
+
+
+def parents(k: Complex, d: int) -> int:
+    """W_d, the d-simplices with a coface s + (u,), u > max(s): read off
+    the child-block ends below the top, and at the top of a flag complex
+    off the simplex tuples and the graph, so in the full flag complex."""
+    if d < k.max_dim:
+        ends = k.ends[d]
+        return sum(1 for start, end in zip((0, *ends), ends) if start < end)
+    if not k.flag:
+        return 0
+    adjacency = k.adjacency
+    return sum(
+        1 for s in k.simplices[d]
+        if functools.reduce(operator.and_, (adjacency[v] for v in s)) >> (s[-1] + 1)
+    )
+
+
+def assert_rank_certificate(k: Complex, modulus: int) -> list[int]:
+    """Check the facts the rank certificate rests on in every dimension of
+    a complete or build_flag complex, and that the certified walk and the
+    walk that reduces every column agree; return the certified
+    dimensions."""
+    assert k.top_parents == parents(k, k.max_dim)
+    routes, certified = [], []
+    certify = hm._certified
+
+    def recorded(k, d):
+        if certify(k, d):
+            certified.append(d)
+            return True
+        return False
+
+    for route in (recorded, lambda k, d: False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hm, "_certified", route)
+            got, cleared = [], bytearray()
+            for d in range(k.max_dim):
+                ends = k.ends[d]
+                # no cleared column has a child block
+                assert all(
+                    start == end
+                    for c, start, end in zip(cleared, (0, *ends), ends)
+                    if c
+                )
+                rank, torsion, cleared = hm._reduce_coboundary(k, d, cleared, modulus)
+                # W_d <= rank delta^d <= Z_(d+1), and no free row certifies
+                childless = k.f_vector[d + 1] - parents(k, d + 1)
+                assert parents(k, d) <= rank <= childless
+                assert certify(k, d) == (parents(k, d) == childless)
+                got.append((rank, torsion, cleared))
+            routes.append(got)
+    assert routes[0] == routes[1]
+    return certified
+
+
+class TestRankCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(small_family(max_m=5, max_size=10))
+    def test_certificate_facts_on_small_flag_complexes(self, case):
+        fam, scale = case
+        k = build_flag(fam, scale, 4)
+        for modulus in (2, 0):
+            assert_rank_certificate(k, modulus)
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    @TORSION_FIXTURES
+    def test_certificate_facts_on_torsion_fixtures(self, make, modulus):
+        # over Z the cone and the join take gcd steps, and three of the
+        # four have torsion
+        assert_rank_certificate(make(), modulus)
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    @pytest.mark.parametrize(
+        "family, scale, max_dim, skips",
+        [
+            (hypercube_sample(), 3, 10, False),
+            (gen_prefix(4, Subset.full(4)), 3, 10, False),
+            (gen_prefix(5, Subset.full(5)), 3, 10, False),
+            (gen_prefix(5, Subset.full(5)), 2, 4, True),
+            (gen_prefix(6, Subset.full(6)), 2, 4, True),
+        ],
+        ids=["sample", "Q4", "Q5", "power5", "power6"],
+    )
+    def test_certificate_facts_on_hypercubes(
+        self, family, scale, max_dim, skips, modulus
+    ):
+        # at scale 3 every dimension the counts settle has no uncleared
+        # childless column left, so only the bounds are at stake there; at
+        # scale 2 the top coboundary's childless columns are skipped
+        k = build_flag(family, scale, max_dim)
+        assert bool(assert_rank_certificate(k, modulus)) == skips
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    def test_false_top_count_is_rejected_by_the_naive_reduction(self, modulus):
+        # through dimension 2 the sample's delta^1 has rank 319 > W_1 = 318:
+        # a free row takes a pivot no apparent pair gives.  A top count
+        # claiming no free row skips that column, and the naive reduction
+        # finds the pivot the certified walk missed
+        fam = hypercube_sample()
+        k = build_flag(fam, 3, 2)
+        lie = Complex(
+            fam, 3, 2, flag=True, complete=False, adjacency=k.adjacency,
+            tree=(k.labels, k.cands), top_parents=k.f_vector[2] - parents(k, 1),
+        )
+        expected = bf_coboundary_pivots(fam, 3, 1, modulus)
+        rows = k.simplices[2]
+        cleared = hm._reduce_coboundary(k, 0, bytearray(), modulus)[2]
+        for c, honest in ((k, True), (lie, False)):
+            rank, _, pivots = hm._reduce_coboundary(c, 1, cleared, modulus)
+            assert (rank == len(expected)) is honest
+            assert ({rows[r] for r in marked(pivots)} == expected) is honest
 
 
 class TestTreeRoute:
