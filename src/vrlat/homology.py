@@ -5,9 +5,9 @@ delta^0, delta^1, ... in order, over Z or over Z/2, and rank delta^d is
 rank d_(d+1).  Columns are the d-simplices, walked first to last, and a
 column's pivot is its largest row.  delta^d skips (clears) every column
 whose simplex is a unit pivot row of delta^(d-1): that column is
-equivalent to a cocycle with a unit pivot entry.  delta^0 needs no column
-operations: its pivots are the edges that join two components of a
-union-find forest, taken from the largest edge down.
+equivalent to a cocycle with a unit pivot entry.  delta^0 clears the last
+vertex, the one pivot row, with entry 1, of the augmentation 1 -> sum of
+the vertices, whose rank is r_0 = [f_0 > 0].
 
 The pivot rows do not depend on the walk: after column operations that
 leave distinct largest-row pivots, the pivots in a row suffix count the
@@ -75,13 +75,14 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, count
+from math import gcd
 
 from .complexes import Complex
 
 
 class MatrixTooLarge(RuntimeError):
-    """Raised when the residual left for sympy's exact SNF exceeds
-    _RESIDUAL_LIMIT rows or columns."""
+    """Raised when smith_diagonal meets its first pivot that is not +-1
+    with more than _RESIDUAL_LIMIT rows or columns left."""
 
     def __init__(self, dim: int, n_rows: int, n_cols: int, limit: int):
         self.dim = dim
@@ -249,64 +250,76 @@ def _prefix_z2(
     return out
 
 
-def _snf_residual(cols: list[dict[int, int]]) -> list[int]:
-    """Exact SNF diagonal of a matrix with no unit entries left."""
-    if not cols:
-        return []
-    from sympy import Matrix
-    from sympy.matrices.normalforms import smith_normal_form
-
-    rows = sorted({r for col in cols for r in col})
-    snf = smith_normal_form(Matrix([[col.get(r, 0) for col in cols] for r in rows]))
-    diag = (abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols)))
-    return sorted(v for v in diag if v)
-
-
-# The non-unit residual is densified for sympy, whose exact SNF time
-# explodes past a few dozen rows or columns, so larger residuals are refused
-# instead of hanging.  Measured with sympy 1.14 on a 2-core x86 host, dense
-# matrices with entries drawn from {0, 0, 0, 2, -2, 4}, 8 seeds per size:
-# 40 x 40 took at most 1.2 s and 45 x 45 at most 0.6 s; 48 x 48 took up to
-# 11.7 s, 50 x 50 did not finish within 60 s for one seed of 3, and no
-# 60 x 60 seed finished in 60 s.  A 200 x 40 residual did not finish within
-# 30 s for one seed of 3, so rows are guarded as well as columns.
-_RESIDUAL_LIMIT = 40
+# Past the first pivot that is not +-1 the entries of a dense residual
+# grow with its size, and so does the time, so larger residuals are
+# refused instead of hanging.  Measured with Python 3.11 on a 2-core x86
+# host, dense matrices with entries drawn from {0, 0, 0, 2, -2, 4}, worst
+# of 8 seeds per size: 40 x 40 took 0.025 s, 60 x 60 0.14 s, 80 x 80
+# 0.61 s, 90 x 90 1.03 s and 100 x 100 1.75 s, with invariant factors of up
+# to 77 digits.  Rows are guarded as well as columns.
+_RESIDUAL_LIMIT = 90
 
 
 def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
     """Invariant factors of an integer matrix given as sparse columns.
 
     Accepts any iterable of {row: value} columns; zero entries are
-    dropped.  Each +-1 entry is a pivot in turn: column operations clear
-    the rest of its row, so a row operation would clear the rest of its
-    column without touching any other, and the pivot contributes an
-    invariant factor 1.  What is left once no entry is +-1 goes through
-    sympy's exact Smith normal form.  The integer coboundary reduction
-    hands it only its non-unit residual; called on a whole boundary, it is
-    an independent route to the same invariant factors.
+    dropped.  Each step pivots on an entry p of least absolute value, so
+    +-1 entries come first: column operations reduce the rest of p's row
+    mod p, and row operations the rest of its column.  Once both are
+    clear, |p| is an invariant factor and its row and column are dropped;
+    otherwise a remainder smaller than |p| is the next pivot.  gcd/lcm
+    pairs then turn the diagonal into a divisibility chain (Cohen, "A
+    Course in Computational Algebraic Number Theory", 2.4).  At the first
+    pivot that is not +-1, MatrixTooLarge is raised if more than
+    _RESIDUAL_LIMIT rows or columns are left.  The integer coboundary
+    reduction hands it only its non-unit residual; called on a whole
+    boundary, it is an independent route to the same invariant factors.
     """
     cols = [c for c in ({r: v for r, v in col.items() if v} for col in columns) if c]
-    units = 0
-    while True:
-        pivot = next(
-            ((j, r) for j, col in enumerate(cols) for r, v in col.items() if v in (1, -1)),
-            None,
-        )
-        if pivot is None:
-            break
-        j, r = pivot
-        pivot_col = cols.pop(j)
-        for target in cols:
-            factor = target.get(r, 0) * pivot_col[r]
-            if factor:
-                _subtract(target, factor, pivot_col)
+    diag = []
+    while cols:
+        j, r = _least(cols)
+        p = cols[j][r]
+        if p not in (1, -1):
+            # rows and columns only shrink, so only the first check can fail
+            n_rows = len({s for col in cols for s in col})
+            if max(n_rows, len(cols)) > _RESIDUAL_LIMIT:
+                raise MatrixTooLarge(dim, n_rows, len(cols), _RESIDUAL_LIMIT)
+        pivot = cols.pop(j)
+        for col in cols:
+            if r in col:
+                _subtract(col, col[r] // p, pivot)
+        # row s -= q * row r leaves a remainder in the pivot column and
+        # touches only the columns whose row r kept a remainder
+        rest = [col for col in cols if r in col]
+        for s, v in list(pivot.items()):
+            if s != r and (q := v // p):
+                for col in (pivot, *rest):
+                    _subtract(col, q * col[r], {s: 1})
+        if rest or len(pivot) > 1:
+            cols.append(pivot)
+        else:
+            diag.append(abs(p))
         cols = [col for col in cols if col]
-        units += 1
-    residual_rows = len({r for col in cols for r in col})
-    if max(residual_rows, len(cols)) > _RESIDUAL_LIMIT:
-        raise MatrixTooLarge(dim, residual_rows, len(cols), _RESIDUAL_LIMIT)
-    diag = [1] * units + _snf_residual(cols)
+    diag.sort()
+    for i in range(diag.count(1), len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
     return SNFDiagonal(dim, tuple(diag))
+
+
+def _least(cols: list[dict[int, int]]) -> tuple[int, int]:
+    """(column, row) of an entry of least absolute value, the first +-1."""
+    least, at = 0, None
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            if not least or abs(v) < least:
+                least, at = abs(v), (j, r)
+                if least == 1:
+                    return at
+    return at
 
 
 def _subtract(col: dict, factor: int, other: dict, modulus: int = 0) -> None:
@@ -364,37 +377,6 @@ def _keyed_column(k: Complex, key: int) -> dict[int, int]:
     return col
 
 
-def _spanning_forest(k: Complex) -> tuple[int, tuple[int, ...], bytearray]:
-    """Rank, torsion and pivot row bytes of delta^0, by union-find on edges.
-
-    The pivot rows of a reduced delta^0 are the rows where the rank of the
-    row suffix goes up, and the rank of a set of edge rows is the number
-    of vertices less the number of components they leave, over Z and mod 2
-    alike.  So walking the edges from the largest down, the pivots are
-    exactly the edges that join two components.  An incidence matrix is
-    totally unimodular, so there is never torsion.
-    """
-    vertices, labels, ends = k.labels[0], k.labels[1], k.ends[0]
-    parent = list(range(len(k.family)))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    pivots = bytearray(len(labels))
-    for i in range(len(vertices) - 1, -1, -1):
-        a = root(vertices[i])
-        for r in range(ends[i] - 1, ends[i - 1] - 1 if i else -1, -1):
-            b = root(labels[r])
-            if a != b:
-                # the vertex's tree now hangs below b
-                parent[a] = b
-                a = b
-                pivots[r] = 1
-    return pivots.count(1), (), pivots
-
-
 def _gcd_step(
     settled: dict[int, int], col: dict[int, int], low: int
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -446,8 +428,8 @@ def _reduce_coboundary(
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns index the complex's own lexicographic layers dim + 1
     and dim; cleared has 1 byte per column and the pivot rows 1 per row.
-    Columns are reduced from the first to the last.  delta^0 goes to
-    _spanning_forest, which finds the same pivots with no column operations.
+    Columns are reduced from the first to the last.  delta^0 ignores
+    cleared and clears the last vertex, the augmentation's unit pivot row.
 
     A column s with a non-empty child block, if not cleared, is an
     apparent pair with the block's last row t = s + (u,), and settles
@@ -465,8 +447,9 @@ def _reduce_coboundary(
     off one bisection of the ends per level (_key), and settles unreduced
     if its top coface is not yet a pivot.
 
-    A column s with a child block is never cleared.  A cleared s is the
-    largest row of a reduced column z of delta^(dim-1), so
+    A column s with a child block is never cleared.  The last vertex has
+    no child, and for dim > 0 a cleared s is the largest row of a reduced
+    column z of delta^(dim-1), so
     delta^dim z = 0 would be z(s) times column s plus columns before s,
     which are all zero in row t, while z(s) is not.  So the walk files
     all W_dim of them (see the module docstring).  At the first uncleared
@@ -496,7 +479,9 @@ def _reduce_coboundary(
     if dim >= k.max_dim or not k.f_vector[dim + 1]:
         return 0, (), bytearray()
     if dim == 0:
-        return _spanning_forest(k)
+        # the augmentation 1 -> sum of the vertices has one pivot, the last
+        # vertex, with entry 1
+        cleared = bytearray(k.f_vector[0] - 1) + b"\1"
     ends = k.ends[dim]
     pivots = bytearray(len(k.labels[dim + 1]))
     # pivot row -> its column, once built: a pivot row with no entry is a

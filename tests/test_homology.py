@@ -4,7 +4,11 @@ import functools
 import itertools
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -384,7 +388,7 @@ class TestPrefixBettiZ2:
 class TestCoboundaryPivots:
     @settings(max_examples=80, deadline=None)
     @given(small_family(max_m=5, max_size=10), st.integers(min_value=1, max_value=3))
-    def test_spanning_forest_matches_naive_reduction(self, case, scale):
+    def test_vertex_coboundary_matches_naive_reduction(self, case, scale):
         fam, _ = case
         k = build_flag(fam, scale, 1)
         edges = sorted(k.simplices[1])
@@ -397,6 +401,37 @@ class TestCoboundaryPivots:
             assert rank == pivots.count(1)
             assert rank == len(fam) - bf_components(fam, scale)
             assert torsion == ()
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    @pytest.mark.parametrize(
+        "family, scale",
+        [
+            (gen_union([gen_uniform(5, 2), gen_uniform(5, 3)]), 1),
+            (gen_union([gen_uniform(6, 2), gen_uniform(6, 3)]), 1),
+            (gen_union([upto(6, 1), gen_uniform(6, 5), gen_uniform(6, 6)]), 1),
+            (gen_union([gen_uniform(4, 1), gen_uniform(4, 2), gen_uniform(4, 4)]), 1),
+        ],
+        ids=["F52+F53", "F62+F63", "disconnected", "last-isolated"],
+    )
+    def test_vertex_coboundary_walks_childless_vertices(
+        self, family, scale, modulus, monkeypatch
+    ):
+        # vertices with no later neighbour (the upper layer, the last of a
+        # component) are reduced by the walk, with no triangle to certify
+        # the rank; the last vertex, the augmentation's pivot row, is
+        # cleared, so its column is never built
+        k = build_flag(family, scale, 1)
+        assert not hm._certified(k, 0)
+        keys = record_builds(monkeypatch)
+        rank, torsion, pivots = hm._reduce_coboundary(k, 0, bytearray(), modulus)
+        edges = k.simplices[1]
+        assert {edges[r] for r in marked(pivots)} == bf_coboundary_pivots(
+            family, scale, 0, modulus
+        )
+        assert rank == pivots.count(1) == len(family) - bf_components(family, scale)
+        assert torsion == ()
+        assert keys
+        assert 1 << (len(k.adjacency) - 1 - k.labels[0][-1]) not in keys
 
     @settings(max_examples=60, deadline=None)
     @given(small_family(max_m=5, max_size=10))
@@ -812,16 +847,18 @@ class TestSmithDiagonal:
     def test_diagonal_matrix_reordered(self):
         cols = [{0: 6}, {1: 2}, {2: 4}]
         assert smith_diagonal(cols).diag == (2, 2, 12)
+        # gcd/lcm pairs make the chain: 4, 6, 10 -> 2, 2, 60
+        assert smith_diagonal([{0: 4}, {1: 6}, {2: 10}]).diag == (2, 2, 60)
 
     def test_carries_dimension_tag(self):
         assert smith_diagonal([{0: 1}], dim=3).dim == 3
 
     @pytest.mark.parametrize("shape", ["wide", "tall"])
-    def test_residual_over_limit_refused_before_sympy(self, monkeypatch, shape):
-        def unreachable(cols):
-            raise AssertionError("sympy reached")
+    def test_residual_over_limit_refused_before_elimination(self, monkeypatch, shape):
+        def unreachable(*args):
+            raise AssertionError("elimination reached")
 
-        monkeypatch.setattr(hm, "_snf_residual", unreachable)
+        monkeypatch.setattr(hm, "_subtract", unreachable)
         n = hm._RESIDUAL_LIMIT + 1
         if shape == "wide":
             cols = [{j: 2} for j in range(n)]
@@ -832,28 +869,34 @@ class TestSmithDiagonal:
         assert max(err.value.n_rows, err.value.n_cols) == n
         assert err.value.limit == hm._RESIDUAL_LIMIT
 
-    def test_residual_at_limit_reaches_sympy(self):
+    def test_residual_at_limit_reaches_elimination(self):
         n = hm._RESIDUAL_LIMIT
         assert smith_diagonal([{j: 2} for j in range(n)]).diag == (2,) * n
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(
-            st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
-            min_size=3,
-            max_size=3,
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+                min_size=1,
+                max_size=8,
+            )
         )
     )
     def test_matches_dense_snf(self, rows):
+        # sympy is the independent oracle; the columns come as a one-shot
+        # generator, as the bench passes them
         from sympy import Matrix
         from sympy.matrices.normalforms import smith_normal_form
 
-        cols = [
-            {i: rows[i][j] for i in range(3) if rows[i][j]} for j in range(3)
-        ]
-        got = smith_diagonal(cols).diag
+        n_rows, n_cols = len(rows), len(rows[0])
+        got = smith_diagonal(
+            {i: rows[i][j] for i in range(n_rows) if rows[i][j]} for j in range(n_cols)
+        ).diag
         snf = smith_normal_form(Matrix(rows))
-        want = sorted(abs(snf[i, i]) for i in range(3) if snf[i, i] != 0)
+        want = sorted(
+            abs(int(snf[i, i])) for i in range(min(n_rows, n_cols)) if snf[i, i] != 0
+        )
         assert list(got) == want
 
 
@@ -903,6 +946,34 @@ class TestIntegerHomology:
         assert got == [(0, ())] * 3 + [(0, (2,)), (0, (2,)), (0, ())]
         # universal coefficients: Z/2 in H~_3 and H~_4 gives 1, 1 + 1 and 1
         assert betti_z2(k, 5).values == (0, 0, 0, 1, 2, 1)
+
+    def test_torsion_needs_no_sympy(self):
+        # sympy is a test-only oracle: with it unimportable, the torsion
+        # fixtures and a non-unit residual get their invariant factors
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]
+        ))
+        code = (
+            "import sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from test_homology import projective_plane, projective_plane_join\n"
+            "from vrlat.homology import homology_integer, smith_diagonal\n"
+            "print(homology_integer(projective_plane(), 1))\n"
+            "for interleaved in (False, True):\n"
+            "    k = projective_plane_join(interleaved)\n"
+            "    print([homology_integer(k, d)[1] for d in range(6)])\n"
+            "print(smith_diagonal([{0: 4, 1: 6}, {0: 6, 1: 4}]).diag)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        torsion = str([(), (), (), (2,), (2,), ()])
+        assert proc.stdout.splitlines() == [
+            "(0, (2,))", torsion, torsion, "(2, 10)"
+        ]
 
     def test_cone_over_projective_plane_is_torsion_free(self):
         k = projective_plane_cone()
