@@ -69,8 +69,9 @@ class Complex:
     top_parents is the number of top-layer simplices that have a child in
     the full flag complex, a common neighbour above their largest vertex.
     It is 0 for a complete complex, and build_flag passes it for an
-    incomplete one; it is None (unknown) otherwise.  The coboundary
-    reducer reads it to bound the rank of the top coboundary it walks.
+    incomplete one; it is None (unknown) otherwise.  parents(d) counts
+    the same below the top layer, and the coboundary reducer reads it to
+    settle the rank of a coboundary with no walk.
     """
 
     def __init__(
@@ -114,10 +115,12 @@ class Complex:
             complete_below = 0
         self._complete_below = complete_below
         self.top_parents = top_parents
+        self._parents: dict[int, int] = {}  # W_d below the top, see parents
         # integer coboundary reduction, filled bottom up by
         # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
-        # and the last one's unit pivot rows, a byte per row, to clear the next
-        self._coboundary: tuple[list, bytearray] = ([], bytearray())
+        # and the last one's unit pivot rows, a byte per row, to clear the
+        # next, or None when they are its apparent rows (homology._apparent_rows)
+        self._coboundary: tuple[list, bytearray | None] = ([], bytearray())
 
     @property
     def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
@@ -157,6 +160,17 @@ class Complex:
             key |= 1 << (n - 1 - v)
             last = v
         return self.row(key) >= 0
+
+    def parents(self, d: int) -> int | None:
+        """W_d, the number of d-simplices with a child (a nonempty child
+        block), counted once per layer; top_parents at the top layer."""
+        if d == self.max_dim:
+            return self.top_parents
+        w = self._parents.get(d)
+        if w is None:
+            cands = self.cands[d]
+            w = self._parents[d] = len(cands) - cands.count(0)
+        return w
 
     def row(self, key: int) -> int:
         """Index in its layer of the nonempty simplex whose reversed vertex

@@ -15,9 +15,10 @@ rank of those rows, and clearing drops only columns in the span of
 lower-indexed ones.  Walked first to last, a column's top coface is
 rarely a pivot of an earlier, lexicographically smaller simplex, so
 nearly every column that has a pivot settles unreduced as an apparent
-pair, as in Ripser.  The columns left are the childless ones, and where
-the counts below prove that they all reduce to zero, they are skipped
-unbuilt; otherwise they are reduced.
+pair, as in Ripser.  The columns left are the childless ones.  Where
+the counts below prove that they all reduce to zero, the dimension is
+settled with no walk at all; otherwise only its uncleared childless
+columns are visited, and they are reduced.
 
 The counts certify the rank.  Let W_d be the number of d-simplices with
 a child (a coface s + (u,), u > max(s)) and Z_(d+1) the number of
@@ -40,11 +41,15 @@ pivot rows are a bytearray, 1 byte per row, which the next dimension
 reads as its cleared columns.  A simplex's cofaces s + (u,), u > max(s),
 are its child block, contiguous in the next layer, and a column with a
 non-empty child block is always an apparent pair with the block's last
-row, filed as that row's byte alone.  Only a childless column, and a
-rebuilt one, enumerate their cofaces, as Ripser does, from the
-adjacency bitsets: a column is keyed by each coface's
-reversed vertex mask, the sum of 2^(n-1-v) over its vertices v, so a
-coface is one bit more than its face and the pivot is the smallest key.
+row, filed as that row's byte alone.  A settled dimension's pivot rows
+are exactly these apparent rows, so it returns None in their place, and
+the bytes are made from the block ends (_apparent_rows) only where they
+are read: by a walked dimension above it, as its cleared columns, and by
+the prefix pass.  Only a childless column, and a rebuilt one,
+enumerate their cofaces, as Ripser does, from the adjacency bitsets: a
+column is keyed by each coface's reversed vertex mask, the sum of
+2^(n-1-v) over its vertices v, so a coface is one bit more than its
+face and the pivot is the smallest key.
 A pivot key becomes its row index by one descent of the tree, memoized
 per reduction, and a raw apparent column is rebuilt from its pivot's key
 less the lowest bit, which drops the pivot's largest vertex.
@@ -74,8 +79,9 @@ itself, and the pass reduces it with no copy.
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate, compress, count
 from math import gcd
+from operator import gt, not_
 
 from .complexes import Complex
 
@@ -144,7 +150,7 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
     ct = through if k.complete else min(through, k.max_dim - 1)
     # rank d_(d+1) = rank delta^d, reduced mod 2 without the integer memo
     # on the complex, so the two coefficient routes stay independent
-    ranks, pivots = [], bytearray()
+    ranks, pivots = [], None
     for d in range(min(ct + 1, k.max_dim)):
         rank, _, pivots = _reduce_coboundary(k, d, pivots, modulus=2)
         ranks.append(rank)
@@ -229,16 +235,17 @@ def _prefix_z2(
         born = Counter(labels)
         births.append(list(accumulate(born[v] for v in range(n))))
     deaths = [[0] * n]
-    pivots = bytearray()
+    pivots = None
     vertices = flipped.labels[0]
     subtree_ends = range(1, len(vertices) + 1)
     for d in range(top):
         _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2)
+        rows = _apparent_rows(flipped, d) if pivots is None else pivots
         ends = flipped.ends[d]
         subtree_ends = [ends[e - 1] if e else 0 for e in subtree_ends]
         died = [0] * n
         for v, a, b in zip(vertices, [0, *subtree_ends], subtree_ends):
-            died[n - 1 - v] = pivots.count(1, a, b)
+            died[n - 1 - v] = rows.count(1, a, b)
         deaths.append(list(accumulate(died)))
     out = []
     for i, f in enumerate(zip(*births)):
@@ -409,55 +416,66 @@ def _certified(k: Complex, dim: int) -> bool:
     """Whether the counts prove rank delta^dim = W_dim: Z_(dim+1) - W_dim,
     the free rows, is 0 (see the module docstring).  Unknown, so False,
     at the top layer of a complex with no top_parents."""
-    cands, f = k.cands, len(k.labels[dim + 1])
-    if dim + 1 < k.max_dim:
-        parents = f - cands[dim + 1].count(0)
-    elif k.top_parents is None:
-        return False
-    else:
-        parents = k.top_parents
-    return f - parents == len(cands[dim]) - cands[dim].count(0)
+    above = k.parents(dim + 1)
+    return above is not None and len(k.labels[dim + 1]) - above == k.parents(dim)
+
+
+def _apparent_rows(k: Complex, dim: int) -> bytearray:
+    """The apparent rows of delta^dim, a byte per row: the last row of
+    each nonempty child block of layer dim.  Byte e of a buffer one byte
+    longer stands for row e - 1, the last row of a block that ends at e.
+    An empty block ends where the one before it does and marks that row
+    again; leading empty blocks end at 0 and mark byte 0, which is
+    dropped."""
+    rows = bytearray(len(k.labels[dim + 1]) + 1)
+    for e in k.ends[dim]:
+        rows[e] = 1
+    del rows[0]
+    return rows
 
 
 def _reduce_coboundary(
-    k: Complex, dim: int, cleared: bytearray, modulus: int = 0
-) -> tuple[int, tuple[int, ...], bytearray]:
+    k: Complex, dim: int, cleared: bytearray | None, modulus: int = 0
+) -> tuple[int, tuple[int, ...], bytearray | None]:
     """Rank, torsion and unit pivot rows of delta^dim, skipping cleared
     columns.
 
     Entries are integers for modulus 0 and residues mod 2 for modulus 2.
     Rows and columns index the complex's own lexicographic layers dim + 1
     and dim; cleared has 1 byte per column and the pivot rows 1 per row.
-    Columns are reduced from the first to the last.  delta^0 ignores
-    cleared and clears the last vertex, the augmentation's unit pivot row.
+    None, as cleared or as the pivot rows, stands for the apparent rows
+    of the dimension below or of this one (_apparent_rows), built only if
+    they are read.  delta^0 ignores cleared and clears the last vertex,
+    the augmentation's unit pivot row.
 
     A column s with a non-empty child block, if not cleared, is an
-    apparent pair with the block's last row t = s + (u,), and settles
-    with no lookup.  t is s's largest coface, since every other coface
-    inserts a vertex below max(s) and lies before the block.  And s is
-    the lexicographically smallest face of t: dropping t[i], i <= dim,
-    puts t[i+1] > t[i] at position i.  So every column walked before s,
-    raw or reduced (a combination of earlier columns), is zero in row t,
-    and t is not yet a pivot.  Such a column is t's byte alone, as in
-    Ripser.  When a later column meets its pivot t, it is rebuilt by
+    apparent pair with the block's last row t = s + (u,).  t is s's
+    largest coface, since every other coface inserts a vertex below
+    max(s) and lies before the block.  And s is the lexicographically
+    smallest face of t: dropping t[i], i <= dim, puts t[i+1] > t[i] at
+    position i.  So every column walked before s, raw or reduced (a
+    combination of earlier columns), is zero in row t, and t is not yet a
+    pivot.  Such a column is t's byte alone, as in Ripser, and since no
+    earlier column reads row t, every apparent row is marked before the
+    walk.  When a later column meets its pivot t, it is rebuilt by
     _keyed_column from key(s) = key(t) less its lowest bit, which is t's
     largest vertex u.  On this walk nearly every column addition is
     against such a raw column, so a rebuilt one is kept for the later
-    additions on its row.  A childless column is built once, its key read
-    off one bisection of the ends per level (_key), and settles unreduced
-    if its top coface is not yet a pivot.
+    additions on its row.
 
     A column s with a child block is never cleared.  The last vertex has
     no child, and for dim > 0 a cleared s is the largest row of a reduced
-    column z of delta^(dim-1), so
-    delta^dim z = 0 would be z(s) times column s plus columns before s,
-    which are all zero in row t, while z(s) is not.  So the walk files
-    all W_dim of them (see the module docstring).  At the first uncleared
-    childless column the counts are taken (_certified).  If no row is
-    free, the rank is W_dim, and this and every later childless column
-    reduce to zero with no torsion: they are skipped, and the pivot rows
-    are those the full reduction finds.  Otherwise every column is
-    walked as follows.
+    column z of delta^(dim-1), so delta^dim z = 0 would be z(s) times
+    column s plus columns before s, which are all zero in row t, while
+    z(s) is not.  So the apparent rows do not depend on cleared, and
+    there are W_dim of them (see the module docstring).  The counts are
+    taken first (_certified).  If no row is free, the rank is W_dim, and
+    every childless column reduces to zero with no torsion: nothing is
+    walked, and the pivot rows are returned as None.  Otherwise the walk
+    visits only the uncleared childless columns, first to last, each
+    built once, its key read off one bisection of the ends per level
+    (_key), and each settles unreduced if its top coface is not yet a
+    pivot.
 
     Built columns are keyed by coface key (see _keyed_column), so a
     column's low row is its smallest key, and each low key becomes its
@@ -481,9 +499,18 @@ def _reduce_coboundary(
     if dim == 0:
         # the augmentation 1 -> sum of the vertices has one pivot, the last
         # vertex, with entry 1
-        cleared = bytearray(k.f_vector[0] - 1) + b"\1"
-    ends = k.ends[dim]
-    pivots = bytearray(len(k.labels[dim + 1]))
+        cleared = bytearray(len(k.labels[0]) - 1) + b"\1"
+    elif cleared is not None and len(cleared) < len(k.labels[dim]):
+        # the walk below would stop at the end of cleared
+        raise ValueError(
+            f"cleared has {len(cleared)} bytes for the "
+            f"{len(k.labels[dim])} columns of delta^{dim}"
+        )
+    if _certified(k, dim):
+        return k.parents(dim), (), None
+    if cleared is None:
+        cleared = _apparent_rows(k, dim - 1)
+    pivots = _apparent_rows(k, dim)
     # pivot row -> its column, once built: a pivot row with no entry is a
     # raw apparent column
     reduced: dict[int, dict[int, int]] = {}
@@ -507,17 +534,8 @@ def _reduce_coboundary(
                 raise RuntimeError(f"raw column filed under row {r}")
         return col
 
-    certified = None  # counted at the first uncleared childless column
-    for j, start, end in zip(count(), chain((0,), ends), ends):
-        if cleared[j]:
-            continue
-        if start < end:
-            pivots[end - 1] = 1
-            continue
-        if certified is None:
-            certified = _certified(k, dim)
-        if certified:
-            continue
+    # the uncleared childless columns: a childless column has no candidate
+    for j in compress(count(), map(gt, map(not_, k.cands[dim]), cleared)):
         col = _keyed_column(k, _key(k, dim, j))
         while col:
             low = min(col)
@@ -578,7 +596,8 @@ def homology_integer(k: Complex, dim: int) -> tuple[int, tuple[int, ...]]:
             f"dimension {dim+1} boundary unavailable (max_dim={k.max_dim}, truncated)"
         )
     f = k.f_vector
-    # (rank, torsion) of delta^0, delta^1, ... and the last one's unit pivot rows
+    # (rank, torsion) of delta^0, delta^1, ... and the last one's unit pivot
+    # rows, or None for its apparent rows
     done, pivots = k._coboundary
     for d in range(len(done), dim + 1):
         rank, torsion, pivots = _reduce_coboundary(k, d, pivots)

@@ -308,6 +308,14 @@ class TestRunVerify:
         with pytest.raises(ValueError):
             run_verify("uniform", 0)
 
+    def test_all_suite_output_through_nine_is_pinned(self, monkeypatch):
+        # the same report through m = 9, with power(9)'s prefix pass
+        monkeypatch.delenv("VRLAT_THREADS", raising=False)
+        out = emit_report(run_verify("all", 9), "json", include_timing=False)
+        assert hashlib.sha256(out).hexdigest() == (
+            "1abe9363627469598a0fc50620c26657b5c4eb10cd993fef7adc661dd13fab39"
+        )
+
     def test_simplex_budget_skips_and_stays_clean(self):
         report = run_verify("uniform", 5, max_simplices=8)
         assert all(e.status == "skipped" for e in report.entries)

@@ -124,6 +124,12 @@ def marked(pivots: bytearray) -> set[int]:
     return {r for r, p in enumerate(pivots) if p}
 
 
+def pivot_rows(k: Complex, d: int, pivots: bytearray | None) -> bytearray:
+    """The pivot rows _reduce_coboundary returned for delta^d, with None,
+    a dimension the counts settle, read as its apparent rows."""
+    return hm._apparent_rows(k, d) if pivots is None else pivots
+
+
 def record_builds(monkeypatch) -> list[int]:
     """The keys _keyed_column is called with from now on, in call order."""
     keys = []
@@ -394,6 +400,7 @@ class TestCoboundaryPivots:
         edges = sorted(k.simplices[1])
         for modulus in (0, 2):
             rank, torsion, pivots = hm._reduce_coboundary(k, 0, bytearray(), modulus)
+            pivots = pivot_rows(k, 0, pivots)
             assert {edges[r] for r in marked(pivots)} == bf_coboundary_pivots(
                 fam, scale, 0, modulus
             )
@@ -448,16 +455,17 @@ class TestCoboundaryPivots:
             pivots = bytearray()
             for d in range(4):
                 rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+                got = pivot_rows(k, d, pivots)
                 rows = k.simplices[d + 1]
                 expected = bf_coboundary_pivots(fam, scale, d, modulus)
                 assert rank == len(expected)
-                assert len(pivots) == k.f_vector[d + 1]
+                assert len(got) == k.f_vector[d + 1]
                 if modulus:
-                    assert {rows[r] for r in marked(pivots)} == expected
-                    assert pivots.count(1) == rank
+                    assert {rows[r] for r in marked(got)} == expected
+                    assert got.count(1) == rank
                 else:
-                    assert {rows[r] for r in marked(pivots)} <= expected
-                    assert rank - pivots.count(1) >= len(torsion)
+                    assert {rows[r] for r in marked(got)} <= expected
+                    assert rank - got.count(1) >= len(torsion)
 
     @pytest.mark.parametrize("modulus", [2, 0])
     @TORSION_FIXTURES
@@ -469,11 +477,12 @@ class TestCoboundaryPivots:
         pivots = bytearray()
         for d in range(k.max_dim):
             rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
-            assert len(pivots) == k.f_vector[d + 1]
+            got = pivot_rows(k, d, pivots)
+            assert len(got) == k.f_vector[d + 1]
             if modulus:
-                assert pivots.count(1) == rank
+                assert got.count(1) == rank
             else:
-                assert rank - pivots.count(1) >= len(torsion)
+                assert rank - got.count(1) >= len(torsion)
 
     @pytest.mark.parametrize(
         "m, additions, builds",
@@ -521,7 +530,7 @@ class TestCoboundaryPivots:
             mp.setattr(hm, "_subtract", counted)
             keys = record_builds(mp)
             _, _, pivots = hm._reduce_coboundary(k, 3, pivots, modulus=2)
-        return added_to, keys, pivots
+        return added_to, keys, pivot_rows(k, 3, pivots)
 
     @pytest.mark.parametrize(
         "interleaved, builds", [(False, 176), (True, 43)], ids=["join", "interleaved"]
@@ -562,6 +571,8 @@ class TestCoboundaryPivots:
         k = build_flag(family, scale, through + 1)
         cleared = bytearray(k.f_vector[0])
         for d in range(through + 1):
+            if d:
+                cleared = pivot_rows(k, d - 1, cleared)
             rows, ends = k.simplices[d + 1], k.ends[d]
             tops = {
                 rows[end - 1]
@@ -571,6 +582,44 @@ class TestCoboundaryPivots:
             assert tops
             assert tops <= bf_coboundary_pivots(family, scale, d, modulus)
             _, _, cleared = hm._reduce_coboundary(k, d, cleared, modulus)
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    def test_settled_dimension_walks_nothing(self, modulus, monkeypatch):
+        # F(6,3) at scale 4 is the 9-sphere on 20 vertices: the counts
+        # settle delta^0..delta^7, which return W_d and None with no column
+        # built and no apparent rows made.  delta^8 has one free row, the
+        # sphere's class; it reads delta^7's apparent rows as its cleared
+        # columns, which hold all its childless ones
+        k = build_flag(gen_uniform(6, 3), 4, 19)
+        keys = record_builds(monkeypatch)
+        made = []
+        apparent = hm._apparent_rows
+
+        def recorded(k, d):
+            made.append(d)
+            return apparent(k, d)
+
+        monkeypatch.setattr(hm, "_apparent_rows", recorded)
+        settled, pivots = [], None
+        for d in range(k.max_dim):
+            keys.clear()
+            made.clear()
+            rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+            if pivots is None:
+                settled.append(d)
+                assert (rank, torsion, keys, made) == (parents(k, d), (), [], [])
+            elif d == 8:
+                assert (made, keys) == ([7, 8], [])
+        assert settled == list(range(8))
+
+    @pytest.mark.parametrize("d", [2, 3], ids=["walked", "settled"])
+    def test_short_cleared_is_refused(self, d):
+        # one byte short would end the walk early with no error
+        k = build_flag(gen_prefix(5, Subset.full(5)), 2, 4)
+        cleared = hm._apparent_rows(k, d - 1)
+        hm._reduce_coboundary(k, d, cleared, 2)
+        with pytest.raises(ValueError, match="cleared"):
+            hm._reduce_coboundary(k, d, cleared[:-1], 2)
 
 
 def parents(k: Complex, d: int) -> int:
@@ -591,29 +640,25 @@ def parents(k: Complex, d: int) -> int:
 
 def assert_rank_certificate(k: Complex, modulus: int) -> list[int]:
     """Check the facts the rank certificate rests on in every dimension of
-    a complete or build_flag complex, and that the certified walk and the
-    walk that reduces every column agree; return the certified
-    dimensions."""
+    a complete or build_flag complex, and that the lazy route, which walks
+    no dimension the counts settle, and the walk that reduces every column
+    agree on rank, torsion and pivot rows; return the settled dimensions."""
     assert k.top_parents == parents(k, k.max_dim)
-    routes, certified = [], []
+    routes, settled = [], []
     certify = hm._certified
-
-    def recorded(k, d):
-        if certify(k, d):
-            certified.append(d)
-            return True
-        return False
-
-    for route in (recorded, lambda k, d: False):
+    for lazy in (True, False):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hm, "_certified", route)
+            if not lazy:
+                mp.setattr(hm, "_certified", lambda k, d: False)
             got, cleared = [], bytearray()
             for d in range(k.max_dim):
                 ends = k.ends[d]
                 # no cleared column has a child block
                 assert all(
                     start == end
-                    for c, start, end in zip(cleared, (0, *ends), ends)
+                    for c, start, end in zip(
+                        pivot_rows(k, d - 1, cleared) if d else b"", (0, *ends), ends
+                    )
                     if c
                 )
                 rank, torsion, cleared = hm._reduce_coboundary(k, d, cleared, modulus)
@@ -621,10 +666,22 @@ def assert_rank_certificate(k: Complex, modulus: int) -> list[int]:
                 childless = k.f_vector[d + 1] - parents(k, d + 1)
                 assert parents(k, d) <= rank <= childless
                 assert certify(k, d) == (parents(k, d) == childless)
-                got.append((rank, torsion, cleared))
+                if lazy and cleared is None:
+                    assert k.f_vector[d + 1] and certify(k, d)
+                    settled.append(d)
+                got.append((rank, torsion, pivot_rows(k, d, cleared)))
             routes.append(got)
-    assert routes[0] == routes[1]
-    return certified
+    lazy, walked = routes
+    assert lazy == walked
+    for d in range(k.max_dim):
+        # the apparent rows are the last rows of the nonempty child blocks,
+        # and where the counts settle a dimension they are all its pivots
+        ends = k.ends[d]
+        last = {end - 1 for start, end in zip((0, *ends), ends) if start < end}
+        assert marked(hm._apparent_rows(k, d)) == last
+        if d in settled:
+            assert walked[d][2] == hm._apparent_rows(k, d)
+    return settled
 
 
 class TestRankCertificate:
@@ -645,24 +702,58 @@ class TestRankCertificate:
 
     @pytest.mark.parametrize("modulus", [2, 0])
     @pytest.mark.parametrize(
-        "family, scale, max_dim, skips",
+        "family, scale, max_dim, settled",
         [
-            (hypercube_sample(), 3, 10, False),
-            (gen_prefix(4, Subset.full(4)), 3, 10, False),
-            (gen_prefix(5, Subset.full(5)), 3, 10, False),
-            (gen_prefix(5, Subset.full(5)), 2, 4, True),
-            (gen_prefix(6, Subset.full(6)), 2, 4, True),
+            (hypercube_sample(), 3, 10, [8]),
+            (gen_prefix(4, Subset.full(4)), 3, 10, [0, 1, 2, 3, 4, 5]),
+            (gen_prefix(5, Subset.full(5)), 3, 10, [0, 1, 8]),
+            (gen_prefix(5, Subset.full(5)), 2, 4, [0, 1, 3]),
+            (gen_prefix(6, Subset.full(6)), 2, 4, [0, 1, 3]),
         ],
         ids=["sample", "Q4", "Q5", "power5", "power6"],
     )
     def test_certificate_facts_on_hypercubes(
-        self, family, scale, max_dim, skips, modulus
+        self, family, scale, max_dim, settled, modulus
     ):
-        # at scale 3 every dimension the counts settle has no uncleared
-        # childless column left, so only the bounds are at stake there; at
-        # scale 2 the top coboundary's childless columns are skipped
+        # the counts are taken in every nonempty dimension; Q_4 at scale 3
+        # is the 16-vertex cross-polytope, S^7, so only delta^6 is walked,
+        # and at scale 2 delta^2's free rows number the paper's b3
         k = build_flag(family, scale, max_dim)
-        assert bool(assert_rank_certificate(k, modulus)) == skips
+        assert assert_rank_certificate(k, modulus) == settled
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    @pytest.mark.parametrize(
+        "family",
+        [gen_uniform(6, 3), f73_subfamily(1), f73_subfamily(2), f73_subfamily(3)],
+        ids=["F63", "F73-seed1", "F73-seed2", "F73-seed3"],
+    )
+    def test_certificate_facts_on_bench_shapes(self, family, modulus):
+        # the integer benchmark's shapes: complete complexes at scale 4,
+        # F(6,3) the 20-vertex cross-polytope and halves of F(7,3)
+        k = build_flag(family, 4, len(family) - 1)
+        assert k.complete
+        assert assert_rank_certificate(k, modulus)
+
+    def test_each_layer_is_counted_once(self):
+        # W_d is memoized on the complex, so the mod-2 route, the integer
+        # route and the prefix pass count each layer's childless simplices
+        # once between them, though each reads W_d and W_(d+1)
+        counted = []
+
+        class Cands(list):
+            def count(self, value):
+                counted.append(id(self))
+                return super().count(value)
+
+        k = build_flag(gen_uniform(6, 3), 4, 19)
+        c = Complex(
+            k.family, k.scale, k.max_dim, flag=True, complete=True,
+            adjacency=k.adjacency, tree=(k.labels, tuple(map(Cands, k.cands))),
+        )
+        assert betti_z2(c, 9) == betti_z2(k, 9)
+        assert [homology_integer(c, d) for d in range(10)] == [(0, ())] * 9 + [(1, ())]
+        assert prefix_betti_z2(c, 9) == prefix_betti_z2(k, 9)
+        assert sorted(counted) == sorted(map(id, c.cands[:10]))
 
     @pytest.mark.parametrize("modulus", [2, 0])
     def test_false_top_count_is_rejected_by_the_naive_reduction(self, modulus):
@@ -681,6 +772,7 @@ class TestRankCertificate:
         cleared = hm._reduce_coboundary(k, 0, bytearray(), modulus)[2]
         for c, honest in ((k, True), (lie, False)):
             rank, _, pivots = hm._reduce_coboundary(c, 1, cleared, modulus)
+            pivots = pivot_rows(c, 1, pivots)
             assert (rank == len(expected)) is honest
             assert ({rows[r] for r in marked(pivots)} == expected) is honest
 
@@ -788,11 +880,12 @@ class TestKeyedColumns:
                 found.clear()
                 _, _, pivots = hm._reduce_coboundary(c, d, pivots, modulus)
                 keys = [key for key, _ in found]
+                got = marked(pivot_rows(c, d, pivots))
                 if flag:
                     assert len(keys) == len(set(keys))
-                    assert {r for _, r in found} <= marked(pivots)
+                    assert {r for _, r in found} <= got
                 elif d == 3:
-                    assert not {r for _, r in found} <= marked(pivots)
+                    assert not {r for _, r in found} <= got
 
 
 def dense_betti_z2(k: Complex) -> list[int]:
