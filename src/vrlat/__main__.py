@@ -33,33 +33,27 @@ from .complexes import (
 from .setfam import MAX_GROUND, Subset
 
 
-def _subset_args(text: str) -> tuple[Subset]:
-    sc = _Scanner(text.strip())
+def _subset_args(sc: _Scanner) -> tuple[Subset]:
     elems = _parse_set(sc, MAX_GROUND)
-    if sc.pos != len(sc.text):
-        raise SpecParseError("trailing input", sc.pos, ("end of set",))
     if not elems:
         raise click.UsageError("this formula needs a nonempty subset")
     return (Subset.of(elems, max(elems)),)
 
 
-def _m_args(text: str) -> tuple[int]:
-    return (int(text),)
+def _m_args(sc: _Scanner) -> tuple[int]:
+    return (sc.integer(),)
 
 
-def _mn_args(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise click.UsageError(f"expected 'm,n', got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _mn_args(sc: _Scanner) -> tuple[int, int]:
+    m = sc.integer()
+    sc.expect(",")
+    return m, sc.integer()
 
 
-def _prefix_args(text: str) -> tuple[int, Subset]:
-    head, _, tail = text.partition(";")
-    if not tail:
-        raise click.UsageError(f"expected 'm;{{elements}}', got {text!r}")
-    m = int(head)
-    return m, Subset.of(_parse_set(_Scanner(tail.strip()), m), m)
+def _prefix_args(sc: _Scanner) -> tuple[int, Subset]:
+    m = sc.integer()
+    sc.expect(";")
+    return m, Subset.of(_parse_set(sc, m), m)
 
 
 # name -> (argument parser, value function, term function or None)
@@ -188,7 +182,9 @@ def formula(name, argtext, show_terms):
         )
     parse, value_fn, terms_fn = _FORMULAS[name]
     try:
-        args = parse(argtext)
+        sc = _Scanner(argtext)  # the spec grammar's integers and sets
+        args = parse(sc)
+        sc.end("end of arguments")
         value = value_fn(*args)
         terms = terms_fn(*args) if show_terms and terms_fn else []
     except ValueError as e:  # SpecParseError included

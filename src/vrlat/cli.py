@@ -124,11 +124,16 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise SpecParseError("unexpected input", start, ("integer",))
         return int(self.text[start:self.pos])
+
+    def end(self, *expected: str) -> None:
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise SpecParseError("trailing input", self.pos, expected)
 
     def word(self) -> tuple[str, int]:
         self.skip_ws()
@@ -226,9 +231,7 @@ def parse_family_spec(text: str) -> FamilySpec:
                 f"ground-size mismatch: {term.m} vs {terms[0].m}", at
             )
         terms.append(term)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise SpecParseError("trailing input", sc.pos, ("'+'", "end of spec"))
+    sc.end("'+'", "end of spec")
     return FamilySpec(tuple(terms))
 
 

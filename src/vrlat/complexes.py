@@ -2,12 +2,14 @@
 
 A complex stores its simplices as a clique tree (a simplex tree, after
 Boissonnat and Maria): each simplex is its parent, the simplex without its
-largest vertex, plus that vertex, its label.  Construction expands cliques
-of the scale graph incrementally (each simplex extended only by
-higher-indexed common neighbors), which walks this tree and yields every
-layer in lexicographic order with no duplicates.  The tuples of vertex
-indices are a view, built on first read, for the derived complexes and
-the tests that want them; the reducer reads the tree alone.
+largest vertex, plus that vertex, its label.  One clique expansion
+(_expand) builds every tree: each simplex is extended only by
+higher-indexed common neighbours, which walks the tree and yields every
+layer in lexicographic order with no duplicates.  build_flag expands the
+whole scale graph; stars, links, star clusters, full subcomplexes and
+complexes given as tuple layers expand a graph and keep only the cliques
+a membership test admits.  The tuples of vertex indices are a view,
+built on first read for the tests; the library reads the tree alone.
 
 Complexes carry two bookkeeping bits.  `flag` records that the object
 represents the full clique complex of its 1-skeleton, so graph-level
@@ -19,9 +21,9 @@ claims.
 """
 
 from array import array
-from functools import reduce
-from itertools import accumulate, combinations, islice
-from operator import lt, or_
+from functools import cached_property, reduce
+from itertools import accumulate, combinations
+from operator import or_
 
 from .setfam import SetFamily, Subset, gen_uniform
 
@@ -54,22 +56,24 @@ class Complex:
     cands[d][j] is the bitset of their labels and ends[d][j] the end of
     the block, the number of (d+1)-simplices t with t[:-1] <= s.  The root
     is the empty simplex, whose children are the vertices (vertex_mask).
-    build_flag passes the labels and candidate sets it walks; a complex
-    made from tuple layers (sorted if out of order) gets them from one
-    merge walk.  simplices[d] holds the d-simplices as tuples, built from
-    the tree on first read.
+    The tree comes from _expand: build_flag and the derived complexes pass
+    it, and a complex made from tuple layers (in any order) expands the
+    graph of its edges, or the given adjacency, keeping the given
+    simplices, which must be closed under faces.  simplices[d] holds the
+    d-simplices as tuples, built from the tree on first read.
 
     complete_below says how many vertex prefixes are complete: the
     simplices of k on vertices 0..i are all the simplices of their own
     complex for i < complete_below.  That is len(family) for a complete
     complex and 0 for an incomplete non-flag one.  For an incomplete flag
     complex it is the largest vertex of the first (max_dim+1)-clique of
-    the graph: build_flag passes it, otherwise it is found on first use.
+    the graph, which the expansion reads off its top layer; 0, claiming no
+    complete prefix, where it is not given.
 
     top_parents is the number of top-layer simplices that have a child in
     the full flag complex, a common neighbour above their largest vertex.
-    It is 0 for a complete complex, and build_flag passes it for an
-    incomplete one; it is None (unknown) otherwise.  parents(d) counts
+    It is 0 for a complete complex, the expansion's count for an
+    incomplete flag one, and None (unknown) otherwise.  parents(d) counts
     the same below the top layer, and the coboundary reducer reads it to
     settle the rank of a coboundary with no walk.
     """
@@ -89,16 +93,12 @@ class Complex:
         top_parents: int | None = None,
     ):
         if tree is None:
-            simplices = tuple(
-                layer if all(map(lt, layer, islice(layer, 1, None)))
-                else tuple(sorted(layer))
-                for layer in simplices
+            tree, adjacency, complete_below, top_parents = _layers_tree(
+                len(family), max_dim, simplices, adjacency
             )
-            tree = _tree(simplices)
         self.family = family
         self.scale = scale
         self.max_dim = max_dim
-        self._simplices = simplices
         self.labels, self.cands = tree
         self.ends = tuple(
             array("I", accumulate(map(int.bit_count, c))) for c in self.cands
@@ -112,8 +112,8 @@ class Complex:
         if complete:
             complete_below, top_parents = len(family), 0
         elif not flag:
-            complete_below = 0
-        self._complete_below = complete_below
+            complete_below, top_parents = 0, None
+        self.complete_below = complete_below or 0
         self.top_parents = top_parents
         self._parents: dict[int, int] = {}  # W_d below the top, see parents
         # integer coboundary reduction, filled bottom up by
@@ -122,28 +122,20 @@ class Complex:
         # next, or None when they are its apparent rows (homology._apparent_rows)
         self._coboundary: tuple[list, bytearray | None] = ([], bytearray())
 
-    @property
+    @cached_property
     def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
-        if self._simplices is None:
-            layers = [tuple((v,) for v in self.labels[0])]
-            for labels, ends in zip(self.labels[1:], self.ends):
-                layers.append(tuple(
-                    s + (u,)
-                    for s, start, end in zip(layers[-1], (0, *ends), ends)
-                    for u in labels[start:end]
-                ))
-            self._simplices = tuple(layers)
-        return self._simplices
+        layers = [tuple((v,) for v in self.labels[0])]
+        for labels, ends in zip(self.labels[1:], self.ends):
+            layers.append(tuple(
+                s + (u,)
+                for s, start, end in zip(layers[-1], (0, *ends), ends)
+                for u in labels[start:end]
+            ))
+        return tuple(layers)
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         return tuple(map(len, self.labels))
-
-    @property
-    def complete_below(self) -> int:
-        if self._complete_below is None:
-            self._complete_below = _first_clique_birth(self)
-        return self._complete_below
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
@@ -178,8 +170,10 @@ class Complex:
         -1 if it is not stored, by one descent from the root: the
         vertices are the bits from the top down, a node's child u is
         stored if u is a candidate bit, and its index is the end of the
-        node's block less the candidates from u up.  The key has at most
-        max_dim + 1 bits."""
+        node's block less the candidates from u up.  A key of more than
+        max_dim + 1 bits is not stored."""
+        if key.bit_count() > self.max_dim + 1:
+            return -1
         n = len(self.adjacency)
         bits, j, d = self.vertex_mask, len(self.labels[0]), 0
         while True:
@@ -201,41 +195,33 @@ class Complex:
         )
 
 
-def _first_clique_birth(k: Complex) -> int:
-    """Smallest largest vertex of a (max_dim+1)-clique, or len(k.family).
-
-    Each such clique extends its first max_dim+1 vertices, a stored top
-    simplex, by a common neighbour above them.
-    """
-    first = len(k.family)
-    adjacency = k.adjacency
-    for s in k.simplices[k.max_dim]:
-        common = adjacency[s[0]]
-        for u in s[1:]:
-            common &= adjacency[u]
-        above = common >> (s[-1] + 1)
-        if above:
-            first = min(first, s[-1] + (above & -above).bit_length())
-    return first
-
-
-def _tree(layers: tuple[tuple[Simplex, ...], ...]) -> Tree:
-    """Labels and candidate sets of lexicographic layers, by one merge
-    walk per pair of layers."""
-    labels = tuple(array("I", (s[-1] for s in layer)) for layer in layers)
-    cands = []
-    for layer, upper in zip(layers, layers[1:]):
-        bits, i, n = [], 0, len(upper)
+def _layers_tree(n: int, max_dim: int, layers, adjacency):
+    """Tree, adjacency and top counts of a complex given as tuple layers:
+    the expansion of the adjacency (by default the graph of the given
+    edges) that keeps the given simplices.  Raises ValueError unless every
+    given simplex has all its facets and is a clique of the adjacency
+    through max_dim."""
+    given: dict[int, Simplex] = {}
+    for d, layer in enumerate(layers):
         for s in layer:
-            children = 0
-            while i < n and upper[i][:-1] == s:
-                children |= 1 << upper[i][-1]
-                i += 1
-            bits.append(children)
-        if i < n:
-            raise ValueError(f"simplex {upper[i]} lacks its face {upper[i][:-1]}")
-        cands.append(bits)
-    return labels, tuple(cands)
+            key = sum(1 << (n - 1 - v) for v in set(s) if 0 <= v < n)
+            if not key.bit_count() == len(s) == d + 1:
+                raise ValueError(f"{s} is not a {d}-simplex on vertices 0..{n - 1}")
+            given[key] = s
+    edges = [0] * n
+    for key, s in given.items():
+        if len(s) == 2:
+            edges[s[0]] |= 1 << s[1]
+            edges[s[1]] |= 1 << s[0]
+        for v in s if len(s) > 1 else ():
+            if key ^ 1 << (n - 1 - v) not in given:
+                face = tuple(u for u in s if u != v)
+                raise ValueError(f"simplex {s} lacks its face {face}")
+    adjacency = tuple(edges) if adjacency is None else adjacency
+    tree, below, parents = _expand(adjacency, (1 << n) - 1, max_dim, given.__contains__)
+    if sum(map(len, tree[0])) != len(given):
+        raise ValueError(f"given simplices lie above max_dim={max_dim} or off the adjacency")
+    return tree, adjacency, below, parents
 
 
 def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
@@ -273,77 +259,100 @@ def build_flag(
 ) -> Complex:
     """Vietoris-Rips complex of the family at scale r, through max_dim.
 
-    Simplices are exactly the vertex sets of pairwise distance <= r.  Raises
-    BuildBudgetExceeded (naming the dimension reached) if more than
-    max_simplices would be stored.
-
-    Each layer is grown from the one below, kept as the labels and
-    candidate bitsets (the higher-indexed common neighbours) of its
-    simplices.  Peeling the lowest candidate bit u off a simplex gives the
-    next coface, labelled u, whose candidates are the bits left above u
-    that are also neighbours of u.  The children of a candidate set do not
-    depend on the simplex, so each distinct set is expanded once per call
-    and every simplex with it extends the next layer by that expansion.
-
-    So the cofaces s + (u,) of a simplex s, u > max(s), form one
-    contiguous child block of the next layer, in order of u (the simplex
-    tree's children), and the labels and candidate sets of every layer
-    below the top are the complex's tree.  The top layer's
-    candidates are the common neighbours that would extend it: their
-    lowest bit is the complex's complete_below, and the top simplices
-    with one are its top_parents.
+    Simplices are exactly the vertex sets of pairwise distance <= r, the
+    expansion of the scale graph with no membership test; its top counts
+    certify completeness.  Raises BuildBudgetExceeded (naming the dimension
+    reached) if more than max_simplices would be stored.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be nonnegative")
     n = len(f.vertices)
     if n == 0:
         raise ValueError("empty family")
-    if max_simplices is not None and n > max_simplices:
-        raise BuildBudgetExceeded(0, n, max_simplices)
     adj = _distance_adjacency(f, r)
+    tree, below, parents = _expand(adj, (1 << n) - 1, max_dim, None, max_simplices)
+    return Complex(
+        f, r, max_dim, flag=True, complete=not parents, adjacency=adj, tree=tree,
+        complete_below=below, top_parents=parents,
+    )
 
-    labels = [array("I", range(n))]
-    count = n
-    # candidate set of a simplex: higher-indexed common neighbors
-    cands = [adj[i] >> (i + 1) << (i + 1) for i in range(n)]
+
+def _expand(
+    adj: tuple[int, ...],
+    vertices: int,
+    max_dim: int,
+    member=None,
+    max_simplices: int | None = None,
+) -> tuple[Tree, int, int]:
+    """Clique tree through max_dim of the graph adj on the vertex bitset,
+    and the top layer's (complete_below, top_parents).
+
+    Each layer is grown from the one below, kept as the labels and
+    candidate bitsets (the higher-indexed common neighbours) of its
+    simplices.  Peeling the lowest candidate bit u off a simplex gives the
+    next coface, labelled u, whose candidates are the bits left above u
+    that are also neighbours of u: the cofaces s + (u,), u > max(s), form
+    one child block of the next layer, in order of u.  With no membership
+    test the children of a candidate set do not depend on the simplex, so
+    each distinct set is expanded once per call.  With one, a simplex is
+    kept only if member(key) holds for its reversed vertex mask (the key
+    Complex.row reads), and a parent's candidates become its kept
+    children's labels; the kept simplices must be closed under faces.
+
+    The top layer's candidates would extend it: their lowest bit is the
+    largest vertex of the first clique above max_dim (len(adj) if none),
+    and the top simplices with one are the top_parents, 0 exactly when no
+    simplex lies above the top.  Raises BuildBudgetExceeded if more than
+    max_simplices would be kept.
+    """
+    n = len(adj)
+    verts = [v for v in _bits(vertices) if member is None or member(1 << (n - 1 - v))]
+    count = len(verts)
+    if max_simplices is not None and count > max_simplices:
+        raise BuildBudgetExceeded(0, count, max_simplices)
+    labels = [array("I", verts)]
+    # candidate set of a simplex: higher-indexed common neighbours
+    cands = [adj[v] & (vertices >> (v + 1) << (v + 1)) for v in verts]
+    keys = [1 << (n - 1 - v) for v in verts] if member else []
     tree_cands: list[list[int]] = []
     # candidate set -> the labels and candidate sets of its children
     children: dict[int, tuple[list[int], list[int]]] = {}
-    complete = False
     for d in range(1, max_dim + 1):
-        tree_cands.append(cands)
         layer, nxt_cands = [], []
-        for cand in filter(None, cands):
-            kids = children.get(cand)
-            if kids is None:
-                kids = children[cand] = _children(cand, adj)
-            layer += kids[0]
-            nxt_cands += kids[1]
+        if member is None:
+            tree_cands.append(cands)
+            for cand in filter(None, cands):
+                kids = children.get(cand)
+                if kids is None:
+                    kids = children[cand] = _children(cand, adj)
+                layer += kids[0]
+                nxt_cands += kids[1]
+        else:
+            kept, nxt_keys = [], []
+            for key, cand in zip(keys, cands):
+                bits = 0
+                for u, c in zip(*_children(cand, adj)):
+                    t = key | 1 << (n - 1 - u)
+                    if member(t):
+                        bits |= 1 << u
+                        layer.append(u)
+                        nxt_cands.append(c)
+                        nxt_keys.append(t)
+                kept.append(bits)
+            tree_cands.append(kept)
+            keys = nxt_keys
         count += len(layer)
         if max_simplices is not None and count > max_simplices:
             raise BuildBudgetExceeded(d, count, max_simplices)
-        if not layer:
-            complete = True
-            labels.extend(array("I") for _ in range(d, max_dim + 1))
-            tree_cands.extend([] for _ in range(d, max_dim))
-            break
         labels.append(array("I", layer))
         cands = nxt_cands
-    # any higher simplex would extend a stored one by a higher-indexed
-    # common neighbor: empty candidate sets certify completeness, and the
-    # lowest candidate is the largest vertex of the first such clique
-    birth = parents = None
-    if complete or not any(cands):
-        complete = True
-    else:
-        above = reduce(or_, cands)
-        birth = (above & -above).bit_length() - 1
-        parents = len(cands) - cands.count(0)
-    return Complex(
-        f, r, max_dim, flag=True, complete=complete, adjacency=adj,
-        tree=(tuple(labels), tuple(tree_cands)), complete_below=birth,
-        top_parents=parents,
-    )
+        if not layer:
+            labels.extend(array("I") for _ in range(d, max_dim))
+            tree_cands.extend([] for _ in range(d, max_dim))
+            break
+    above = reduce(or_, cands, 0)
+    below = (above & -above).bit_length() - 1 if above else n
+    return (tuple(labels), tuple(tree_cands)), below, len(cands) - cands.count(0)
 
 
 def _children(cand: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -432,15 +441,27 @@ def maximal_simplices_closed_form(m: int, n: int) -> list[Simplex]:
     return sorted(out)
 
 
-def _require_vertex(k: Complex, v: int) -> None:
-    if not 0 <= v < len(k.family) or not k.has((v,)):
-        raise ValueError(f"unknown vertex {v}")
+def _vertex_mask(k: Complex, vertices) -> int:
+    """Bitset of the given vertices, each of which k must store."""
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < len(k.family) or not k.vertex_mask >> v & 1:
+            raise ValueError(f"unknown vertex {v}")
+        mask |= 1 << v
+    return mask
 
 
-def _with_vertex(simplex: Simplex, v: int) -> Simplex:
-    if v in simplex:
-        return simplex
-    return tuple(sorted(simplex + (v,)))
+def _derived(k: Complex, vertices: int, member, adjacency=None, flag=False) -> Complex:
+    """The expansion of the adjacency (by default k's graph) on the vertex
+    bitset, within k's vertices, that keeps the cliques member admits; the
+    complex's own adjacency is the given one, or else its edges' graph."""
+    tree, below, parents = _expand(
+        adjacency or k.adjacency, vertices & k.vertex_mask, k.max_dim, member
+    )
+    return Complex(
+        k.family, k.scale, k.max_dim, flag=flag, complete=k.complete,
+        adjacency=adjacency, tree=tree, complete_below=below, top_parents=parents,
+    )
 
 
 def star(k: Complex, v: int) -> Complex:
@@ -448,58 +469,39 @@ def star(k: Complex, v: int) -> Complex:
 
     Always a cone with apex v.
     """
-    _require_vertex(k, v)
-    layers = tuple(
-        tuple(s for s in layer if k.has(_with_vertex(s, v)))
-        for layer in k.simplices
-    )
-    return Complex(k.family, k.scale, k.max_dim, layers, flag=False, complete=k.complete)
+    return star_cluster(k, (v,))
 
 
 def link(k: Complex, v: int) -> Complex:
     """Simplices of the star of v that avoid v."""
-    _require_vertex(k, v)
-    layers = tuple(
-        tuple(s for s in layer if v not in s and k.has(_with_vertex(s, v)))
-        for layer in k.simplices
-    )
-    return Complex(k.family, k.scale, k.max_dim, layers, flag=False, complete=k.complete)
+    _vertex_mask(k, (v,))
+    vkey = 1 << (len(k.adjacency) - 1 - v)
+    return _derived(k, k.adjacency[v], lambda key: k.row(key | vkey) >= 0)
 
 
 def star_cluster(k: Complex, l_vertices) -> Complex:
-    """Union of the stars of the given vertices."""
-    verts = sorted(set(l_vertices))
-    for v in verts:
-        _require_vertex(k, v)
-    layers = []
-    for layer in k.simplices:
-        kept = [
-            s for s in layer if any(k.has(_with_vertex(s, v)) for v in verts)
-        ]
-        layers.append(tuple(kept))
-    return Complex(
-        k.family, k.scale, k.max_dim, tuple(layers), flag=False, complete=k.complete
-    )
+    """Union of the stars of the given vertices.
+
+    A simplex is kept if its union with one of them is stored in k, so it
+    lies on their closed neighbourhoods, which the expansion walks.
+    """
+    mask = _vertex_mask(k, l_vertices)
+    around = reduce(or_, (k.adjacency[v] for v in _bits(mask)), mask)
+    vkeys = [1 << (len(k.adjacency) - 1 - v) for v in _bits(mask)]
+    return _derived(k, around, lambda key: any(k.row(key | b) >= 0 for b in vkeys))
 
 
 def full_subcomplex(k: Complex, vertices) -> Complex:
     """All stored simplices supported on the given vertex set.
 
-    The full subcomplex of a flag complex is again flag, so the marker is
-    inherited, with the induced graph (which max_dim 0 does not store).
+    The full subcomplex of a flag complex is again flag, the flag complex
+    of the induced graph, so the marker is inherited and the expansion of
+    that graph needs no membership test.
     """
-    vs = set(vertices)
-    for v in vs:
-        _require_vertex(k, v)
-    layers = tuple(
-        tuple(s for s in layer if all(u in vs for u in s)) for layer in k.simplices
-    )
-    mask = sum(1 << v for v in vs)
-    adjacency = tuple(a & mask if v in vs else 0 for v, a in enumerate(k.adjacency))
-    return Complex(
-        k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete,
-        adjacency=adjacency,
-    )
+    mask = _vertex_mask(k, vertices)
+    adjacency = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(k.adjacency))
+    member = None if k.flag else (lambda key: k.row(key) >= 0)
+    return _derived(k, mask, member, adjacency, k.flag)
 
 
 def skeleton(k: Complex, d: int) -> Complex:
@@ -550,11 +552,8 @@ def sc_hypothesis_check(k: Complex, l_vertices) -> tuple[int, int] | None:
     """
     if not k.flag:
         raise ValueError("star-cluster check requires a flag complex")
-    verts = sorted(set(l_vertices))
-    lmask = 0
-    for v in verts:
-        _require_vertex(k, v)
-        lmask |= 1 << v
+    lmask = _vertex_mask(k, l_vertices)
+    verts = list(_bits(lmask))
     for i, v in enumerate(verts):
         for w in verts[i + 1:]:
             if k.adjacency[v] >> w & 1:

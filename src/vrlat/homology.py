@@ -83,7 +83,7 @@ from itertools import accumulate, compress, count
 from math import gcd
 from operator import gt, not_
 
-from .complexes import Complex
+from .complexes import Complex, _expand
 
 
 class MatrixTooLarge(RuntimeError):
@@ -193,7 +193,8 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
     not matter.  That holds for power(m) and for the middle layer
     F(2n, n), since complementation keeps distances and reverses the
     (size, lex) order.  Both conditions are checked at run time;
-    otherwise a relabelled copy is made and reduced.
+    otherwise the copy is the clique expansion of the relabelled graph,
+    which keeps only the relabelled simplices of k unless k is flag.
     """
     return tuple(bv for _, _, bv in _prefix_z2(k, through))
 
@@ -208,23 +209,22 @@ def _prefix_z2(
         raise ValueError("through must be nonnegative")
     n = len(k.family)
     top = min(through + 1, k.max_dim)
-    adjacency = tuple(int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency))
+
+    def mirror(bits: int) -> int:  # v -> n-1-v on a vertex bitset
+        return int(f"{bits:0{n}b}"[::-1], 2)
+
+    adjacency = tuple(map(mirror, reversed(k.adjacency)))
     if k.flag and adjacency == k.adjacency:
         # k's layers are the cliques of its graph, which v -> n-1-v maps
         # onto itself: the relabelled copy is k
         flipped = k
     else:
+        # the copy's simplex of key t is the image of k's of key mirror(t)
+        member = None if k.flag else (lambda key: k.row(mirror(key)) >= 0)
+        tree, below, parents = _expand(adjacency, mirror(k.vertex_mask), top, member)
         flipped = Complex(
-            k.family,
-            k.scale,
-            top,
-            tuple(
-                tuple(tuple(n - 1 - v for v in reversed(s)) for s in layer)
-                for layer in k.simplices[: top + 1]
-            ),
-            flag=k.flag,
-            complete=False,
-            adjacency=adjacency,
+            k.family, k.scale, top, flag=k.flag, complete=False, adjacency=adjacency,
+            tree=tree, complete_below=below, top_parents=parents,
         )
     # births[d][i]: f_d of K_i; deaths[d][i]: rank d_d on K_i, from the
     # pivot rows of delta^(d-1).  A simplex is born at its label, and a

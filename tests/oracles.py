@@ -60,6 +60,34 @@ def bf_facets(family: SetFamily, scale: int) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(c)) for c in facets)
 
 
+def bf_star_cluster(layers, l_vertices) -> list[list[tuple[int, ...]]]:
+    """The simplices of the tuple layers whose union with one of the given
+    vertices is also in the layers, by set filters."""
+    stored = {s for layer in layers for s in layer}
+    return [
+        [
+            s for s in layer
+            if any(tuple(sorted(set(s) | {v})) in stored for v in l_vertices)
+        ]
+        for layer in layers
+    ]
+
+
+def bf_star(layers, v: int) -> list[list[tuple[int, ...]]]:
+    return bf_star_cluster(layers, (v,))
+
+
+def bf_link(layers, v: int) -> list[list[tuple[int, ...]]]:
+    """The star of v less the simplices that hold v."""
+    return [[s for s in layer if v not in s] for layer in bf_star(layers, v)]
+
+
+def bf_full_subcomplex(layers, vertices) -> list[list[tuple[int, ...]]]:
+    """The simplices of the tuple layers on the given vertices."""
+    keep = set(vertices)
+    return [[s for s in layer if keep.issuperset(s)] for layer in layers]
+
+
 def bf_gf2_rank(columns: list[list[int]], n_rows: int) -> int:
     """Rank of a 0/1 matrix over GF(2) by dense row elimination."""
     rows = [[0] * len(columns) for _ in range(n_rows)]

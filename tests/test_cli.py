@@ -114,6 +114,15 @@ class TestParseErrors:
             parse_family_spec("F(5,2)x")
         assert err.value.offset == 6
 
+    @pytest.mark.parametrize("text, offset", [("F(\u0665,2)", 2), ("power(\u00b2)", 6)])
+    def test_integers_are_ascii_digits(self, text, offset):
+        # other Unicode digits are refused where the integer starts, rather
+        # than read (Arabic-Indic five) or crashing int() (superscript two)
+        with pytest.raises(SpecParseError) as err:
+            parse_family_spec(text)
+        assert err.value.offset == offset
+        assert err.value.expected == ("integer",)
+
     def test_element_outside_ground_set(self):
         with pytest.raises(SpecParseError) as err:
             parse_family_spec("prefix(4;{5})")
@@ -786,6 +795,37 @@ class TestCommandLine:
         )
         assert result.exit_code == 0
         assert result.output == "1\n"
+
+    @pytest.mark.parametrize(
+        "name, args, offset",
+        [
+            ("prefix_betti3", "5;{1,2,3}xyz", 9),
+            ("prefix_increment", "{1,2,3}}", 7),
+            ("power_betti3", "6_0", 1),
+            ("power_betti3", "6 6", 2),
+            ("uniform_betti2", "6,3,1", 3),
+        ],
+    )
+    def test_formula_rejects_trailing_input(self, runner, name, args, offset):
+        result = runner.invoke(main, ["formula", name, "--args", args])
+        assert result.exit_code == 2
+        assert f"trailing input at offset {offset}" in result.output
+
+    @pytest.mark.parametrize(
+        "name, args", [("power_betti3", "+6"), ("power_betti3", "\u0666"),
+                       ("uniform_betti2", "6,-1"), ("uniform_betti2", "6;3")],
+    )
+    def test_formula_integers_follow_the_spec_grammar(self, runner, name, args):
+        # only ASCII digits make an integer, as in a family spec
+        result = runner.invoke(main, ["formula", name, "--args", args])
+        assert result.exit_code == 2
+        assert "at offset" in result.output
+
+    def test_formula_integer_arguments_have_no_ground_bound(self, runner):
+        # the 63-element bound is on sets; an integer-only formula takes any m
+        result = runner.invoke(main, ["formula", "power_betti3", "--args", " 70 "])
+        assert result.exit_code == 0
+        assert result.output == f"{formulas.power_betti3(70)}\n"
 
     def test_formula_unknown_name(self, runner):
         result = runner.invoke(main, ["formula", "betti_everything", "--args", "5"])

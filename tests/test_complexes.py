@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,15 @@ from vrlat.complexes import (
 from vrlat.homology import _key, _keyed_column, betti_z2
 from vrlat.setfam import SetFamily, Subset, dist, gen_prefix, gen_uniform, gen_union
 
-from oracles import bf_betti, bf_facets, bf_simplices
+from oracles import (
+    bf_betti,
+    bf_facets,
+    bf_full_subcomplex,
+    bf_link,
+    bf_simplices,
+    bf_star,
+    bf_star_cluster,
+)
 
 
 def upto(m: int, n: int) -> SetFamily:
@@ -251,6 +260,38 @@ class TestFacets:
             assert not a <= b and not b <= a
 
 
+class TestTupleLayers:
+    @pytest.mark.parametrize(
+        "layers, face",
+        [
+            # an edge whose vertex 3 is missing
+            ((((0,),), ((0, 3),)), (3,)),
+            # a triangle whose edge (1,2) is missing
+            ((((0,), (1,), (2,)), ((0, 1), (0, 2)), ((0, 1, 2),)), (1, 2)),
+        ],
+    )
+    def test_layers_must_hold_every_facet(self, layers, face):
+        with pytest.raises(ValueError, match=rf"lacks its face {re.escape(str(face))}"):
+            Complex(
+                gen_uniform(4, 1), 2, len(layers) - 1, layers, flag=False,
+                complete=True,
+            )
+
+    def test_layers_must_fit_max_dim_and_the_adjacency(self):
+        k = build_flag(gen_uniform(4, 1), 2, 2)
+        with pytest.raises(ValueError, match="above max_dim"):
+            Complex(k.family, 2, 1, k.simplices, flag=False, complete=True)
+        no_edges = (0,) * 4
+        with pytest.raises(ValueError, match="off the adjacency"):
+            Complex(
+                k.family, 2, 2, k.simplices, flag=False, complete=True,
+                adjacency=no_edges,
+            )
+        with pytest.raises(ValueError, match="not a 1-simplex"):
+            Complex(k.family, 2, 1, (((0,), (1,)), ((0, 1, 1),)), flag=False,
+                    complete=True)
+
+
 class TestStarAndLink:
     def test_star_is_contractible(self):
         k = octahedron()
@@ -275,6 +316,16 @@ class TestStarAndLink:
         k = build_flag(gen_prefix(2, Subset.full(2)), 1, 2)
         st_ = star(k, 0)
         assert st_.f_vector == (3, 2, 0)
+
+    def test_star_skips_top_simplices_its_vertex_would_extend(self):
+        # K_4 through dim 1: the edge (1,2) and vertex 0 span a triangle
+        # above max_dim, so (1,2) is not in the star of 0.  The key of that
+        # triangle has max_dim + 2 bits, which no stored simplex has
+        k = build_flag(gen_uniform(4, 1), 2, 1)
+        assert k.row(0b1110) == -1
+        st_ = star(k, 0)
+        assert [list(layer) for layer in st_.simplices] == bf_star(k.simplices, 0)
+        assert st_.simplices[1] == ((0, 1), (0, 2), (0, 3))
 
     def test_link_of_octahedron_vertex_is_a_circle(self):
         k = octahedron()
@@ -533,9 +584,9 @@ class TestProperties:
     )
     def test_complete_below_matches_bruteforce(self, fam_scale, max_dim, seed):
         # the simplices on vertices 0..i are a complete complex while no
-        # (max_dim+1)-simplex ends at i or below; build_flag reads that off
-        # its candidates, a flag complex made otherwise walks its top layer,
-        # and an incomplete non-flag complex claims no complete prefix
+        # (max_dim+1)-simplex ends at i or below; every flag complex reads
+        # that off the top candidates of the expansion that made it, and an
+        # incomplete non-flag complex claims no complete prefix
         fam, scale = fam_scale
         n = len(fam)
         deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
@@ -551,6 +602,61 @@ class TestProperties:
                     (t[-1] for t in deeper if vertices.issuperset(t)), default=n
                 )
             assert c.complete_below == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_family_and_scale(),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_derived_complexes_match_the_tuple_filters(self, fam_scale, max_dim, seed):
+        # stars, links, star clusters and full subcomplexes of truncated
+        # and complete flag complexes, and of a star (not flag), against
+        # set filters over the tuple layers
+        fam, scale = fam_scale
+        rng = random.Random(seed)
+        k = build_flag(fam, scale, max_dim)
+        v = rng.randrange(len(fam))
+        st_ = star(k, v)
+        for c in (k, st_):
+            layers, verts = c.simplices, c.vertex_indices
+            u = rng.choice(verts)
+            cluster = rng.sample(verts, rng.randint(1, len(verts)))
+            sub = rng.sample(verts, rng.randint(1, len(verts)))
+            cases = [
+                (star(c, u), bf_star(layers, u)),
+                (link(c, u), bf_link(layers, u)),
+                (star_cluster(c, cluster), bf_star_cluster(layers, cluster)),
+                (full_subcomplex(c, sub), bf_full_subcomplex(layers, sub)),
+            ]
+            for derived, expected in cases:
+                assert [list(layer) for layer in derived.simplices] == expected
+                assert derived.complete == c.complete
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_family_and_scale(),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_flag_tuple_layers_carry_the_expansion_counts(
+        self, fam_scale, max_dim, seed
+    ):
+        # a flag complex made from its layers, in any order, over its graph
+        # (given, or from its edges when it has them) has build_flag's
+        # complete_below and top_parents
+        fam, scale = fam_scale
+        rng = random.Random(seed)
+        k = build_flag(fam, scale, max_dim)
+        layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
+        for adjacency in (k.adjacency, None) if max_dim else (k.adjacency,):
+            c = Complex(
+                fam, scale, max_dim, layers, flag=True, complete=k.complete,
+                adjacency=adjacency,
+            )
+            assert c.simplices == k.simplices
+            assert c.adjacency == k.adjacency
+            assert (c.complete_below, c.top_parents) == (k.complete_below, k.top_parents)
 
     @settings(max_examples=60, deadline=None)
     @given(small_family_and_scale())

@@ -360,20 +360,14 @@ class TestPrefixBettiZ2:
         assert all(e.status == "ok" and e.match for e in entries)
         assert made == [4]  # power(5) through dim 4, from build_flag
 
-    def test_build_flag_supplies_the_first_clique_birth(self, monkeypatch):
-        import vrlat.complexes as cx
-
+    def test_build_flag_supplies_the_first_clique_birth(self):
         k = build_flag(gen_prefix(5, Subset.full(5)), 2, 3)
         assert not k.complete
-        # the same layers, not from build_flag: found by walking the top layer
+        # the same layers, not from build_flag: the constructor's expansion
+        # reads the first clique birth off the same top layer
         copy = Complex(k.family, 2, 3, k.simplices, flag=True, complete=False)
-        expected = prefix_betti_z2(copy, 3)
-
-        def walk(_):
-            raise AssertionError("build_flag's complex walked its top layer")
-
-        monkeypatch.setattr(cx, "_first_clique_birth", walk)
-        assert prefix_betti_z2(k, 3) == expected
+        assert copy.complete_below == k.complete_below
+        assert prefix_betti_z2(k, 3) == prefix_betti_z2(copy, 3)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_upto_prefixes_match_closed_form(self, m):
@@ -497,9 +491,10 @@ class TestCoboundaryPivots:
         # adds to are the b3 essential cocycles, which reduce to zero.  A
         # raw apparent column rebuilt for an addition is kept, so no key
         # is built twice.  The copy carries no top count, so nothing
-        # certifies the rank of delta^3 and the walk reduces every column
+        # certifies the rank of delta^3 and the walk reduces every column:
+        # an incomplete non-flag complex has none
         k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
-        copy = Complex(k.family, 2, 4, k.simplices, flag=True, complete=False)
+        copy = Complex(k.family, 2, 4, k.simplices, flag=False, complete=False)
         assert copy.top_parents is None
         added_to, keys, pivots = self._top_coboundary_work(copy)
         # the list keeps every column alive, so distinct columns have
