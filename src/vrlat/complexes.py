@@ -2,11 +2,13 @@
 
 A complex stores its simplices as a clique tree (a simplex tree, after
 Boissonnat and Maria): each simplex is its parent, the simplex without its
-largest vertex, plus that vertex, its label.  One clique expansion
-(_expand) builds every tree: each simplex is extended only by
-higher-indexed common neighbours, which walks the tree and yields every
-layer in lexicographic order with no duplicates.  build_flag expands the
-whole scale graph; stars, links, star clusters, full subcomplexes and
+largest vertex, plus that vertex, its label.  The tree keeps only the
+candidate sets, the bitsets of each simplex's children's labels, so a
+layer's labels are the bits of the candidate sets below it, in order.
+One clique expansion (_expand) builds every tree: each simplex is extended
+only by higher-indexed common neighbours, which walks the tree and yields
+every layer in lexicographic order with no duplicates.  build_flag expands
+the whole scale graph; stars, links, star clusters, full subcomplexes and
 complexes given as tuple layers expand a graph and keep only the cliques
 a membership test admits.  The tuples of vertex indices are a view,
 built on first read for the tests; the library reads the tree alone.
@@ -29,8 +31,9 @@ from .setfam import SetFamily, Subset, gen_uniform
 
 # A simplex is a strictly increasing tuple of vertex indices.
 Simplex = tuple[int, ...]
-# A clique tree: the labels and candidate sets of each layer (see Complex).
-Tree = tuple[tuple[array, ...], tuple[list[int], ...]]
+# A clique tree: the vertex bitset, the layer sizes and the candidate sets
+# of each layer below the top (see Complex).
+Tree = tuple[int, tuple[int, ...], tuple[list[int], ...]]
 
 
 class BuildBudgetExceeded(RuntimeError):
@@ -50,17 +53,18 @@ class Complex:
     """Immutable dimension-graded simplicial complex over a SetFamily.
 
     The simplices are a clique tree, every layer in lexicographic order.
-    labels[d][j] is the largest vertex of the j-th d-simplex.  Its parent
-    is the (d-1)-simplex without that vertex, and its children, the
-    cofaces s + (u,), u > max(s), form one contiguous block of layer d+1:
-    cands[d][j] is the bitset of their labels and ends[d][j] the end of
-    the block, the number of (d+1)-simplices t with t[:-1] <= s.  The root
-    is the empty simplex, whose children are the vertices (vertex_mask).
-    The tree comes from _expand: build_flag and the derived complexes pass
-    it, and a complex made from tuple layers (in any order) expands the
-    graph of its edges, or the given adjacency, keeping the given
-    simplices, which must be closed under faces.  simplices[d] holds the
-    d-simplices as tuples, built from the tree on first read.
+    The children of the j-th d-simplex s, its cofaces s + (u,), u > max(s),
+    form one contiguous block of layer d+1, and cands[d][j] is the bitset
+    of their labels: the labels of layer d+1 are the bits of cands[d], in
+    order, and those of layer 0 the bits of vertex_mask, the root's
+    candidate set.  block_ends(d)[j] is the end of that block, the number
+    of (d+1)-simplices t with t[:-1] <= s, made on first read, as are the
+    labels of a candidate set (_labels).  The tree comes from _expand:
+    build_flag and the derived complexes pass it, and a complex made from
+    tuple layers (in any order) expands the graph of its edges, or the
+    given adjacency, keeping the given simplices, which must be closed
+    under faces.  simplices[d] holds the d-simplices as tuples, built from
+    the tree on first read.
 
     complete_below says how many vertex prefixes are complete: the
     simplices of k on vertices 0..i are all the simplices of their own
@@ -99,16 +103,14 @@ class Complex:
         self.family = family
         self.scale = scale
         self.max_dim = max_dim
-        self.labels, self.cands = tree
-        self.ends = tuple(
-            array("I", accumulate(map(int.bit_count, c))) for c in self.cands
-        )
-        self.vertex_mask = reduce(or_, (1 << v for v in self.labels[0]), 0)
+        self.vertex_mask, self.f_vector, self.cands = tree
+        self._ends: list[array | None] = [None] * len(self.cands)  # see block_ends
         self.flag = flag
         self.complete = complete
         if adjacency is None:
-            adjacency = _adjacency_from_edges(len(family), self.labels[0], self.cands)
+            adjacency = _adjacency_from_edges(len(family), self.vertex_mask, self.cands)
         self.adjacency = adjacency
+        self._labels: dict[int, list[int]] = {}  # candidate set -> its bits
         if complete:
             complete_below, top_parents = len(family), 0
         elif not flag:
@@ -124,22 +126,24 @@ class Complex:
 
     @cached_property
     def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
-        layers = [tuple((v,) for v in self.labels[0])]
-        for labels, ends in zip(self.labels[1:], self.ends):
+        layers = [tuple((v,) for v in _bits(self.vertex_mask))]
+        for cands in self.cands:
             layers.append(tuple(
-                s + (u,)
-                for s, start, end in zip(layers[-1], (0, *ends), ends)
-                for u in labels[start:end]
+                s + (u,) for s, c in zip(layers[-1], cands) for u in _bits(c)
             ))
         return tuple(layers)
 
     @property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(map(len, self.labels))
-
-    @property
     def vertex_indices(self) -> tuple[int, ...]:
-        return tuple(self.labels[0])
+        return tuple(_bits(self.vertex_mask))
+
+    def block_ends(self, d: int) -> array:
+        """The ends of layer d's child blocks, the running popcount of its
+        candidate sets, made on first read."""
+        ends = self._ends[d]
+        if ends is None:
+            ends = self._ends[d] = array("I", accumulate(map(int.bit_count, self.cands[d])))
+        return ends
 
     def has(self, simplex: Simplex) -> bool:
         """Whether the simplex is stored (see row)."""
@@ -174,8 +178,8 @@ class Complex:
         max_dim + 1 bits is not stored."""
         if key.bit_count() > self.max_dim + 1:
             return -1
-        n = len(self.adjacency)
-        bits, j, d = self.vertex_mask, len(self.labels[0]), 0
+        n, ends = len(self.adjacency), self._ends
+        bits, j, d = self.vertex_mask, self.f_vector[0], 0
         while True:
             top = key.bit_length()
             above = bits >> (n - top)
@@ -185,7 +189,8 @@ class Complex:
             key ^= 1 << (top - 1)
             if not key:
                 return j
-            bits, j = self.cands[d][j], self.ends[d][j]
+            # a node's layer is not empty, so neither are its ends once made
+            bits, j = self.cands[d][j], (ends[d] or self.block_ends(d))[j]
             d += 1
 
     def __repr__(self) -> str:
@@ -219,7 +224,7 @@ def _layers_tree(n: int, max_dim: int, layers, adjacency):
                 raise ValueError(f"simplex {s} lacks its face {face}")
     adjacency = tuple(edges) if adjacency is None else adjacency
     tree, below, parents = _expand(adjacency, (1 << n) - 1, max_dim, given.__contains__)
-    if sum(map(len, tree[0])) != len(given):
+    if sum(tree[1]) != len(given):
         raise ValueError(f"given simplices lie above max_dim={max_dim} or off the adjacency")
     return tree, adjacency, below, parents
 
@@ -238,9 +243,9 @@ def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _adjacency_from_edges(n: int, vertices, cands) -> tuple[int, ...]:
+def _adjacency_from_edges(n: int, vertices: int, cands) -> tuple[int, ...]:
     adj = [0] * n
-    for a, above in zip(vertices, cands[0] if cands else ()):
+    for a, above in zip(_bits(vertices), cands[0] if cands else ()):
         adj[a] |= above
         for b in _bits(above):
             adj[b] |= 1 << a
@@ -287,17 +292,17 @@ def _expand(
     """Clique tree through max_dim of the graph adj on the vertex bitset,
     and the top layer's (complete_below, top_parents).
 
-    Each layer is grown from the one below, kept as the labels and
-    candidate bitsets (the higher-indexed common neighbours) of its
-    simplices.  Peeling the lowest candidate bit u off a simplex gives the
-    next coface, labelled u, whose candidates are the bits left above u
-    that are also neighbours of u: the cofaces s + (u,), u > max(s), form
-    one child block of the next layer, in order of u.  With no membership
-    test the children of a candidate set do not depend on the simplex, so
-    each distinct set is expanded once per call.  With one, a simplex is
-    kept only if member(key) holds for its reversed vertex mask (the key
-    Complex.row reads), and a parent's candidates become its kept
-    children's labels; the kept simplices must be closed under faces.
+    Each layer is grown from the candidate sets (the higher-indexed common
+    neighbours) of the one below, and only they and its size are kept.
+    Peeling the lowest candidate bit u off a simplex gives the next coface,
+    labelled u, whose candidates are the bits left above u that are also
+    neighbours of u: the cofaces s + (u,), u > max(s), form one child block
+    of the next layer, in order of u.  With no membership test the
+    children of a candidate set do not depend on the simplex, so each
+    distinct set is expanded once per call.  With one, a simplex is kept
+    only if member(key) holds for its reversed vertex mask (the key
+    Complex.row reads), and a parent's candidate set becomes the bitset of
+    its kept children; the kept simplices must be closed under faces.
 
     The top layer's candidates would extend it: their lowest bit is the
     largest vertex of the first clique above max_dim (len(adj) if none),
@@ -310,7 +315,7 @@ def _expand(
     count = len(verts)
     if max_simplices is not None and count > max_simplices:
         raise BuildBudgetExceeded(0, count, max_simplices)
-    labels = [array("I", verts)]
+    sizes = [count]
     # candidate set of a simplex: higher-indexed common neighbours
     cands = [adj[v] & (vertices >> (v + 1) << (v + 1)) for v in verts]
     keys = [1 << (n - 1 - v) for v in verts] if member else []
@@ -318,14 +323,13 @@ def _expand(
     # candidate set -> the labels and candidate sets of its children
     children: dict[int, tuple[list[int], list[int]]] = {}
     for d in range(1, max_dim + 1):
-        layer, nxt_cands = [], []
+        nxt_cands = []
         if member is None:
             tree_cands.append(cands)
             for cand in filter(None, cands):
                 kids = children.get(cand)
                 if kids is None:
                     kids = children[cand] = _children(cand, adj)
-                layer += kids[0]
                 nxt_cands += kids[1]
         else:
             kept, nxt_keys = [], []
@@ -335,24 +339,24 @@ def _expand(
                     t = key | 1 << (n - 1 - u)
                     if member(t):
                         bits |= 1 << u
-                        layer.append(u)
                         nxt_cands.append(c)
                         nxt_keys.append(t)
                 kept.append(bits)
             tree_cands.append(kept)
             keys = nxt_keys
-        count += len(layer)
+        count += len(nxt_cands)
         if max_simplices is not None and count > max_simplices:
             raise BuildBudgetExceeded(d, count, max_simplices)
-        labels.append(array("I", layer))
+        sizes.append(len(nxt_cands))
         cands = nxt_cands
-        if not layer:
-            labels.extend(array("I") for _ in range(d, max_dim))
+        if not cands:
+            sizes += [0] * (max_dim - d)
             tree_cands.extend([] for _ in range(d, max_dim))
             break
     above = reduce(or_, cands, 0)
     below = (above & -above).bit_length() - 1 if above else n
-    return (tuple(labels), tuple(tree_cands)), below, len(cands) - cands.count(0)
+    tree = (sum(1 << v for v in verts), tuple(sizes), tuple(tree_cands))
+    return tree, below, len(cands) - cands.count(0)
 
 
 def _children(cand: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -516,7 +520,7 @@ def skeleton(k: Complex, d: int) -> Complex:
         )
     return Complex(
         k.family, k.scale, d, flag=False, complete=True,
-        tree=(k.labels[: d + 1], k.cands[:d]),
+        tree=(k.vertex_mask, k.f_vector[: d + 1], k.cands[:d]),
     )
 
 

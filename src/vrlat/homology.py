@@ -36,20 +36,25 @@ apparent-pair argument (Bauer, arXiv:1908.02518) read as a discrete
 Morse count (Forman, "Morse theory for cell complexes", 1998).
 
 Pivot rows and columns are indices into the layers of the complex's
-clique tree (see Complex), and no simplex tuple is built.  A dimension's
-pivot rows are a bytearray, 1 byte per row, which the next dimension
-reads as its cleared columns.  A simplex's cofaces s + (u,), u > max(s),
-are its child block, contiguous in the next layer, and a column with a
+clique tree (see Complex), which keeps only each layer's candidate sets:
+no simplex tuple and no layer of labels is built, and a layer's block
+ends are made the first time they are read.  A dimension's pivot rows
+are a bytearray, 1 byte per row, which the next dimension reads as its
+cleared columns.  A simplex's cofaces s + (u,), u > max(s), are its
+child block, contiguous in the next layer, and a column with a
 non-empty child block is always an apparent pair with the block's last
 row, filed as that row's byte alone.  A settled dimension's pivot rows
 are exactly these apparent rows, so it returns None in their place, and
 the bytes are made from the block ends (_apparent_rows) only where they
 are read: by a walked dimension above it, as its cleared columns, and by
-the prefix pass.  Only a childless column, and a rebuilt one,
-enumerate their cofaces, as Ripser does, from the adjacency bitsets: a
+the prefix pass.  The counts need no block end, so a complex whose every
+dimension is settled makes none.  Only a childless column (in a flag
+complex, one that does not settle on a sibling's child) and a rebuilt
+one enumerate their cofaces, as Ripser does, from the adjacency bitsets: a
 column is keyed by each coface's reversed vertex mask, the sum of
 2^(n-1-v) over its vertices v, so a coface is one bit more than its
-face and the pivot is the smallest key.
+face and the pivot is the smallest key.  A column's own key is read off
+the tree (_key).
 A pivot key becomes its row index by one descent of the tree, memoized
 per reduction, and a raw apparent column is rebuilt from its pivot's key
 less the lowest bit, which drops the pivot's largest vertex.
@@ -77,13 +82,13 @@ itself, and the pass reduces it with no copy.
 """
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+from itertools import accumulate
 from math import gcd
-from operator import gt, not_
+from operator import not_
+from re import Match, finditer
 
-from .complexes import Complex, _expand
+from .complexes import Complex, _bits, _expand
 
 
 class MatrixTooLarge(RuntimeError):
@@ -184,12 +189,14 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
     that leave distinct largest-row pivots, the rank of a row suffix is
     the number of pivots in it.  So one run of the mod-2 coboundary
     reducer on the relabelled complex counts every prefix's ranks: the
-    pivots are the persistence pairs' deaths.
+    pivots are the persistence pairs' deaths.  The births, each prefix's
+    f-vector, are counted from the same subtrees of the relabelled
+    complex, a simplex born at i lying under its vertex n-1-i.
 
     The relabelled complex is k itself when k is flag (its layers are all
     the cliques of its graph through max_dim) and the relabelling maps k's
     graph onto itself: it then maps the cliques onto themselves, simplex
-    for simplex.  The pass never reads layer 0, so isolated vertices do
+    for simplex.  The pass reads layer 0 off k, so isolated vertices do
     not matter.  That holds for power(m) and for the middle layer
     F(2n, n), since complementation keeps distances and reverses the
     (size, lex) order.  Both conditions are checked at run time;
@@ -221,31 +228,30 @@ def _prefix_z2(
     else:
         # the copy's simplex of key t is the image of k's of key mirror(t)
         member = None if k.flag else (lambda key: k.row(mirror(key)) >= 0)
-        tree, below, parents = _expand(adjacency, mirror(k.vertex_mask), top, member)
+        tree, below, parents = _expand(adjacency, mirror(k.vertex_mask), k.max_dim, member)
         flipped = Complex(
-            k.family, k.scale, top, flag=k.flag, complete=False, adjacency=adjacency,
-            tree=tree, complete_below=below, top_parents=parents,
+            k.family, k.scale, k.max_dim, flag=k.flag, complete=False,
+            adjacency=adjacency, tree=tree, complete_below=below, top_parents=parents,
         )
     # births[d][i]: f_d of K_i; deaths[d][i]: rank d_d on K_i, from the
-    # pivot rows of delta^(d-1).  A simplex is born at its label, and a
-    # pivot row's first vertex is the layer-0 node whose subtree holds it:
-    # subtree_ends[i] is where the subtree of that node ends in layer d + 1
-    births = []
-    for labels in k.labels:
-        born = Counter(labels)
-        births.append(list(accumulate(born[v] for v in range(n))))
+    # pivot rows of delta^(d-1).  A simplex born at v lies in the copy's
+    # subtree of n-1-v, which ends at subtree_ends[i] in layer d + 1
+    births = [list(accumulate(k.vertex_mask >> v & 1 for v in range(n)))]
     deaths = [[0] * n]
     pivots = None
-    vertices = flipped.labels[0]
+    vertices = list(_bits(flipped.vertex_mask))
     subtree_ends = range(1, len(vertices) + 1)
-    for d in range(top):
-        _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2)
-        rows = _apparent_rows(flipped, d) if pivots is None else pivots
-        ends = flipped.ends[d]
+    for d in range(k.max_dim):
+        rows = b""
+        if d < top:
+            _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2)
+            rows = _apparent_rows(flipped, d) if pivots is None else pivots
+        ends = flipped.block_ends(d)
         subtree_ends = [ends[e - 1] if e else 0 for e in subtree_ends]
-        died = [0] * n
+        born, died = [0] * n, [0] * n
         for v, a, b in zip(vertices, [0, *subtree_ends], subtree_ends):
-            died[n - 1 - v] = rows.count(1, a, b)
+            born[n - 1 - v], died[n - 1 - v] = b - a, rows.count(1, a, b)
+        births.append(list(accumulate(born)))
         deaths.append(list(accumulate(died)))
     out = []
     for i, f in enumerate(zip(*births)):
@@ -344,13 +350,19 @@ def _subtract(col: dict, factor: int, other: dict, modulus: int = 0) -> None:
 
 def _key(k: Complex, d: int, j: int) -> int:
     """Reversed vertex mask of the j-th d-simplex (see _keyed_column): its
-    vertices are the labels of its ancestors, one bisection of the
-    child-block ends per level."""
-    labels, ends, n = k.labels, k.ends, len(k.adjacency)
-    key = 1 << (n - 1 - labels[d][j])
-    for level in range(d - 1, -1, -1):
-        j = bisect_right(ends[level], j)
-        key |= 1 << (n - 1 - labels[level][j])
+    parent p is one bisection of the block ends below, its label bit
+    j - start_p of p's candidate set (the root's is the vertex mask),
+    whose bits the complex memoizes as they are read."""
+    n, memo, key = len(k.adjacency), k._labels, 0
+    for level in range(d - 1, -2, -1):
+        if level < 0:
+            c, i = k.vertex_mask, j
+        else:
+            e = k._ends[level] or k.block_ends(level)
+            p = bisect_right(e, j)
+            c, i, j = k.cands[level][p], j - (e[p - 1] if p else 0), p
+        labels = memo.get(c) or memo.setdefault(c, list(_bits(c)))
+        key |= 1 << (n - 1 - labels[i])
     return key
 
 
@@ -417,7 +429,7 @@ def _certified(k: Complex, dim: int) -> bool:
     the free rows, is 0 (see the module docstring).  Unknown, so False,
     at the top layer of a complex with no top_parents."""
     above = k.parents(dim + 1)
-    return above is not None and len(k.labels[dim + 1]) - above == k.parents(dim)
+    return above is not None and k.f_vector[dim + 1] - above == k.parents(dim)
 
 
 def _apparent_rows(k: Complex, dim: int) -> bytearray:
@@ -427,8 +439,8 @@ def _apparent_rows(k: Complex, dim: int) -> bytearray:
     An empty block ends where the one before it does and marks that row
     again; leading empty blocks end at 0 and mark byte 0, which is
     dropped."""
-    rows = bytearray(len(k.labels[dim + 1]) + 1)
-    for e in k.ends[dim]:
+    rows = bytearray(k.f_vector[dim + 1] + 1)
+    for e in k.block_ends(dim):
         rows[e] = 1
     del rows[0]
     return rows
@@ -473,9 +485,13 @@ def _reduce_coboundary(
     every childless column reduces to zero with no torsion: nothing is
     walked, and the pivot rows are returned as None.  Otherwise the walk
     visits only the uncleared childless columns, first to last, each
-    built once, its key read off one bisection of the ends per level
+    built at most once, its key read off one bisection of the ends per level
     (_key), and each settles unreduced if its top coface is not yet a
-    pivot.
+    pivot.  In a flag complex that coface is read off the tree: every
+    coface of a childless s = p + (u,) inserts a vertex w < u, so if a
+    candidate w of p is a neighbour of u, the largest gives the top one,
+    p + (w, u), the child u of the sibling p + (w,).  If its row is no
+    pivot, s settles there unbuilt, keyed only if a later column meets it.
 
     Built columns are keyed by coface key (see _keyed_column), so a
     column's low row is its smallest key, and each low key becomes its
@@ -499,12 +515,12 @@ def _reduce_coboundary(
     if dim == 0:
         # the augmentation 1 -> sum of the vertices has one pivot, the last
         # vertex, with entry 1
-        cleared = bytearray(len(k.labels[0]) - 1) + b"\1"
-    elif cleared is not None and len(cleared) < len(k.labels[dim]):
-        # the walk below would stop at the end of cleared
+        cleared = bytearray(k.f_vector[0] - 1) + b"\1"
+    elif cleared is not None and len(cleared) < k.f_vector[dim]:
+        # the walk below would take the columns past its end as uncleared
         raise ValueError(
             f"cleared has {len(cleared)} bytes for the "
-            f"{len(k.labels[dim])} columns of delta^{dim}"
+            f"{k.f_vector[dim]} columns of delta^{dim}"
         )
     if _certified(k, dim):
         return k.parents(dim), (), None
@@ -512,10 +528,11 @@ def _reduce_coboundary(
         cleared = _apparent_rows(k, dim - 1)
     pivots = _apparent_rows(k, dim)
     # pivot row -> its column, once built: a pivot row with no entry is a
-    # raw apparent column
+    # raw column, apparent or settled unbuilt
     reduced: dict[int, dict[int, int]] = {}
     nonunit: set[int] = set()  # pivot rows whose entry is not +-1
     rows: dict[int, int] = {}  # coface key -> row index
+    unbuilt: dict[int, int] = {}  # pivot row -> index of its raw column
 
     def row(t: int) -> int:
         r = rows.get(t)
@@ -524,18 +541,38 @@ def _reduce_coboundary(
         return r
 
     def settled(r: int, low: int) -> dict[int, int]:
-        # a raw apparent column is rebuilt once, from its pivot without
-        # its largest vertex (low's lowest bit): later additions reuse it
+        # a raw column is built once, when met: an apparent one from its
+        # pivot less its largest vertex (low's lowest bit), one settled
+        # unbuilt from its index; later additions reuse it
         col = reduced.get(r)
         if col is None:
-            col = reduced[r] = _keyed_column(k, low & (low - 1))
+            j = unbuilt.pop(r, None)
+            col = reduced[r] = _keyed_column(k, low & (low - 1) if j is None else _key(k, dim, j))
             if next(iter(col)) != low:
-                # a wrong apparent pair would make the reduction run forever
+                # a wrong raw pair would make the reduction run forever
                 raise RuntimeError(f"raw column filed under row {r}")
         return col
 
+    if sibling := k.flag and dim:
+        starts, ends = k.block_ends(dim - 1), k.block_ends(dim)
     # the uncleared childless columns: a childless column has no candidate
-    for j in compress(count(), map(gt, map(not_, k.cands[dim]), cleared)):
+    free = int.from_bytes(bytes(map(not_, k.cands[dim])), "little")
+    free &= ~int.from_bytes(cleared, "little")
+    for j in map(Match.start, finditer(b"\1", free.to_bytes(k.f_vector[dim], "little"))):
+        if sibling:
+            # s = p + (u,), u bit j - start of p's candidates c; w + 1 = top
+            p = bisect_right(starts, j)
+            c, start = k.cands[dim - 1][p], starts[p - 1] if p else 0
+            u = c
+            for _ in range(j - start):
+                u &= u - 1
+            u = (u & -u).bit_length() - 1
+            if top := (c & k.adjacency[u] & ((1 << u) - 1)).bit_length():
+                sib = start + (c & ((1 << (top - 1)) - 1)).bit_count()
+                r = (ends[sib - 1] if sib else 0) + (k.cands[dim][sib] & ((1 << u) - 1)).bit_count()
+                if not pivots[r]:
+                    pivots[r], unbuilt[r] = 1, j
+                    continue
         col = _keyed_column(k, _key(k, dim, j))
         while col:
             low = min(col)

@@ -518,18 +518,17 @@ class TestProperties:
         st.integers(min_value=0, max_value=2**32),
     )
     def test_child_block_ends_match_bruteforce(self, fam_scale, max_dim, seed):
-        # ends[d][j] is where the child block of the j-th d-simplex ends:
-        # the number of (d+1)-simplices t with t[:-1] <= that simplex.
-        # build_flag records them; every other complex sorts its layers and
-        # counts them when it is made
+        # block_ends(d)[j] is where the child block of the j-th d-simplex
+        # ends: the number of (d+1)-simplices t with t[:-1] <= that simplex.
+        # Every complex makes them from its candidate sets when first read
         fam, scale = fam_scale
         k = build_flag(fam, scale, max_dim)
         assert [list(layer) for layer in k.simplices] == bf_simplices(fam, scale, max_dim)
         for c in [k, *derived_complexes(k, random.Random(seed))]:
             layers = [sorted(layer) for layer in c.simplices]
             assert [list(layer) for layer in c.simplices] == layers
-            assert len(c.ends) == c.max_dim
-            for d, ends in enumerate(c.ends):
+            assert len(c.cands) == c.max_dim
+            for d, ends in enumerate(map(c.block_ends, range(c.max_dim))):
                 assert list(ends) == [
                     sum(1 for t in layers[d + 1] if t[:-1] <= s) for s in layers[d]
                 ]
@@ -575,6 +574,40 @@ class TestProperties:
                         reverse=True,
                     )
                     assert list(_column(c, d, j).items()) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_family_and_scale(),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_labels_and_ends_are_made_on_read(self, fam_scale, max_dim, seed):
+        # the tree keeps only candidate sets: a simplex's key is read off
+        # its ancestors' candidate sets, and no layer's block ends exist
+        # until one is read, on every kind of complex
+        fam, scale = fam_scale
+        n = len(fam)
+        k = build_flag(fam, scale, max_dim)
+        assert k._ends == [None] * max_dim
+        relabelled = Complex(
+            fam, scale, max_dim,
+            tuple(
+                tuple(tuple(n - 1 - v for v in reversed(s)) for s in layer)
+                for layer in k.simplices
+            ),
+            flag=k.flag, complete=k.complete,
+        )
+        for c in [k, relabelled, *derived_complexes(k, random.Random(seed))]:
+            if c is not k:
+                assert c._ends == [None] * c.max_dim
+            for d in range(c.max_dim):
+                ends = c.block_ends(d)
+                counts = map(int.bit_count, c.cands[d])
+                assert list(ends) == list(itertools.accumulate(counts))
+                assert c.block_ends(d) is ends
+            for d, layer in enumerate(c.simplices):
+                for j, s in enumerate(layer):
+                    assert _key(c, d, j) == sum(1 << (n - 1 - v) for v in s)
 
     @settings(max_examples=60, deadline=None)
     @given(

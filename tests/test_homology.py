@@ -308,7 +308,7 @@ class TestPrefixBettiZ2:
         [(gen_prefix(m, Subset.full(m)), 2, 4) for m in range(1, 7)]
         + [(gen_prefix(m, Subset.full(m)), r, 3) for m in range(1, 6) for r in (1, 3)]
         + [(gen_uniform(6, 3), 2, 3), (gen_uniform(6, 3), 4, 3),
-           (gen_uniform(4, 2), 2, 3)],
+           (gen_uniform(4, 2), 2, 3), (gen_prefix(5, Subset.full(5)), 3, 7)],
     )
     def test_mirror_symmetric_build_matches_prefix_builds(
         self, family, scale, through
@@ -331,6 +331,12 @@ class TestPrefixBettiZ2:
         )
         for i, got in enumerate(prefix_betti_z2(k, 3)):
             assert got == betti_z2(full_subcomplex(k, range(i + 1)), 3)
+        # the relabelled copy is built, and the births are counted from its
+        # subtrees
+        for i, (f, chi, _) in enumerate(hm._prefix_z2(k, 3)):
+            own = build_flag(SetFamily(5, k.family.vertices[: i + 1]), scale, 4)
+            assert f == own.f_vector
+            assert chi == (euler_characteristic(own) if own.complete else None)
 
     def test_mirror_symmetric_graph_of_a_non_flag_complex(self):
         # the graph of power(4) is mirror symmetric, but keeping only the
@@ -341,6 +347,8 @@ class TestPrefixBettiZ2:
         assert part.adjacency == k.adjacency
         for i, got in enumerate(prefix_betti_z2(part, 2)):
             assert got == betti_z2(full_subcomplex(part, range(i + 1)), 2)
+        for i, (f, _, _) in enumerate(hm._prefix_z2(part, 2)):
+            assert f == full_subcomplex(part, range(i + 1)).f_vector
 
     def test_power_set_prefix_task_builds_one_complex(self, monkeypatch):
         import vrlat.cli as cli
@@ -432,7 +440,7 @@ class TestCoboundaryPivots:
         assert rank == pivots.count(1) == len(family) - bf_components(family, scale)
         assert torsion == ()
         assert keys
-        assert 1 << (len(k.adjacency) - 1 - k.labels[0][-1]) not in keys
+        assert 1 << (len(k.adjacency) - 1 - k.vertex_indices[-1]) not in keys
 
     @settings(max_examples=60, deadline=None)
     @given(small_family(max_m=5, max_size=10))
@@ -568,7 +576,7 @@ class TestCoboundaryPivots:
         for d in range(through + 1):
             if d:
                 cleared = pivot_rows(k, d - 1, cleared)
-            rows, ends = k.simplices[d + 1], k.ends[d]
+            rows, ends = k.simplices[d + 1], k.block_ends(d)
             tops = {
                 rows[end - 1]
                 for j, (start, end) in enumerate(zip((0, *ends), ends))
@@ -609,12 +617,58 @@ class TestCoboundaryPivots:
 
     @pytest.mark.parametrize("d", [2, 3], ids=["walked", "settled"])
     def test_short_cleared_is_refused(self, d):
-        # one byte short would end the walk early with no error
+        # one byte short would walk the last column as uncleared with no
+        # error
         k = build_flag(gen_prefix(5, Subset.full(5)), 2, 4)
         cleared = hm._apparent_rows(k, d - 1)
         hm._reduce_coboundary(k, d, cleared, 2)
         with pytest.raises(ValueError, match="cleared"):
             hm._reduce_coboundary(k, d, cleared[:-1], 2)
+
+    @pytest.mark.parametrize("modulus", [2, 0])
+    @pytest.mark.parametrize("seed", [4, 13])
+    def test_sibling_pivots_match_keyed_columns(self, seed, modulus, monkeypatch):
+        # in a flag complex a childless column's top coface is read off its
+        # sibling's child block, and the column is keyed only if its row
+        # is already a pivot or a later column meets it there.  A flag=False
+        # copy keys every uncleared childless column, first to last, and
+        # both walks give the same ranks, torsion and pivot rows
+        k = build_flag(f73_subfamily(seed), 4, 16)
+        copy = Complex(
+            k.family, k.scale, k.max_dim, flag=False, complete=True,
+            adjacency=k.adjacency, tree=tree_of(k),
+        )
+        read = []
+        key = hm._key
+
+        def recorded(c, d, j):
+            read.append(j)
+            return key(c, d, j)
+
+        monkeypatch.setattr(hm, "_key", recorded)
+        walks = []
+        for c in (k, copy):
+            pivots, out, keyed = None, [], []
+            for d in range(c.max_dim):
+                read.clear()
+                rank, torsion, pivots = hm._reduce_coboundary(c, d, pivots, modulus)
+                out.append((rank, torsion, pivot_rows(c, d, pivots)))
+                keyed.append(list(read))
+            walks.append((out, keyed))
+        (flag_out, flag_keyed), (copy_out, copy_keyed) = walks
+        assert flag_out == copy_out
+        assert all(js == sorted(set(js)) for js in copy_keyed)
+        assert sum(map(len, flag_keyed)) < sum(map(len, copy_keyed)) / 2
+        # a column settled unkeyed is keyed when a later column, walked
+        # after it, meets its row: its index then follows a larger one
+        rebuilt = any(a > b for js in flag_keyed for a, b in zip(js, js[1:]))
+        assert rebuilt == (seed == 13)
+
+
+def tree_of(k: Complex, cands=None):
+    """k's clique tree, to build a copy of k, with other candidate sets if
+    given."""
+    return (k.vertex_mask, k.f_vector, k.cands if cands is None else cands)
 
 
 def parents(k: Complex, d: int) -> int:
@@ -622,7 +676,7 @@ def parents(k: Complex, d: int) -> int:
     the child-block ends below the top, and at the top of a flag complex
     off the simplex tuples and the graph, so in the full flag complex."""
     if d < k.max_dim:
-        ends = k.ends[d]
+        ends = k.block_ends(d)
         return sum(1 for start, end in zip((0, *ends), ends) if start < end)
     if not k.flag:
         return 0
@@ -647,7 +701,7 @@ def assert_rank_certificate(k: Complex, modulus: int) -> list[int]:
                 mp.setattr(hm, "_certified", lambda k, d: False)
             got, cleared = [], bytearray()
             for d in range(k.max_dim):
-                ends = k.ends[d]
+                ends = k.block_ends(d)
                 # no cleared column has a child block
                 assert all(
                     start == end
@@ -671,7 +725,7 @@ def assert_rank_certificate(k: Complex, modulus: int) -> list[int]:
     for d in range(k.max_dim):
         # the apparent rows are the last rows of the nonempty child blocks,
         # and where the counts settle a dimension they are all its pivots
-        ends = k.ends[d]
+        ends = k.block_ends(d)
         last = {end - 1 for start, end in zip((0, *ends), ends) if start < end}
         assert marked(hm._apparent_rows(k, d)) == last
         if d in settled:
@@ -743,7 +797,7 @@ class TestRankCertificate:
         k = build_flag(gen_uniform(6, 3), 4, 19)
         c = Complex(
             k.family, k.scale, k.max_dim, flag=True, complete=True,
-            adjacency=k.adjacency, tree=(k.labels, tuple(map(Cands, k.cands))),
+            adjacency=k.adjacency, tree=tree_of(k, tuple(map(Cands, k.cands))),
         )
         assert betti_z2(c, 9) == betti_z2(k, 9)
         assert [homology_integer(c, d) for d in range(10)] == [(0, ())] * 9 + [(1, ())]
@@ -760,7 +814,7 @@ class TestRankCertificate:
         k = build_flag(fam, 3, 2)
         lie = Complex(
             fam, 3, 2, flag=True, complete=False, adjacency=k.adjacency,
-            tree=(k.labels, k.cands), top_parents=k.f_vector[2] - parents(k, 1),
+            tree=tree_of(k), top_parents=k.f_vector[2] - parents(k, 1),
         )
         expected = bf_coboundary_pivots(fam, 3, 1, modulus)
         rows = k.simplices[2]
@@ -773,6 +827,40 @@ class TestRankCertificate:
 
 
 class TestTreeRoute:
+    def test_settled_complexes_make_no_block_ends(self, monkeypatch):
+        # build_flag makes no layer's block ends, and betti_z2 on a complex
+        # whose every dimension the counts settle makes none either; the
+        # other complexes of the suite walk a dimension and make some
+        import vrlat.cli as cli
+
+        built, prefixed = [], []
+        build, prefix = cli.build_flag, cli._prefix_z2
+
+        def recorded_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            assert built[-1]._ends == [None] * built[-1].max_dim
+            return built[-1]
+
+        def recorded_prefix(k, through):
+            prefixed.append(k)
+            return prefix(k, through)
+
+        monkeypatch.delenv("VRLAT_THREADS", raising=False)
+        monkeypatch.setattr(cli, "build_flag", recorded_build)
+        monkeypatch.setattr(cli, "_prefix_z2", recorded_prefix)
+        cli.run_verify("all", 7)
+        settled = []
+        for k in built:
+            if any(k is p for p in prefixed):
+                continue
+            made = [d for d, ends in enumerate(k._ends) if ends is not None]
+            if all(hm._certified(k, d) for d in range(k.max_dim) if k.f_vector[d + 1]):
+                settled.append(k)
+                assert made == []
+            else:
+                assert made
+        assert len(settled) == 5
+
     def test_reduction_never_builds_the_tuple_view(self, monkeypatch):
         # the reducer and the prefix pass read the clique tree alone: the
         # integer route, betti_z2 and _prefix_z2 build no simplex tuple
@@ -814,7 +902,7 @@ def assert_keyed_columns_are_coboundaries(k: Complex) -> None:
         rows = layers[d + 1]
         for r, t in enumerate(rows):
             assert k.row(vertex_key(k, t)) == r
-        blocks = zip(layers[d], (0, *k.ends[d]), k.ends[d])
+        blocks = zip(layers[d], (0, *k.block_ends(d)), k.block_ends(d))
         for j, (s, start, end) in enumerate(blocks):
             key = vertex_key(k, s)
             assert hm._key(k, d, j) == key
@@ -859,7 +947,7 @@ class TestKeyedColumns:
         k = build_flag(gen_prefix(5, Subset.full(5)), 2, 4)
         copy = Complex(
             k.family, k.scale, k.max_dim, flag=False, complete=k.complete,
-            adjacency=k.adjacency, tree=(k.labels, k.cands),
+            adjacency=k.adjacency, tree=tree_of(k),
         )
         found = []
         row = Complex.row
