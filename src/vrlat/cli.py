@@ -174,49 +174,29 @@ def _parse_set(sc: _Scanner, m: int) -> tuple[int, ...]:
 
 def _parse_term(sc: _Scanner):
     name, start = sc.word()
-    if name == "F":
-        sc.expect("(")
-        m_at = sc.pos
-        m = sc.integer()
-        _check_m(m, m_at)
-        sc.expect(",")
-        n_at = sc.pos
-        n = sc.integer()
-        if n > m:
-            raise SpecParseError(f"layer {n} exceeds ground size {m}", n_at)
-        sc.expect(")")
-        return UniformTerm(m, n)
-    if name == "prefix":
-        sc.expect("(")
-        m_at = sc.pos
-        m = sc.integer()
-        _check_m(m, m_at)
-        sc.expect(";")
-        elems = _parse_set(sc, m)
-        sc.expect(")")
-        return PrefixTerm(m, elems)
+    if name not in ("F", "prefix", "power", "upto"):
+        raise SpecParseError(
+            "unknown term", start, ("'F'", "'prefix'", "'power'", "'upto'")
+        )
+    sc.expect("(")
+    m_at = sc.pos
+    m = sc.integer()
+    _check_m(m, m_at)
     if name == "power":
-        sc.expect("(")
-        m_at = sc.pos
-        m = sc.integer()
-        _check_m(m, m_at)
-        sc.expect(")")
-        return PowerTerm(m)
-    if name == "upto":
-        sc.expect("(")
-        m_at = sc.pos
-        m = sc.integer()
-        _check_m(m, m_at)
+        term = PowerTerm(m)
+    elif name == "prefix":
+        sc.expect(";")
+        term = PrefixTerm(m, _parse_set(sc, m))
+    else:
         sc.expect(",")
         n_at = sc.pos
         n = sc.integer()
         if n > m:
-            raise SpecParseError(f"layer bound {n} exceeds ground size {m}", n_at)
-        sc.expect(")")
-        return UpToTerm(m, n)
-    raise SpecParseError(
-        "unknown term", start, ("'F'", "'prefix'", "'power'", "'upto'")
-    )
+            what = "layer" if name == "F" else "layer bound"
+            raise SpecParseError(f"{what} {n} exceeds ground size {m}", n_at)
+        term = (UniformTerm if name == "F" else UpToTerm)(m, n)
+    sc.expect(")")
+    return term
 
 
 def parse_family_spec(text: str) -> FamilySpec:

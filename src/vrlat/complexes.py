@@ -118,11 +118,6 @@ class Complex:
         self.complete_below = complete_below or 0
         self.top_parents = top_parents
         self._parents: dict[int, int] = {}  # W_d below the top, see parents
-        # integer coboundary reduction, filled bottom up by
-        # homology.homology_integer: (rank, torsion) of delta^0, delta^1, ...
-        # and the last one's unit pivot rows, a byte per row, to clear the
-        # next, or None when they are its apparent rows (homology._apparent_rows)
-        self._coboundary: tuple[list, bytearray | None] = ([], bytearray())
 
     @cached_property
     def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
@@ -533,11 +528,8 @@ def is_cone(k: Complex) -> int | None:
     """
     if not k.flag:
         raise ValueError("cone detection requires a flag complex")
-    verts = k.vertex_indices
-    vmask = 0
-    for v in verts:
-        vmask |= 1 << v
-    for v in verts:
+    vmask = k.vertex_mask
+    for v in _bits(vmask):
         if (k.adjacency[v] | 1 << v) & vmask == vmask:
             return v
     return None

@@ -59,18 +59,21 @@ A pivot key becomes its row index by one descent of the tree, memoized
 per reduction, and a raw apparent column is rebuilt from its pivot's key
 less the lowest bit, which drops the pivot's largest vertex.
 
-betti_z2 runs the reduction mod 2 on every call, where every nonzero
-entry is a unit.  Integer homology runs it over Z once per complex and
-memoizes the ranks on the complex.  Over Z a column whose pivot entry is
-not a multiple of the settled one meets it in an extended-gcd step (the
-column Hermite step), so every column operation is unimodular and the
-reduction never restarts.  When every pivot ends +-1, rank delta^d is
-rank d_(d+1) exactly and the absence of torsion is certified.  Otherwise
-the non-unit pivot columns, fully reduced on the unit pivot rows, are a
-small residual whose Smith normal form (smith_diagonal) gives the other
-invariant factors, and the next dimension clears from the unit pivot
-rows only.  Torsion of the d-th reduced group is read off the invariant
-factors of d_(d+1).
+One driver (_coboundaries) reduces delta^0, delta^1, ... in order and
+hands each dimension's pivot rows to the next; betti_z2, the prefix pass
+and homology_integer all read it.  betti_z2 runs it mod 2 on every call,
+where every nonzero entry is a unit.  Integer homology runs it over Z
+once per complex, and this module keeps the ranks and the last pivot
+rows in its own memo, keyed weakly by the complex.  Over Z a column
+whose pivot entry is not a multiple of the settled one meets it in an
+extended-gcd step (the column Hermite step), so every column operation
+is unimodular and the reduction never restarts.  When every pivot ends
++-1, rank delta^d is rank d_(d+1) exactly and the absence of torsion is
+certified.  Otherwise the non-unit pivot columns, fully reduced on the
+unit pivot rows, are a small residual whose Smith normal form
+(smith_diagonal) gives the other invariant factors, and the next
+dimension clears from the unit pivot rows only.  Torsion of the d-th
+reduced group is read off the invariant factors of d_(d+1).
 
 prefix_betti_z2 runs the same reducer mod 2 once as a persistence pass
 over the vertex filtration (a simplex is born at its largest vertex) and
@@ -87,6 +90,7 @@ from itertools import accumulate
 from math import gcd
 from operator import not_
 from re import Match, finditer
+from weakref import WeakKeyDictionary
 
 from .complexes import Complex, _bits, _expand
 
@@ -153,12 +157,9 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
     if through < 0:
         raise ValueError("through must be nonnegative")
     ct = through if k.complete else min(through, k.max_dim - 1)
-    # rank d_(d+1) = rank delta^d, reduced mod 2 without the integer memo
-    # on the complex, so the two coefficient routes stay independent
-    ranks, pivots = [], None
-    for d in range(min(ct + 1, k.max_dim)):
-        rank, _, pivots = _reduce_coboundary(k, d, pivots, modulus=2)
-        ranks.append(rank)
+    # rank d_(d+1) = rank delta^d, reduced mod 2 without the integer memo,
+    # so the two coefficient routes stay independent
+    ranks = [rank for rank, _, _ in _coboundaries(k, 2, ct + 1)]
     values = _reduced_betti(k.f_vector, ranks, ct)
     return BettiVector(coeff="z2", values=values, complete_through=ct)
 
@@ -238,14 +239,13 @@ def _prefix_z2(
     # subtree of n-1-v, which ends at subtree_ends[i] in layer d + 1
     births = [list(accumulate(k.vertex_mask >> v & 1 for v in range(n)))]
     deaths = [[0] * n]
-    pivots = None
+    reduced = _coboundaries(flipped, 2, top)
     vertices = list(_bits(flipped.vertex_mask))
     subtree_ends = range(1, len(vertices) + 1)
     for d in range(k.max_dim):
-        rows = b""
-        if d < top:
-            _, _, pivots = _reduce_coboundary(flipped, d, pivots, modulus=2)
-            rows = _apparent_rows(flipped, d) if pivots is None else pivots
+        _, _, rows = next(reduced, (0, (), b""))
+        if rows is None:
+            rows = _apparent_rows(flipped, d)
         ends = flipped.block_ends(d)
         subtree_ends = [ends[e - 1] if e else 0 for e in subtree_ends]
         born, died = [0] * n, [0] * n
@@ -609,18 +609,39 @@ def _reduce_coboundary(
     return rank, tuple(v for v in snf.diag if v > 1), pivots
 
 
+def _coboundaries(
+    k: Complex, modulus: int, stop: int, start: int = 0, pivots: bytearray | None = None
+):
+    """Rank, torsion and unit pivot rows of delta^start, ..., delta^(stop-1),
+    at most through delta^(max_dim-1), reduced in order, each on demand:
+    every dimension clears the columns of the one below's pivot rows,
+    starting from the given ones (None for apparent rows), as in Ripser's
+    clearing order."""
+    for d in range(start, min(stop, k.max_dim)):
+        rank, torsion, pivots = _reduce_coboundary(k, d, pivots, modulus)
+        yield rank, torsion, pivots
+
+
+# complex -> [(rank, torsion) of delta^0, delta^1, ... over Z, the last
+# one's unit pivot rows], to carry on from: a failed dimension is not
+# stored, so a later call reduces it again.  Values do not refer to the
+# complex, which keeps it collectable
+_integer = WeakKeyDictionary()
+
+
 def homology_integer(k: Complex, dim: int) -> tuple[int, tuple[int, ...]]:
     """Free rank and torsion coefficients of the dim-th reduced group.
 
     Needs the ranks of the dim and dim+1 boundaries and the invariant
     factors of the dim+1 boundary, so the complex must be built through
-    dim+1 (or be complete).  They come from the coboundary reduction
-    memoized on the complex: delta^0..delta^dim are reduced once each, in
-    order, the first time any call needs them, so later calls for any
-    dimension reuse the work.  Torsion is empty by certificate when every
-    pivot of delta^dim is +-1; otherwise it is read off the Smith normal
-    form of the reduction's small non-unit residual, which raises
-    MatrixTooLarge past _RESIDUAL_LIMIT rows or columns.
+    dim+1 (or be complete).  They come from the coboundary driver over Z,
+    memoized per complex in this module: delta^0..delta^dim are reduced
+    once each, in order, the first time any call needs them, so later
+    calls for any dimension reuse the work.  Torsion is empty by
+    certificate when every pivot of delta^dim is +-1; otherwise it is
+    read off the Smith normal form of the reduction's small non-unit
+    residual, which raises MatrixTooLarge past _RESIDUAL_LIMIT rows or
+    columns.
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
@@ -632,16 +653,18 @@ def homology_integer(k: Complex, dim: int) -> tuple[int, tuple[int, ...]]:
         raise TruncatedComplex(
             f"dimension {dim+1} boundary unavailable (max_dim={k.max_dim}, truncated)"
         )
-    f = k.f_vector
-    # (rank, torsion) of delta^0, delta^1, ... and the last one's unit pivot
-    # rows, or None for its apparent rows
-    done, pivots = k._coboundary
-    for d in range(len(done), dim + 1):
-        rank, torsion, pivots = _reduce_coboundary(k, d, pivots)
+    memo = _integer.get(k)
+    if memo is None:
+        memo = _integer[k] = [[], None]
+    done, pivots = memo
+    for rank, torsion, pivots in _coboundaries(k, 0, dim + 1, len(done), pivots):
         done.append((rank, torsion))
-        k._coboundary = (done, pivots)
-    betti = _reduced_betti(f, [rank for rank, _ in done[: dim + 1]], dim)
-    return (betti[dim], done[dim][1])
+        memo[1] = pivots
+    # b_dim = f_dim - rank d_dim - rank d_(dim+1), where rank d_0 = [f_0 > 0]
+    # and delta^max_dim of a complete complex is 0
+    below = done[dim - 1][0] if dim else int(k.f_vector[0] > 0)
+    rank, torsion = done[dim] if dim < len(done) else (0, ())
+    return (k.f_vector[dim] - below - rank, torsion)
 
 
 def euler_characteristic(k: Complex) -> int:

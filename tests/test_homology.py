@@ -1,6 +1,7 @@
 """Boundary columns, Z/2 reduction, and exact integer homology."""
 
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -8,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -128,6 +130,12 @@ def pivot_rows(k: Complex, d: int, pivots: bytearray | None) -> bytearray:
     """The pivot rows _reduce_coboundary returned for delta^d, with None,
     a dimension the counts settle, read as its apparent rows."""
     return hm._apparent_rows(k, d) if pivots is None else pivots
+
+
+def coboundaries(k: Complex, modulus: int):
+    """d and the rank, torsion and pivot rows of delta^d, for every d, from
+    the reduction driver."""
+    return enumerate(hm._coboundaries(k, modulus, k.max_dim))
 
 
 def record_builds(monkeypatch) -> list[int]:
@@ -454,9 +462,7 @@ class TestCoboundaryPivots:
         fam, scale = case
         k = build_flag(fam, scale, 4)
         for modulus in (2, 0):
-            pivots = bytearray()
-            for d in range(4):
-                rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+            for d, (rank, torsion, pivots) in coboundaries(k, modulus):
                 got = pivot_rows(k, d, pivots)
                 rows = k.simplices[d + 1]
                 expected = bf_coboundary_pivots(fam, scale, d, modulus)
@@ -476,9 +482,7 @@ class TestCoboundaryPivots:
         # unmarked, so the next dimension does not clear its column, and
         # each invariant factor above 1 comes from one such row
         k = make()
-        pivots = bytearray()
-        for d in range(k.max_dim):
-            rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+        for d, (rank, torsion, pivots) in coboundaries(k, modulus):
             got = pivot_rows(k, d, pivots)
             assert len(got) == k.f_vector[d + 1]
             if modulus:
@@ -519,9 +523,9 @@ class TestCoboundaryPivots:
     def _top_coboundary_work(k):
         """The columns added to and the keys built while delta^3 of k is
         reduced mod 2, and its pivot rows."""
-        pivots = bytearray()
-        for d in range(3):
-            _, _, pivots = hm._reduce_coboundary(k, d, pivots, modulus=2)
+        reduced = hm._coboundaries(k, 2, k.max_dim)
+        for _ in range(3):
+            next(reduced)
         added_to = []
         subtract = hm._subtract
 
@@ -532,7 +536,7 @@ class TestCoboundaryPivots:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hm, "_subtract", counted)
             keys = record_builds(mp)
-            _, _, pivots = hm._reduce_coboundary(k, 3, pivots, modulus=2)
+            _, _, pivots = next(reduced)
         return added_to, keys, pivot_rows(k, 3, pivots)
 
     @pytest.mark.parametrize(
@@ -573,9 +577,7 @@ class TestCoboundaryPivots:
         # kept low
         k = build_flag(family, scale, through + 1)
         cleared = bytearray(k.f_vector[0])
-        for d in range(through + 1):
-            if d:
-                cleared = pivot_rows(k, d - 1, cleared)
+        for d, (_, _, pivots) in coboundaries(k, modulus):
             rows, ends = k.simplices[d + 1], k.block_ends(d)
             tops = {
                 rows[end - 1]
@@ -584,7 +586,7 @@ class TestCoboundaryPivots:
             }
             assert tops
             assert tops <= bf_coboundary_pivots(family, scale, d, modulus)
-            _, _, cleared = hm._reduce_coboundary(k, d, cleared, modulus)
+            cleared = pivot_rows(k, d, pivots)
 
     @pytest.mark.parametrize("modulus", [2, 0])
     def test_settled_dimension_walks_nothing(self, modulus, monkeypatch):
@@ -603,16 +605,15 @@ class TestCoboundaryPivots:
             return apparent(k, d)
 
         monkeypatch.setattr(hm, "_apparent_rows", recorded)
-        settled, pivots = [], None
-        for d in range(k.max_dim):
-            keys.clear()
-            made.clear()
-            rank, torsion, pivots = hm._reduce_coboundary(k, d, pivots, modulus)
+        settled = []
+        for d, (rank, torsion, pivots) in coboundaries(k, modulus):
             if pivots is None:
                 settled.append(d)
                 assert (rank, torsion, keys, made) == (parents(k, d), (), [], [])
             elif d == 8:
                 assert (made, keys) == ([7, 8], [])
+            keys.clear()
+            made.clear()
         assert settled == list(range(8))
 
     @pytest.mark.parametrize("d", [2, 3], ids=["walked", "settled"])
@@ -648,12 +649,11 @@ class TestCoboundaryPivots:
         monkeypatch.setattr(hm, "_key", recorded)
         walks = []
         for c in (k, copy):
-            pivots, out, keyed = None, [], []
-            for d in range(c.max_dim):
-                read.clear()
-                rank, torsion, pivots = hm._reduce_coboundary(c, d, pivots, modulus)
+            out, keyed = [], []
+            for d, (rank, torsion, pivots) in coboundaries(c, modulus):
                 out.append((rank, torsion, pivot_rows(c, d, pivots)))
                 keyed.append(list(read))
+                read.clear()
             walks.append((out, keyed))
         (flag_out, flag_keyed), (copy_out, copy_keyed) = walks
         assert flag_out == copy_out
@@ -699,26 +699,24 @@ def assert_rank_certificate(k: Complex, modulus: int) -> list[int]:
         with pytest.MonkeyPatch.context() as mp:
             if not lazy:
                 mp.setattr(hm, "_certified", lambda k, d: False)
-            got, cleared = [], bytearray()
-            for d in range(k.max_dim):
+            got, cleared = [], b""
+            for d, (rank, torsion, pivots) in coboundaries(k, modulus):
                 ends = k.block_ends(d)
                 # no cleared column has a child block
                 assert all(
                     start == end
-                    for c, start, end in zip(
-                        pivot_rows(k, d - 1, cleared) if d else b"", (0, *ends), ends
-                    )
+                    for c, start, end in zip(cleared, (0, *ends), ends)
                     if c
                 )
-                rank, torsion, cleared = hm._reduce_coboundary(k, d, cleared, modulus)
                 # W_d <= rank delta^d <= Z_(d+1), and no free row certifies
                 childless = k.f_vector[d + 1] - parents(k, d + 1)
                 assert parents(k, d) <= rank <= childless
                 assert certify(k, d) == (parents(k, d) == childless)
-                if lazy and cleared is None:
+                if lazy and pivots is None:
                     assert k.f_vector[d + 1] and certify(k, d)
                     settled.append(d)
-                got.append((rank, torsion, pivot_rows(k, d, cleared)))
+                cleared = pivot_rows(k, d, pivots)
+                got.append((rank, torsion, cleared))
             routes.append(got)
     lazy, walked = routes
     assert lazy == walked
@@ -958,10 +956,7 @@ class TestKeyedColumns:
 
         monkeypatch.setattr(Complex, "row", recorded)
         for c, flag in ((k, True), (copy, False)):
-            pivots = bytearray()
-            for d in range(4):
-                found.clear()
-                _, _, pivots = hm._reduce_coboundary(c, d, pivots, modulus)
+            for d, (_, _, pivots) in coboundaries(c, modulus):
                 keys = [key for key, _ in found]
                 got = marked(pivot_rows(c, d, pivots))
                 if flag:
@@ -969,6 +964,7 @@ class TestKeyedColumns:
                     assert {r for _, r in found} <= got
                 elif d == 3:
                     assert not {r for _, r in found} <= got
+                found.clear()
 
 
 def dense_betti_z2(k: Complex) -> list[int]:
@@ -1188,6 +1184,36 @@ class TestIntegerHomology:
             got = {d: homology_integer(k, d) for d in order}
             assert [got[d] for d in dims] == want
 
+    def test_failed_dimension_is_reduced_again(self, monkeypatch):
+        # a failure stores nothing for its dimension, so every call that
+        # needs it reduces it again: it raises again while the guard is
+        # down, and once the guard is back the same complex carries on
+        k = projective_plane()
+        monkeypatch.setattr(hm, "_RESIDUAL_LIMIT", 0)
+        for _ in range(2):
+            with pytest.raises(MatrixTooLarge):
+                homology_integer(k, 1)
+        monkeypatch.undo()
+        assert homology_integer(k, 1) == (0, (2,))
+        assert homology_integer(k, 2) == (0, ())
+        assert homology_integer(k, 5) == (0, ())
+
+    @pytest.mark.parametrize(
+        "family", [gen_uniform(6, 3), f73_subfamily(1)], ids=["F63", "F73-seed1"]
+    )
+    def test_memo_keeps_no_complex_alive(self, family):
+        # the integer benchmark's shapes, through their top nonempty
+        # dimension: the memo holds each complex's ranks and pivot rows,
+        # never the complex itself
+        k = build_flag(family, 4, len(family) - 1)
+        top = max(d for d, f in enumerate(k.f_vector) if f)
+        assert top < k.max_dim
+        assert [homology_integer(k, d) for d in range(top + 1)]
+        ref = weakref.ref(k)
+        del k
+        gc.collect()
+        assert ref() is None
+
     def _count_snf_calls(self, monkeypatch) -> list:
         calls = []
         snf = hm.smith_diagonal
@@ -1207,7 +1233,7 @@ class TestIntegerHomology:
 
     def test_projective_plane_z2_needs_no_smith_form(self, monkeypatch):
         # mod 2 every pivot is a unit, so the integer fallback never runs,
-        # and the integer memo on the complex leaves the mod-2 result alone
+        # and the integer memo leaves the mod-2 result alone
         calls = self._count_snf_calls(monkeypatch)
         k = projective_plane()
         assert betti_z2(k, 2).values == (0, 1, 1)
