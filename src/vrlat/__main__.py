@@ -12,6 +12,7 @@ from . import __version__, formulas
 from .cli import (
     _SUITES,
     Report,
+    ReportEntry,
     SpecParseError,
     UniformTerm,
     _compute_entry,
@@ -97,7 +98,7 @@ def homology(family_text, scale, max_dim, coeff, fmt, max_simplices):
     except SpecParseError as e:
         raise click.UsageError(str(e))
     entry = _compute_entry(
-        spec.render(), scale, max_dim, coeff, None, None, None, max_simplices
+        ReportEntry(spec.render(), scale, max_dim, coeff=coeff), None, max_simplices
     )
     if entry.status == "error":
         raise click.ClickException(entry.detail or "computation failed")
@@ -137,10 +138,10 @@ def facets(family_text, scale, closed_form):
         if scale != 2:
             raise click.UsageError("--closed-form is a scale-2 statement")
         term = spec.terms[0]
-        try:
-            simplices = maximal_simplices_closed_form(term.m, term.n)
-        except ValueError as e:
-            raise click.UsageError(str(e))
+        # at n = m-1 the core facets are faces of the one hull facet
+        if not 2 <= term.n <= term.m - 2:
+            raise click.UsageError("--closed-form needs 2 <= n <= m-2 in F(m,n)")
+        simplices = maximal_simplices_closed_form(term.m, term.n)
     else:
         simplices = maximal_simplices_bk(fam, scale)
     click.echo(facet_dump(fam, scale, simplices, spec.render()), nl=False)
@@ -214,7 +215,8 @@ def check_sc(family_text, scale, subfamily_text):
     try:
         indices = [fam.index(v) for v in sub.family().vertices]
     except KeyError as e:
-        raise click.UsageError(f"subfamily vertex {e.args[0]} not in family")
+        # SetFamily.index's message reads "{vertex} not in family"
+        raise click.UsageError(f"subfamily vertex {e.args[0]}")
     # adjacency is all the check needs, so build the graph only
     k = build_flag(fam, scale, 1)
     witness = sc_hypothesis_check(k, indices)

@@ -12,7 +12,10 @@ the prefix(m;A) and power(m): those of one m are the vertex prefixes of
 power(m), power(m) the last of them, so one build of power(m) and one
 persistence pass over it give them all, and their budgets and wall time
 are those of that one task.  The prefix oracles are the running totals of
-one list of prefix_betti3 increments per m.  VRLAT_THREADS sizes the
+one list of prefix_betti3 increments per m.  Each task carries its base
+entries, which name the instances and their oracles with nothing computed,
+and one step (_entries) times a task's work, turns its failure into skipped
+or error entries and judges the computed ones.  VRLAT_THREADS sizes the
 worker pool.
 """
 
@@ -220,7 +223,7 @@ class ReportEntry:
     spec: str
     scale: int
     max_dim: int
-    status: str  # ok | skipped | error
+    status: str = "error"  # ok | skipped | error; a task's base entry is an error
     coeff: str = "z2"
     f_vector: tuple[int, ...] | None = None
     betti: tuple[int, ...] | None = None
@@ -239,53 +242,30 @@ class Report:
     entries: tuple[ReportEntry, ...] = field(default_factory=tuple)
 
 
-def _task_error(
-    spec_text: str,
-    scale: int,
-    max_dim: int,
-    coeff: str,
-    oracle_name: str | None,
-    oracle: tuple[int, ...] | None,
-) -> ReportEntry:
-    """Error entry naming a task (the arguments of _compute_entry before
-    its budgets), with nothing computed."""
-    return ReportEntry(
-        spec=spec_text,
-        scale=scale,
-        max_dim=max_dim,
-        status="error",
-        coeff=coeff,
-        oracle_name=oracle_name,
-        oracle=oracle,
-    )
+def _entries(
+    bases: tuple[ReportEntry, ...], budget_ms: int | None, work
+) -> list[ReportEntry]:
+    """The report entries of one task: its bases with the fields that
+    work() computes for them, one dict per base in order, every entry
+    stamped with the task's wall time.
 
-
-def _task_errors(kind, head, scale, max_dim, coeff, *rest) -> list[ReportEntry]:
-    """Error entries naming every instance of a suite task (see
-    _suite_tasks), with nothing computed."""
-    if kind == "entry":
-        oracle_name, oracle = rest[:2]
-        return [_task_error(head, scale, max_dim, coeff, oracle_name, oracle)]
-    power_oracle, specs = rest[:2]
-    named = [(spec, "prefix_betti3", oracle) for spec, oracle in specs]
-    if power_oracle is not None:
-        named.append((f"power({head})", "power_betti3", power_oracle))
-    return [
-        _task_error(spec, scale, max_dim, coeff, name, oracle)
-        for spec, name, oracle in named
-    ]
-
-
-def _ms_since(started: float) -> int:
-    return int((time.perf_counter() - started) * 1000)
-
-
-def _failed(base: ReportEntry, e: Exception, elapsed: int) -> ReportEntry:
-    """A refused build is skipped; any other exception is an error."""
-    if isinstance(e, BuildBudgetExceeded):
+    A refused build skips every entry, any other exception makes every
+    entry an error, and computed entries are judged by _judged.
+    """
+    started = time.perf_counter()
+    try:
+        results = [dict(status="ok", **fields) for fields in work()]
+    except BuildBudgetExceeded as e:
         detail = f"simplex budget {e.budget} exceeded at dimension {e.dim_reached}"
-        return replace(base, status="skipped", detail=detail, wall_time_ms=elapsed)
-    return replace(base, status="error", detail=str(e), wall_time_ms=elapsed)
+        results = [dict(status="skipped", detail=detail)] * len(bases)
+    except Exception as e:  # per-entry errors are recorded, not raised
+        results = [dict(status="error", detail=str(e))] * len(bases)
+    elapsed = int((time.perf_counter() - started) * 1000)
+    entries = [
+        replace(base, wall_time_ms=elapsed, **fields)
+        for base, fields in zip(bases, results)
+    ]
+    return [_judged(e, budget_ms) if e.status == "ok" else e for e in entries]
 
 
 def _judged(entry: ReportEntry, budget_ms: int | None) -> ReportEntry:
@@ -322,98 +302,69 @@ def _complete_through(k) -> int:
 
 
 def _compute_entry(
-    spec_text: str,
-    scale: int,
-    max_dim: int,
-    coeff: str,
-    oracle_name: str | None,
-    oracle: tuple[int, ...] | None,
-    budget_ms: int | None,
-    max_simplices: int | None,
+    base: ReportEntry, budget_ms: int | None, max_simplices: int | None
 ) -> ReportEntry:
-    base = _task_error(spec_text, scale, max_dim, coeff, oracle_name, oracle)
-    started = time.perf_counter()
-    try:
-        fam = parse_family_spec(spec_text).family()
-        k = build_flag(fam, scale, max_dim, max_simplices=max_simplices)
+    """The entry of one instance: base's family spec built at its scale
+    through its max_dim, and reduced over its coeff."""
+
+    def work():
+        fam = parse_family_spec(base.spec).family()
+        k = build_flag(fam, base.scale, base.max_dim, max_simplices=max_simplices)
         through = _complete_through(k)
-        if coeff == "int":
+        if base.coeff == "int":
             groups = [homology_integer(k, d) for d in range(through + 1)]
             values = tuple(rank for rank, _ in groups)
             torsion = tuple(tuple(tors) for _, tors in groups)
         else:
             values, torsion = betti_z2(k, through).values, None
         chi = euler_characteristic(k) if k.complete else None
-    except Exception as e:  # per-entry errors are recorded, not raised
-        return _failed(base, e, _ms_since(started))
-    entry = replace(
-        base,
-        status="ok",
-        f_vector=k.f_vector,
-        betti=values,
-        complete_through=through,
-        chi=chi,
-        torsion=torsion,
-        wall_time_ms=_ms_since(started),
-    )
-    return _judged(entry, budget_ms)
+        return [dict(f_vector=k.f_vector, betti=values, complete_through=through,
+                     chi=chi, torsion=torsion)]
+
+    (entry,) = _entries((base,), budget_ms, work)
+    return entry
 
 
 def _prefix_entries(
     m: int,
-    scale: int,
-    max_dim: int,
-    coeff: str,
-    power_oracle: tuple[int, ...] | None,
-    specs: tuple[tuple[str, tuple[int, ...]], ...],
+    bases: tuple[ReportEntry, ...],
     budget_ms: int | None,
     max_simplices: int | None,
 ) -> list[ReportEntry]:
-    """The entries of every prefix(m;A) in specs, A in the vertex order of
-    power(m), then that of power(m) if power_oracle is given, from one
-    build of power(m) and one persistence pass over it.
+    """The entries of every prefix(m;A) and power(m) in bases, from one
+    build of power(m) at the bases' scale and max_dim and one persistence
+    pass over it.
 
     prefix(m;A) is the first index(A)+1 vertices of power(m), so its complex
     is the full subcomplex of power(m)'s on them (see prefix_betti_z2), and
-    power(m) is the last prefix.  The pass is mod 2, so coeff is "z2".
-    The task answers or fails as a whole: max_simplices bounds the one
-    build, a max_dim that leaves power(m)'s Betti numbers undecided is
-    refused as _compute_entry refuses it, budget_ms is compared with the
-    task's wall time, and every entry reports that time.
+    power(m) is the last prefix.  The prefix bases come in the vertex order
+    of power(m).  The pass is mod 2, so coeff is "z2".  The task answers or
+    fails as a whole: max_simplices bounds the one build, a max_dim that
+    leaves power(m)'s Betti numbers undecided is refused as _compute_entry
+    refuses it, budget_ms is compared with the task's wall time, and every
+    entry reports that time.
     """
-    bases = _task_errors("prefix", m, scale, max_dim, coeff, power_oracle, specs)
-    started = time.perf_counter()
-    try:
-        k = build_flag(
-            gen_prefix(m, Subset.full(m)), scale, max_dim, max_simplices=max_simplices
-        )
+
+    def work():
+        k = build_flag(gen_prefix(m, Subset.full(m)), bases[0].scale,
+                       bases[0].max_dim, max_simplices=max_simplices)
         _complete_through(k)
-        prefixes = _prefix_z2(k, max_dim)
-    except Exception as e:  # the failure is every entry's
-        elapsed = _ms_since(started)
-        return [_failed(base, e, elapsed) for base in bases]
-    elapsed = _ms_since(started)
-    results = prefixes[: len(specs)]
-    if power_oracle is not None:
-        results.append(prefixes[-1])
-    entries = []
-    for base, (f, chi, bv) in zip(bases, results):
-        entry = replace(
-            base,
-            status="ok",
-            f_vector=f,
-            betti=bv.values,
-            complete_through=bv.complete_through,
-            chi=chi,
-            wall_time_ms=elapsed,
-        )
-        entries.append(_judged(entry, budget_ms))
-    return entries
+        prefixes = _prefix_z2(k, k.max_dim)
+        picked = [prefixes[-1] if base.oracle_name == "power_betti3" else prefixes[i]
+                  for i, base in enumerate(bases)]
+        return [dict(f_vector=f, betti=bv.values, complete_through=bv.complete_through,
+                     chi=chi) for f, chi, bv in picked]
+
+    return _entries(bases, budget_ms, work)
 
 
-def _run_task(task: tuple) -> list[ReportEntry]:
-    kind, *args = task
-    return _prefix_entries(*args) if kind == "prefix" else [_compute_entry(*args)]
+def _run_task(
+    task: tuple, budget_ms: int | None, max_simplices: int | None
+) -> list[ReportEntry]:
+    m, bases = task
+    if m is None:
+        return [_compute_entry(bases[0], budget_ms, max_simplices)]
+    return _prefix_entries(m, bases, budget_ms, max_simplices)
 
 
 # suite -> the oracle of its entries, in the canonical order of a report
@@ -426,43 +377,41 @@ _SUITES = {
 }
 
 
-def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
-    """The suite's tasks, before budgets.
+# suite of one-instance tasks -> (n of its first F(m,n), the layers above n
+# that join F(m,n), the dimension of its one sphere class)
+_SPHERE_SUITES = {
+    "uniform": (2, (), 2),
+    "adjacent": (2, (1,), 2),
+    "skip": (1, (2,), 3),
+}
 
-    ("entry", spec, scale, max_dim, "z2", oracle name, oracle) is one
-    instance.  ("prefix", m, scale, max_dim, "z2", power oracle or None,
-    ((spec, oracle), ...)) is one pass over power(m) for the prefix and
-    power suites: the specs are every prefix(m;A), A in the vertex order of
-    power(m), or none, and power(m) is the last prefix.  Its entries come
-    out prefix suite first, so run_verify sorts them into suite order.
+
+def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
+    """The suite's tasks, before budgets: (head, base entries).
+
+    A base entry names an instance and its oracle, at scale 2, and has
+    nothing computed (see ReportEntry).  (None, (base,)) is one instance,
+    computed by _compute_entry.  (m, bases) is one pass over power(m) for
+    the prefix and power suites: the bases are every prefix(m;A), A in the
+    vertex order of power(m), or none, then power(m) unless the suite is
+    "prefix".  Its entries come out prefix suite first, so run_verify sorts
+    them into suite order.
     """
     tasks = []
-    if suite in ("uniform", "all"):
-        for m in range(4, m_max + 1):
-            for n in range(2, m - 1):
-                oracle = (0, 0, formulas.uniform_betti2(m, n))
-                tasks.append(
-                    ("entry", f"F({m},{n})", 2, 3, "z2", "uniform_betti2", oracle)
-                )
-    if suite in ("adjacent", "all"):
-        for m in range(4, m_max + 1):
-            for n in range(2, m - 1):
-                oracle = (0, 0, formulas.adjacent_pair_betti2(m, n))
-                tasks.append(
-                    ("entry", f"F({m},{n})+F({m},{n+1})", 2, 3, "z2",
-                     "adjacent_pair_betti2", oracle)
-                )
-    if suite in ("skip", "all"):
-        for m in range(3, m_max + 1):
-            for n in range(1, m - 1):
-                oracle = (0, 0, 0, formulas.skip_pair_betti3(m, n))
-                tasks.append(
-                    ("entry", f"F({m},{n})+F({m},{n+2})", 2, 4, "z2",
-                     "skip_pair_betti3", oracle)
-                )
+    for name, (first_n, above, top) in _SPHERE_SUITES.items():
+        if suite not in (name, "all"):
+            continue
+        oracle_name = _SUITES[name]
+        for m in range(first_n + 2, m_max + 1):
+            for n in range(first_n, m - 1):
+                spec = "+".join(f"F({m},{n + d})" for d in (0, *above))
+                value = getattr(formulas, oracle_name)(m, n)
+                base = ReportEntry(spec, 2, top + 1, oracle_name=oracle_name,
+                                   oracle=(0,) * top + (value,))
+                tasks.append((None, (base,)))
     if suite in ("prefix", "power", "all"):
         for m in range(3, m_max + 1):
-            specs = []
+            bases = []
             if suite != "power":
                 full = Subset.full(m)
                 # prefix_betti3(m, A) sums the increments of the size >= 3
@@ -474,9 +423,17 @@ def _suite_tasks(suite: str, m_max: int) -> list[tuple]:
                 for a in gen_prefix(m, full).vertices:
                     elems = ",".join(str(e) for e in a.elements)
                     value = next(totals) if a.size >= 3 else 0
-                    specs.append((f"prefix({m};{{{elems}}})", (0, 0, 0, value)))
-            power = (0, 0, 0, formulas.power_betti3(m)) if suite != "prefix" else None
-            tasks.append(("prefix", m, 2, 4, "z2", power, tuple(specs)))
+                    bases.append(ReportEntry(
+                        f"prefix({m};{{{elems}}})", 2, 4,
+                        oracle_name="prefix_betti3", oracle=(0, 0, 0, value),
+                    ))
+            if suite != "prefix":
+                bases.append(ReportEntry(
+                    f"power({m})", 2, 4,
+                    oracle_name="power_betti3",
+                    oracle=(0, 0, 0, formulas.power_betti3(m)),
+                ))
+            tasks.append((m, tuple(bases)))
     return tasks
 
 
@@ -509,14 +466,13 @@ def run_verify(
         raise ValueError(f"unknown suite {suite!r}")
     if not 1 <= m_max <= MAX_GROUND:
         raise ValueError(f"m_max out of range 1..{MAX_GROUND}")
-    tasks = [
-        (kind, head, scale, dim if max_dim is None else max_dim, *rest,
-         budget_ms, max_simplices)
-        for kind, head, scale, dim, *rest in _suite_tasks(suite, m_max)
-    ]
+    tasks = _suite_tasks(suite, m_max)
+    if max_dim is not None:
+        tasks = [(head, tuple(replace(base, max_dim=max_dim) for base in bases))
+                 for head, bases in tasks]
     workers = worker_count()
     if workers == 1 or len(tasks) <= 1:
-        results = [_run_task(t) for t in tasks]
+        results = [_run_task(t, budget_ms, max_simplices) for t in tasks]
     else:
         # imported here: the pool costs a serial run its import time
         from concurrent.futures import ProcessPoolExecutor
@@ -524,17 +480,18 @@ def run_verify(
 
         # the pool forks all its workers at once: no more than the tasks
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(_run_task, t) for t in tasks]
+            futures = [pool.submit(_run_task, t, budget_ms, max_simplices)
+                       for t in tasks]
             results = []
-            for task, future in zip(tasks, futures):
+            for (_, bases), future in zip(tasks, futures):
                 try:
                     results.append(future.result())
                 except BrokenProcessPool as e:
                     # a worker died (say, killed for memory); every task
                     # not finished by then is lost, the rest is kept
                     results.append([
-                        replace(entry, detail=f"worker process crashed: {e}")
-                        for entry in _task_errors(*task)
+                        replace(base, detail=f"worker process crashed: {e}")
+                        for base in bases
                     ])
     rank = {name: i for i, name in enumerate(_SUITES.values())}
     entries = [entry for task_entries in results for entry in task_entries]
@@ -553,8 +510,8 @@ def run_three_layer_check(
         raise ValueError(f"(m,n)=({m},{n}) outside the three-layer regime")
     triple = f"F({m},{n})+F({m},{n+1})+F({m},{n+2})"
     double = f"F({m},{n})+F({m},{n+2})"
-    ref = _compute_entry(double, 2, 4, "z2", None, None, budget_ms, max_simplices)
-    entry = _compute_entry(triple, 2, 4, "z2", None, None, budget_ms, max_simplices)
+    ref = _compute_entry(ReportEntry(double, 2, 4), budget_ms, max_simplices)
+    entry = _compute_entry(ReportEntry(triple, 2, 4), budget_ms, max_simplices)
     if ref.status == "ok" and entry.status == "ok":
         entry = replace(
             entry,

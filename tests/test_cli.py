@@ -354,10 +354,10 @@ class TestRunVerify:
         seq = run_verify("uniform", 6).entries
         compute = cli._compute_entry
 
-        def crash_on_f52(*task):
-            if task[0] == "F(5,2)":
+        def crash_on_f52(*args):
+            if args[0].spec == "F(5,2)":
                 os._exit(1)  # as if the worker were killed for memory
-            return compute(*task)
+            return compute(*args)
 
         # the pool forks, so its workers inherit the patched function
         monkeypatch.setattr(cli, "_compute_entry", crash_on_f52)
@@ -366,6 +366,25 @@ class TestRunVerify:
         crashed = report.entries[1]
         assert crashed.spec == "F(5,2)" and crashed.status == "error"
         _assert_crashed_like(report.entries, seq)
+
+    def test_each_instance_is_one_positional_compute_entry_call(self, monkeypatch):
+        # the bench times an item around cli._compute_entry, rebound to a
+        # wrapper that takes positional arguments only; the power(m) passes
+        # must stay out of the items
+        monkeypatch.delenv("VRLAT_THREADS", raising=False)
+        compute = cli._compute_entry
+        specs = []
+
+        def counted(*args):
+            specs.append(args[0].spec)
+            return compute(*args)
+
+        monkeypatch.setattr(cli, "_compute_entry", counted)
+        report = run_verify("all", 5)
+        assert len(specs) == 3 + 3 + 6  # uniform, adjacent, skip
+        assert not [s for s in specs if s.startswith(("prefix(", "power("))]
+        assert report_clean(report)
+        assert all(e.status == "ok" for e in report.entries)
 
     @pytest.mark.parametrize(
         "threads, tasks", [("100000", "all"), ("2", "all"), ("3", "uniform")]
@@ -404,9 +423,12 @@ class TestRunVerify:
 
 def _prefix_task(m: int, max_dim: int = 4):
     """The prefix task of the prefix suite at m, with max_dim and no budgets."""
-    kind, task_m, scale, _, coeff, power, specs = cli._suite_tasks("prefix", m)[-1]
-    assert (kind, task_m, coeff, power) == ("prefix", m, "z2", None)
-    return m, scale, max_dim, coeff, power, specs, None, None
+    task_m, bases = cli._suite_tasks("prefix", m)[-1]
+    assert task_m == m
+    assert {(b.scale, b.coeff, b.oracle_name) for b in bases} == {
+        (2, "z2", "prefix_betti3")
+    }
+    return m, tuple(replace(b, max_dim=max_dim) for b in bases), None, None
 
 
 class TestPrefixTask:
@@ -416,26 +438,24 @@ class TestPrefixTask:
     )
     def test_filtration_entries_match_per_instance_entries(self, m, max_dim):
         task = _prefix_task(m, max_dim)
-        specs = task[5]
+        bases = task[1]
         got = cli._prefix_entries(*task)
-        assert len(got) == len(specs) == 1 << m
-        for entry, (spec, oracle) in zip(got, specs):
-            want = cli._compute_entry(
-                spec, 2, max_dim, "z2", "prefix_betti3", oracle, None, None
-            )
+        assert len(got) == len(bases) == 1 << m
+        for entry, base in zip(got, bases):
+            want = cli._compute_entry(base, None, None)
             assert replace(entry, wall_time_ms=None) == replace(want, wall_time_ms=None)
 
     def test_oracles_are_the_closed_form(self):
         tasks = cli._suite_tasks("prefix", 8)
-        assert [t[1] for t in tasks] == list(range(3, 9))
-        for _, m, _, _, _, _, specs in tasks:
+        assert [t[0] for t in tasks] == list(range(3, 9))
+        for m, bases in tasks:
             subsets = gen_prefix(m, Subset.full(m)).vertices
-            assert len(specs) == len(subsets)
-            for a, (spec, oracle) in zip(subsets, specs):
-                (term,) = parse_family_spec(spec).terms
+            assert len(bases) == len(subsets)
+            for a, base in zip(subsets, bases):
+                (term,) = parse_family_spec(base.spec).terms
                 assert Subset.of(term.elements, m) == a
                 value = formulas.prefix_betti3(m, a) if a.size >= 3 else 0
-                assert oracle == (0, 0, 0, value)
+                assert base.oracle == (0, 0, 0, value)
 
     def test_power_entries_match_per_instance_entries(self):
         # the suite reads power(m) off the last prefix of its pass; built
@@ -443,9 +463,9 @@ class TestPrefixTask:
         entries = {e.spec: e for e in run_verify("all", 6).entries}
         for m in range(3, 7):
             oracle = (0, 0, 0, formulas.power_betti3(m))
-            want = cli._compute_entry(
-                f"power({m})", 2, 4, "z2", "power_betti3", oracle, None, None
-            )
+            base = ReportEntry(f"power({m})", 2, 4, oracle_name="power_betti3",
+                               oracle=oracle)
+            want = cli._compute_entry(base, None, None)
             assert want.status == "ok" and want.match
             got = entries[f"power({m})"]
             assert replace(got, wall_time_ms=None) == replace(want, wall_time_ms=None)
@@ -481,10 +501,10 @@ class TestPrefixTask:
 
     def test_one_prefix_task_per_m(self):
         tasks = cli._suite_tasks("prefix", 6)
-        assert [(t[0], t[1]) for t in tasks] == [("prefix", m) for m in (3, 4, 5, 6)]
+        assert [m for m, _ in tasks] == [3, 4, 5, 6]
         report = run_verify("prefix", 6)
         assert [e.spec for e in report.entries] == [
-            spec for t in tasks for spec, _ in t[6]
+            base.spec for _, bases in tasks for base in bases
         ]
         assert report_clean(report)
 
@@ -756,6 +776,9 @@ class TestCommandLine:
             ["facets", "--family", "power(3)", "--scale", "2", "--closed-form"],
             ["facets", "--family", "F(4,2)", "--scale", "3", "--closed-form"],
             ["facets", "--family", "F(4,1)", "--scale", "2", "--closed-form"],
+            # n = m-1: the core facets are faces of the one hull facet
+            ["facets", "--family", "F(3,2)", "--scale", "2", "--closed-form"],
+            ["facets", "--family", "F(4,3)", "--scale", "2", "--closed-form"],
         ):
             assert runner.invoke(main, args).exit_code == 2
 
@@ -877,7 +900,9 @@ class TestCommandLine:
             ],
         )
         assert result.exit_code == 2
-        assert "not in family" in result.output
+        assert result.output.splitlines()[-1] == (
+            "Error: subfamily vertex {1,2,3} not in family"
+        )
 
     def test_verify_json(self, runner):
         result = runner.invoke(

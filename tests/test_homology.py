@@ -371,8 +371,8 @@ class TestPrefixBettiZ2:
 
         monkeypatch.setattr(cx, "Complex", Counted)
         monkeypatch.setattr(hm, "Complex", Counted)
-        _, m, scale, max_dim, coeff, power, specs = cli._suite_tasks("prefix", 5)[-1]
-        entries = cli._prefix_entries(m, scale, max_dim, coeff, power, specs, None, None)
+        m, bases = cli._suite_tasks("prefix", 5)[-1]
+        entries = cli._prefix_entries(m, bases, None, None)
         assert all(e.status == "ok" and e.match for e in entries)
         assert made == [4]  # power(5) through dim 4, from build_flag
 
