@@ -11,6 +11,7 @@ import click
 from . import __version__, formulas
 from .cli import (
     _SUITES,
+    FamilySpec,
     Report,
     ReportEntry,
     SpecParseError,
@@ -32,6 +33,14 @@ from .complexes import (
     sc_hypothesis_check,
 )
 from .setfam import MAX_GROUND, Subset
+
+
+def _spec(text: str) -> FamilySpec:
+    """The parsed family spec; a malformed one is a usage error."""
+    try:
+        return parse_family_spec(text)
+    except SpecParseError as e:
+        raise click.UsageError(str(e))
 
 
 def _subset_args(sc: _Scanner) -> tuple[Subset]:
@@ -93,10 +102,7 @@ def main():
 @click.option("--max-simplices", type=click.IntRange(min=1), default=None)
 def homology(family_text, scale, max_dim, coeff, fmt, max_simplices):
     """Betti numbers of the family's complex at the given scale."""
-    try:
-        spec = parse_family_spec(family_text)
-    except SpecParseError as e:
-        raise click.UsageError(str(e))
+    spec = _spec(family_text)
     entry = _compute_entry(
         ReportEntry(spec.render(), scale, max_dim, coeff=coeff), None, max_simplices
     )
@@ -125,10 +131,7 @@ def homology(family_text, scale, max_dim, coeff, fmt, max_simplices):
 )
 def facets(family_text, scale, closed_form):
     """List the maximal simplices of the family's complex."""
-    try:
-        spec = parse_family_spec(family_text)
-    except SpecParseError as e:
-        raise click.UsageError(str(e))
+    spec = _spec(family_text)
     fam = spec.family()
     if closed_form:
         if len(spec.terms) != 1 or not isinstance(spec.terms[0], UniformTerm):
@@ -204,11 +207,7 @@ def check_sc(family_text, scale, subfamily_text):
 
     Exit 0 when it holds, 1 with a witnessing pair when violated.
     """
-    try:
-        spec = parse_family_spec(family_text)
-        sub = parse_family_spec(subfamily_text)
-    except SpecParseError as e:
-        raise click.UsageError(str(e))
+    spec, sub = _spec(family_text), _spec(subfamily_text)
     if sub.m != spec.m:
         raise click.UsageError("subfamily ground size differs from family")
     fam = spec.family()

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 from . import formulas
 from .complexes import BuildBudgetExceeded, build_flag
-from .homology import _prefix_z2, betti_z2, euler_characteristic, homology_integer
+from .homology import _decided, _prefix_z2, betti_z2, euler_characteristic, homology_integer
 from .setfam import MAX_GROUND, SetFamily, Subset, gen_prefix, gen_uniform, gen_union
 
 
@@ -292,7 +292,7 @@ def _judged(entry: ReportEntry, budget_ms: int | None) -> ReportEntry:
 def _complete_through(k) -> int:
     """The last dimension whose Betti number the built complex decides;
     a complex that decides none is refused."""
-    through = k.max_dim if k.complete else k.max_dim - 1
+    through = _decided(k.max_dim, k.complete, k.max_dim)
     if through < 0:
         raise ValueError(
             "max_dim 0 stores no edges, so no Betti number is complete; "

@@ -9,9 +9,9 @@ One clique expansion (_expand) builds every tree: each simplex is extended
 only by higher-indexed common neighbours, which walks the tree and yields
 every layer in lexicographic order with no duplicates.  build_flag expands
 the whole scale graph; stars, links, star clusters, full subcomplexes and
-complexes given as tuple layers expand a graph and keep only the cliques
-a membership test admits.  The tuples of vertex indices are a view,
-built on first read for the tests; the library reads the tree alone.
+the mirrored copy expand a graph and keep only the cliques a membership
+test admits.  No module outside this one reads the tree's layout: the
+reducer reaches it through Complex's methods.
 
 Complexes carry two bookkeeping bits.  `flag` records that the object
 represents the full clique complex of its 1-skeleton, so graph-level
@@ -23,7 +23,8 @@ claims.
 """
 
 from array import array
-from functools import cached_property, reduce
+from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 
@@ -31,9 +32,9 @@ from .setfam import SetFamily, Subset, gen_uniform
 
 # A simplex is a strictly increasing tuple of vertex indices.
 Simplex = tuple[int, ...]
-# A clique tree: the vertex bitset, the layer sizes and the candidate sets
-# of each layer below the top (see Complex).
-Tree = tuple[int, tuple[int, ...], tuple[list[int], ...]]
+# A clique tree: the vertex bitset, the layer sizes, the candidate sets of
+# each layer below the top, complete_below and top_parents (see Complex).
+Tree = tuple[int, tuple[int, ...], tuple[list[int], ...], int, int | None]
 
 
 class BuildBudgetExceeded(RuntimeError):
@@ -52,27 +53,31 @@ class BuildBudgetExceeded(RuntimeError):
 class Complex:
     """Immutable dimension-graded simplicial complex over a SetFamily.
 
-    The simplices are a clique tree, every layer in lexicographic order.
-    The children of the j-th d-simplex s, its cofaces s + (u,), u > max(s),
-    form one contiguous block of layer d+1, and cands[d][j] is the bitset
-    of their labels: the labels of layer d+1 are the bits of cands[d], in
-    order, and those of layer 0 the bits of vertex_mask, the root's
-    candidate set.  block_ends(d)[j] is the end of that block, the number
-    of (d+1)-simplices t with t[:-1] <= s, made on first read, as are the
-    labels of a candidate set (_labels).  The tree comes from _expand:
-    build_flag and the derived complexes pass it, and a complex made from
-    tuple layers (in any order) expands the graph of its edges, or the
-    given adjacency, keeping the given simplices, which must be closed
-    under faces.  simplices[d] holds the d-simplices as tuples, built from
-    the tree on first read.
+    The simplices are a clique tree from _expand, every layer in
+    lexicographic order.  The children of the j-th d-simplex s, its
+    cofaces s + (u,), u > max(s), form one contiguous block of layer d+1,
+    and cands[d][j] is the bitset of their labels: the labels of layer d+1
+    are the bits of cands[d], in order, and those of layer 0 the bits of
+    vertex_mask, the root's candidate set.  block_ends(d)[j] is the end of
+    that block, the number of (d+1)-simplices t with t[:-1] <= s, made on
+    first read, as are the labels of a candidate set.  No simplex tuple
+    and no layer of labels is stored.  The adjacency is the given one, or
+    else the graph of the stored edges.
+
+    A simplex s is also its key, its reversed vertex mask: the sum of
+    2^(n-1-v) over its vertices v, n = len(adjacency), so a coface is one
+    bit more than its face, and of two simplices of one size the
+    lexicographically smaller has the larger key.  row and key are the
+    tree's two maps, inverse to each other: row(key) descends from the
+    root to the index of a simplex in its layer, and key(d, j) climbs from
+    the j-th d-simplex by one split (its parent and label) per level.
 
     complete_below says how many vertex prefixes are complete: the
     simplices of k on vertices 0..i are all the simplices of their own
     complex for i < complete_below.  That is len(family) for a complete
     complex and 0 for an incomplete non-flag one.  For an incomplete flag
     complex it is the largest vertex of the first (max_dim+1)-clique of
-    the graph, which the expansion reads off its top layer; 0, claiming no
-    complete prefix, where it is not given.
+    the graph, which the expansion reads off its top layer.
 
     top_parents is the number of top-layer simplices that have a child in
     the full flag complex, a common neighbour above their largest vertex.
@@ -87,23 +92,16 @@ class Complex:
         family: SetFamily,
         scale: int,
         max_dim: int,
-        simplices: tuple[tuple[Simplex, ...], ...] | None = None,
+        tree: Tree,
         *,
         flag: bool,
         complete: bool,
         adjacency: tuple[int, ...] | None = None,
-        tree: Tree | None = None,
-        complete_below: int | None = None,
-        top_parents: int | None = None,
     ):
-        if tree is None:
-            tree, adjacency, complete_below, top_parents = _layers_tree(
-                len(family), max_dim, simplices, adjacency
-            )
         self.family = family
         self.scale = scale
         self.max_dim = max_dim
-        self.vertex_mask, self.f_vector, self.cands = tree
+        self.vertex_mask, self.f_vector, self.cands, below, top_parents = tree
         self._ends: list[array | None] = [None] * len(self.cands)  # see block_ends
         self.flag = flag
         self.complete = complete
@@ -112,21 +110,12 @@ class Complex:
         self.adjacency = adjacency
         self._labels: dict[int, list[int]] = {}  # candidate set -> its bits
         if complete:
-            complete_below, top_parents = len(family), 0
+            below, top_parents = len(family), 0
         elif not flag:
-            complete_below, top_parents = 0, None
-        self.complete_below = complete_below or 0
+            below, top_parents = 0, None
+        self.complete_below = below
         self.top_parents = top_parents
         self._parents: dict[int, int] = {}  # W_d below the top, see parents
-
-    @cached_property
-    def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
-        layers = [tuple((v,) for v in _bits(self.vertex_mask))]
-        for cands in self.cands:
-            layers.append(tuple(
-                s + (u,) for s, c in zip(layers[-1], cands) for u in _bits(c)
-            ))
-        return tuple(layers)
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
@@ -140,18 +129,6 @@ class Complex:
             ends = self._ends[d] = array("I", accumulate(map(int.bit_count, self.cands[d])))
         return ends
 
-    def has(self, simplex: Simplex) -> bool:
-        """Whether the simplex is stored (see row)."""
-        if not 0 < len(simplex) <= self.max_dim + 1:
-            return False
-        n, key, last = len(self.adjacency), 0, -1
-        for v in simplex:
-            if not last < v < n:
-                return False
-            key |= 1 << (n - 1 - v)
-            last = v
-        return self.row(key) >= 0
-
     def parents(self, d: int) -> int | None:
         """W_d, the number of d-simplices with a child (a nonempty child
         block), counted once per layer; top_parents at the top layer."""
@@ -164,8 +141,7 @@ class Complex:
         return w
 
     def row(self, key: int) -> int:
-        """Index in its layer of the nonempty simplex whose reversed vertex
-        mask is key (bit n-1-v for each vertex v, n = len(adjacency)), or
+        """Index in its layer of the nonempty simplex whose key is key, or
         -1 if it is not stored, by one descent from the root: the
         vertices are the bits from the top down, a node's child u is
         stored if u is a candidate bit, and its index is the end of the
@@ -188,40 +164,33 @@ class Complex:
             bits, j = self.cands[d][j], (ends[d] or self.block_ends(d))[j]
             d += 1
 
+    def key(self, d: int, j: int) -> int:
+        """The key of the j-th d-simplex, the inverse of row: one split per
+        level up to a vertex, a bit of the root's candidate set."""
+        n, key = len(self.adjacency), 0
+        for level in range(d, 0, -1):
+            j, u = self.split(level, j)
+            key |= 1 << (n - 1 - u)
+        return key | 1 << (n - 1 - self._label(self.vertex_mask, j))
+
+    def split(self, d: int, j: int) -> tuple[int, int]:
+        """The j-th d-simplex, d >= 1, as p + (u,): the index of its parent
+        p in layer d-1, one bisection of that layer's block ends, and its
+        label u, a bit of p's candidate set."""
+        ends = self._ends[d - 1] or self.block_ends(d - 1)
+        p = bisect_right(ends, j)
+        return p, self._label(self.cands[d - 1][p], j - (ends[p - 1] if p else 0))
+
+    def _label(self, cand: int, i: int) -> int:
+        """Bit i of a candidate set, its bits memoized as they are read."""
+        labels = self._labels.get(cand) or self._labels.setdefault(cand, list(_bits(cand)))
+        return labels[i]
+
     def __repr__(self) -> str:
         return (
             f"Complex(scale={self.scale}, max_dim={self.max_dim}, "
             f"f_vector={self.f_vector}, flag={self.flag}, complete={self.complete})"
         )
-
-
-def _layers_tree(n: int, max_dim: int, layers, adjacency):
-    """Tree, adjacency and top counts of a complex given as tuple layers:
-    the expansion of the adjacency (by default the graph of the given
-    edges) that keeps the given simplices.  Raises ValueError unless every
-    given simplex has all its facets and is a clique of the adjacency
-    through max_dim."""
-    given: dict[int, Simplex] = {}
-    for d, layer in enumerate(layers):
-        for s in layer:
-            key = sum(1 << (n - 1 - v) for v in set(s) if 0 <= v < n)
-            if not key.bit_count() == len(s) == d + 1:
-                raise ValueError(f"{s} is not a {d}-simplex on vertices 0..{n - 1}")
-            given[key] = s
-    edges = [0] * n
-    for key, s in given.items():
-        if len(s) == 2:
-            edges[s[0]] |= 1 << s[1]
-            edges[s[1]] |= 1 << s[0]
-        for v in s if len(s) > 1 else ():
-            if key ^ 1 << (n - 1 - v) not in given:
-                face = tuple(u for u in s if u != v)
-                raise ValueError(f"simplex {s} lacks its face {face}")
-    adjacency = tuple(edges) if adjacency is None else adjacency
-    tree, below, parents = _expand(adjacency, (1 << n) - 1, max_dim, given.__contains__)
-    if sum(tree[1]) != len(given):
-        raise ValueError(f"given simplices lie above max_dim={max_dim} or off the adjacency")
-    return tree, adjacency, below, parents
 
 
 def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
@@ -270,11 +239,9 @@ def build_flag(
     if n == 0:
         raise ValueError("empty family")
     adj = _distance_adjacency(f, r)
-    tree, below, parents = _expand(adj, (1 << n) - 1, max_dim, None, max_simplices)
-    return Complex(
-        f, r, max_dim, flag=True, complete=not parents, adjacency=adj, tree=tree,
-        complete_below=below, top_parents=parents,
-    )
+    tree = _expand(adj, (1 << n) - 1, max_dim, None, max_simplices)
+    # complete when no top simplex has a child: tree[-1] is top_parents
+    return Complex(f, r, max_dim, tree, flag=True, complete=not tree[-1], adjacency=adj)
 
 
 def _expand(
@@ -283,9 +250,9 @@ def _expand(
     max_dim: int,
     member=None,
     max_simplices: int | None = None,
-) -> tuple[Tree, int, int]:
+) -> Tree:
     """Clique tree through max_dim of the graph adj on the vertex bitset,
-    and the top layer's (complete_below, top_parents).
+    with the top layer's complete_below and top_parents.
 
     Each layer is grown from the candidate sets (the higher-indexed common
     neighbours) of the one below, and only they and its size are kept.
@@ -350,8 +317,10 @@ def _expand(
             break
     above = reduce(or_, cands, 0)
     below = (above & -above).bit_length() - 1 if above else n
-    tree = (sum(1 << v for v in verts), tuple(sizes), tuple(tree_cands))
-    return tree, below, len(cands) - cands.count(0)
+    return (
+        sum(1 << v for v in verts), tuple(sizes), tuple(tree_cands),
+        below, len(cands) - cands.count(0),
+    )
 
 
 def _children(cand: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -454,12 +423,10 @@ def _derived(k: Complex, vertices: int, member, adjacency=None, flag=False) -> C
     """The expansion of the adjacency (by default k's graph) on the vertex
     bitset, within k's vertices, that keeps the cliques member admits; the
     complex's own adjacency is the given one, or else its edges' graph."""
-    tree, below, parents = _expand(
-        adjacency or k.adjacency, vertices & k.vertex_mask, k.max_dim, member
-    )
+    tree = _expand(adjacency or k.adjacency, vertices & k.vertex_mask, k.max_dim, member)
     return Complex(
-        k.family, k.scale, k.max_dim, flag=flag, complete=k.complete,
-        adjacency=adjacency, tree=tree, complete_below=below, top_parents=parents,
+        k.family, k.scale, k.max_dim, tree, flag=flag, complete=k.complete,
+        adjacency=adjacency,
     )
 
 
@@ -513,9 +480,33 @@ def skeleton(k: Complex, d: int) -> Complex:
         raise ValueError(
             f"dimension {d} not built (max_dim={k.max_dim}); rebuild required"
         )
+    tree = (k.vertex_mask, k.f_vector[: d + 1], k.cands[:d], len(k.family), 0)
+    return Complex(k.family, k.scale, d, tree, flag=False, complete=True)
+
+
+def mirrored(k: Complex) -> Complex:
+    """k with its vertices relabelled v -> n-1-v, n = len(k.family).
+
+    A flag complex whose graph and vertex set the relabelling maps onto
+    themselves is mapped onto itself, simplex for simplex, and is returned
+    as it is.  Otherwise the copy is the expansion of the relabelled graph
+    on the relabelled vertices, which keeps only the images of k's
+    simplices unless k is flag.
+    """
+    n = len(k.family)
+
+    def mirror(bits: int) -> int:  # v -> n-1-v on a vertex bitset
+        return int(f"{bits:0{n}b}"[::-1], 2)
+
+    adjacency, vertices = tuple(map(mirror, reversed(k.adjacency))), mirror(k.vertex_mask)
+    if k.flag and adjacency == k.adjacency and vertices == k.vertex_mask:
+        return k
+    # the copy's simplex of key t is the image of k's of key mirror(t)
+    member = None if k.flag else (lambda key: k.row(mirror(key)) >= 0)
+    tree = _expand(adjacency, vertices, k.max_dim, member)
     return Complex(
-        k.family, k.scale, d, flag=False, complete=True,
-        tree=(k.vertex_mask, k.f_vector[: d + 1], k.cands[:d]),
+        k.family, k.scale, k.max_dim, tree, flag=k.flag, complete=k.complete,
+        adjacency=adjacency,
     )
 
 

@@ -35,29 +35,11 @@ it reduces to zero over Z as well, with no torsion.  This is Ripser's
 apparent-pair argument (Bauer, arXiv:1908.02518) read as a discrete
 Morse count (Forman, "Morse theory for cell complexes", 1998).
 
-Pivot rows and columns are indices into the layers of the complex's
-clique tree (see Complex), which keeps only each layer's candidate sets:
-no simplex tuple and no layer of labels is built, and a layer's block
-ends are made the first time they are read.  A dimension's pivot rows
-are a bytearray, 1 byte per row, which the next dimension reads as its
-cleared columns.  A simplex's cofaces s + (u,), u > max(s), are its
-child block, contiguous in the next layer, and a column with a
-non-empty child block is always an apparent pair with the block's last
-row, filed as that row's byte alone.  A settled dimension's pivot rows
-are exactly these apparent rows, so it returns None in their place, and
-the bytes are made from the block ends (_apparent_rows) only where they
-are read: by a walked dimension above it, as its cleared columns, and by
-the prefix pass.  The counts need no block end, so a complex whose every
-dimension is settled makes none.  Only a childless column (in a flag
-complex, one that does not settle on a sibling's child) and a rebuilt
-one enumerate their cofaces, as Ripser does, from the adjacency bitsets: a
-column is keyed by each coface's reversed vertex mask, the sum of
-2^(n-1-v) over its vertices v, so a coface is one bit more than its
-face and the pivot is the smallest key.  A column's own key is read off
-the tree (_key).
-A pivot key becomes its row index by one descent of the tree, memoized
-per reduction, and a raw apparent column is rebuilt from its pivot's key
-less the lowest bit, which drops the pivot's largest vertex.
+Rows and columns are indices into the layers of the complex's clique
+tree, and a built column is keyed by its cofaces' keys; Complex
+documents the tree and its two maps between them, row and key.  A
+dimension's pivot rows are a bytearray, 1 byte per row, which the next
+dimension reads as its cleared columns.
 
 One driver (_coboundaries) reduces delta^0, delta^1, ... in order and
 hands each dimension's pivot rows to the next; betti_z2, the prefix pass
@@ -79,12 +61,11 @@ prefix_betti_z2 runs the same reducer mod 2 once as a persistence pass
 over the vertex filtration (a simplex is born at its largest vertex) and
 reads off the Z/2 Betti numbers of every vertex prefix of the complex.
 The pass reduces the complex with its vertices relabelled v -> n-1-v.
-When that relabelling maps a flag complex's graph onto itself, as
-complementation does on power(m), the relabelled complex is the complex
-itself, and the pass reduces it with no copy.
+When that relabelling maps a flag complex's graph and vertices onto
+themselves, as complementation does on power(m), the relabelled complex
+is the complex itself, and the pass reduces it with no copy.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
@@ -92,7 +73,7 @@ from operator import not_
 from re import Match, finditer
 from weakref import WeakKeyDictionary
 
-from .complexes import Complex, _bits, _expand
+from .complexes import Complex, mirrored
 
 
 class MatrixTooLarge(RuntimeError):
@@ -156,12 +137,19 @@ def betti_z2(k: Complex, through: int) -> BettiVector:
     """
     if through < 0:
         raise ValueError("through must be nonnegative")
-    ct = through if k.complete else min(through, k.max_dim - 1)
+    ct = _decided(through, k.complete, k.max_dim)
     # rank d_(d+1) = rank delta^d, reduced mod 2 without the integer memo,
     # so the two coefficient routes stay independent
     ranks = [rank for rank, _, _ in _coboundaries(k, 2, ct + 1)]
     values = _reduced_betti(k.f_vector, ranks, ct)
     return BettiVector(coeff="z2", values=values, complete_through=ct)
+
+
+def _decided(through: int, complete: bool, max_dim: int) -> int:
+    """The last dimension up to through whose Betti number a complex built
+    through max_dim decides: any if it is complete, else max_dim - 1, as
+    b_d needs the (d+1)-simplices."""
+    return through if complete else min(through, max_dim - 1)
 
 
 def _reduced_betti(f_vector, ranks, through: int) -> tuple[int, ...]:
@@ -194,15 +182,12 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
     f-vector, are counted from the same subtrees of the relabelled
     complex, a simplex born at i lying under its vertex n-1-i.
 
-    The relabelled complex is k itself when k is flag (its layers are all
-    the cliques of its graph through max_dim) and the relabelling maps k's
-    graph onto itself: it then maps the cliques onto themselves, simplex
-    for simplex.  The pass reads layer 0 off k, so isolated vertices do
-    not matter.  That holds for power(m) and for the middle layer
-    F(2n, n), since complementation keeps distances and reverses the
-    (size, lex) order.  Both conditions are checked at run time;
-    otherwise the copy is the clique expansion of the relabelled graph,
-    which keeps only the relabelled simplices of k unless k is flag.
+    The relabelled complex (complexes.mirrored) is k itself when k is
+    flag (its layers are all the cliques of its graph through max_dim) and
+    the relabelling maps k's graph and vertices onto themselves.  That
+    holds for power(m) and for the middle layer F(2n, n), since
+    complementation keeps distances and reverses the (size, lex) order;
+    otherwise a copy is built.
     """
     return tuple(bv for _, _, bv in _prefix_z2(k, through))
 
@@ -217,30 +202,14 @@ def _prefix_z2(
         raise ValueError("through must be nonnegative")
     n = len(k.family)
     top = min(through + 1, k.max_dim)
-
-    def mirror(bits: int) -> int:  # v -> n-1-v on a vertex bitset
-        return int(f"{bits:0{n}b}"[::-1], 2)
-
-    adjacency = tuple(map(mirror, reversed(k.adjacency)))
-    if k.flag and adjacency == k.adjacency:
-        # k's layers are the cliques of its graph, which v -> n-1-v maps
-        # onto itself: the relabelled copy is k
-        flipped = k
-    else:
-        # the copy's simplex of key t is the image of k's of key mirror(t)
-        member = None if k.flag else (lambda key: k.row(mirror(key)) >= 0)
-        tree, below, parents = _expand(adjacency, mirror(k.vertex_mask), k.max_dim, member)
-        flipped = Complex(
-            k.family, k.scale, k.max_dim, flag=k.flag, complete=False,
-            adjacency=adjacency, tree=tree, complete_below=below, top_parents=parents,
-        )
+    flipped = mirrored(k)
     # births[d][i]: f_d of K_i; deaths[d][i]: rank d_d on K_i, from the
     # pivot rows of delta^(d-1).  A simplex born at v lies in the copy's
     # subtree of n-1-v, which ends at subtree_ends[i] in layer d + 1
     births = [list(accumulate(k.vertex_mask >> v & 1 for v in range(n)))]
     deaths = [[0] * n]
     reduced = _coboundaries(flipped, 2, top)
-    vertices = list(_bits(flipped.vertex_mask))
+    vertices = flipped.vertex_indices
     subtree_ends = range(1, len(vertices) + 1)
     for d in range(k.max_dim):
         _, _, rows = next(reduced, (0, (), b""))
@@ -256,7 +225,7 @@ def _prefix_z2(
     out = []
     for i, f in enumerate(zip(*births)):
         complete = i < k.complete_below
-        ct = through if complete else min(through, k.max_dim - 1)
+        ct = _decided(through, complete, k.max_dim)
         values = _reduced_betti(f, [deaths[d][i] for d in range(1, top + 1)], ct)
         bv = BettiVector(coeff="z2", values=values, complete_through=ct)
         out.append((f, _alternating_sum(f) if complete else None, bv))
@@ -346,24 +315,6 @@ def _subtract(col: dict, factor: int, other: dict, modulus: int = 0) -> None:
             col[r] = new
         else:
             del col[r]
-
-
-def _key(k: Complex, d: int, j: int) -> int:
-    """Reversed vertex mask of the j-th d-simplex (see _keyed_column): its
-    parent p is one bisection of the block ends below, its label bit
-    j - start_p of p's candidate set (the root's is the vertex mask),
-    whose bits the complex memoizes as they are read."""
-    n, memo, key = len(k.adjacency), k._labels, 0
-    for level in range(d - 1, -2, -1):
-        if level < 0:
-            c, i = k.vertex_mask, j
-        else:
-            e = k._ends[level] or k.block_ends(level)
-            p = bisect_right(e, j)
-            c, i, j = k.cands[level][p], j - (e[p - 1] if p else 0), p
-        labels = memo.get(c) or memo.setdefault(c, list(_bits(c)))
-        key |= 1 << (n - 1 - labels[i])
-    return key
 
 
 def _keyed_column(k: Complex, key: int) -> dict[int, int]:
@@ -485,10 +436,10 @@ def _reduce_coboundary(
     every childless column reduces to zero with no torsion: nothing is
     walked, and the pivot rows are returned as None.  Otherwise the walk
     visits only the uncleared childless columns, first to last, each
-    built at most once, its key read off one bisection of the ends per level
-    (_key), and each settles unreduced if its top coface is not yet a
-    pivot.  In a flag complex that coface is read off the tree: every
-    coface of a childless s = p + (u,) inserts a vertex w < u, so if a
+    built at most once from its key (Complex.key), and each settles
+    unreduced if its top coface is not yet a pivot.  In a flag complex
+    that coface is read off the tree: every coface of a childless
+    s = p + (u,) (Complex.split) inserts a vertex w < u, so if a
     candidate w of p is a neighbour of u, the largest gives the top one,
     p + (w, u), the child u of the sibling p + (w,).  If its row is no
     pivot, s settles there unbuilt, keyed only if a later column meets it.
@@ -547,7 +498,7 @@ def _reduce_coboundary(
         col = reduced.get(r)
         if col is None:
             j = unbuilt.pop(r, None)
-            col = reduced[r] = _keyed_column(k, low & (low - 1) if j is None else _key(k, dim, j))
+            col = reduced[r] = _keyed_column(k, low & (low - 1) if j is None else k.key(dim, j))
             if next(iter(col)) != low:
                 # a wrong raw pair would make the reduction run forever
                 raise RuntimeError(f"raw column filed under row {r}")
@@ -560,20 +511,16 @@ def _reduce_coboundary(
     free &= ~int.from_bytes(cleared, "little")
     for j in map(Match.start, finditer(b"\1", free.to_bytes(k.f_vector[dim], "little"))):
         if sibling:
-            # s = p + (u,), u bit j - start of p's candidates c; w + 1 = top
-            p = bisect_right(starts, j)
-            c, start = k.cands[dim - 1][p], starts[p - 1] if p else 0
-            u = c
-            for _ in range(j - start):
-                u &= u - 1
-            u = (u & -u).bit_length() - 1
+            # s = p + (u,), u a bit of p's candidates c; w + 1 = top
+            p, u = k.split(dim, j)
+            c = k.cands[dim - 1][p]
             if top := (c & k.adjacency[u] & ((1 << u) - 1)).bit_length():
-                sib = start + (c & ((1 << (top - 1)) - 1)).bit_count()
+                sib = (starts[p - 1] if p else 0) + (c & ((1 << (top - 1)) - 1)).bit_count()
                 r = (ends[sib - 1] if sib else 0) + (k.cands[dim][sib] & ((1 << u) - 1)).bit_count()
                 if not pivots[r]:
                     pivots[r], unbuilt[r] = 1, j
                     continue
-        col = _keyed_column(k, _key(k, dim, j))
+        col = _keyed_column(k, k.key(dim, j))
         while col:
             low = min(col)
             r = row(low)

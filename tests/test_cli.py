@@ -133,6 +133,11 @@ class TestParseErrors:
         with pytest.raises(SpecParseError):
             parse_family_spec("")
 
+    def test_set_elements_are_comma_separated(self):
+        with pytest.raises(SpecParseError) as err:
+            parse_family_spec("prefix(4;{1;2})")
+        assert str(err.value) == "unexpected input at offset 11 (expected ',', '}')"
+
 
 def term_strategy():
     uniform = st.builds(
@@ -575,6 +580,24 @@ class TestThreeLayerCheck:
         with pytest.raises(ValueError):
             run_three_layer_check(4, 1)
 
+    def test_failed_reference_fails_the_computed_entry(self, monkeypatch):
+        # the two-layer reference fails while the three-layer entry
+        # computes: the entry takes the reference's status and detail and
+        # is judged against no oracle
+        compute = cli._compute_entry
+
+        def failing_reference(base, *args):
+            if base.spec == "F(5,1)+F(5,3)":
+                return replace(base, status="skipped", detail="reference refused")
+            return compute(base, *args)
+
+        monkeypatch.setattr(cli, "_compute_entry", failing_reference)
+        (entry,) = run_three_layer_check(5, 1).entries
+        assert entry.spec == "F(5,1)+F(5,2)+F(5,3)"
+        assert (entry.status, entry.detail) == ("skipped", "reference refused")
+        assert entry.betti == compute(ReportEntry(entry.spec, 2, 4), None, None).betti
+        assert (entry.oracle_name, entry.oracle, entry.match) == (None, None, None)
+
 
 # `formula NAME --args ARGS --show-terms` output, one case per term formula
 FORMULA_TERMS = {
@@ -748,6 +771,22 @@ class TestCommandLine:
             main, ["homology", "--family", "F(5,", "--scale", "2", "--max-dim", "2"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["facets", "--family", "F(5,", "--scale", "2"],
+            ["check-sc", "--family", "F(5,", "--scale", "2", "--subfamily", "F(5,2)"],
+            ["check-sc", "--family", "F(5,2)", "--scale", "2", "--subfamily", "F(5,"],
+        ],
+        ids=["facets", "check-sc-family", "check-sc-subfamily"],
+    )
+    def test_bad_spec_is_usage_error_with_its_offset(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.splitlines()[-1] == (
+            "Error: unexpected input at offset 4 (expected integer)"
+        )
 
     def test_homology_budget_is_reported(self, runner):
         result = runner.invoke(

@@ -19,12 +19,13 @@ from vrlat.complexes import (
     link,
     maximal_simplices_bk,
     maximal_simplices_closed_form,
+    mirrored,
     sc_hypothesis_check,
     skeleton,
     star,
     star_cluster,
 )
-from vrlat.homology import _key, _keyed_column, betti_z2
+from vrlat.homology import _keyed_column, betti_z2
 from vrlat.setfam import SetFamily, Subset, dist, gen_prefix, gen_uniform, gen_union
 
 from oracles import (
@@ -36,6 +37,7 @@ from oracles import (
     bf_star,
     bf_star_cluster,
 )
+from tuples import derived_complexes, from_layers, has, relabelled, simplices, vertex_key
 
 
 def upto(m: int, n: int) -> SetFamily:
@@ -51,28 +53,11 @@ def _column(k: Complex, d: int, j: int) -> dict[int, int]:
     """The raw coboundary column of the j-th d-simplex: row index -> sign
     of each stored coface, largest row first, its keyed column with each
     key descended to its row."""
-    return {k.row(t): v for t, v in _keyed_column(k, _key(k, d, j)).items()}
+    return {k.row(t): v for t, v in _keyed_column(k, k.key(d, j)).items()}
 
 
 def simplex_set(k):
-    return {s for layer in k.simplices for s in layer}
-
-
-def derived_complexes(k: Complex, rng: random.Random) -> list[Complex]:
-    """A star, a link, a skeleton, a full subcomplex and a shuffled copy
-    of k: complexes build_flag did not make."""
-    n = len(k.family)
-    layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
-    return [
-        star(k, rng.randrange(n)),
-        link(k, rng.randrange(n)),
-        skeleton(k, rng.randint(0, k.max_dim)),
-        full_subcomplex(k, rng.sample(range(n), rng.randint(1, n))),
-        Complex(
-            k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete,
-            adjacency=k.adjacency,
-        ),
-    ]
+    return {s for layer in simplices(k) for s in layer}
 
 
 class TestBuildFlag:
@@ -95,7 +80,7 @@ class TestBuildFlag:
     def test_matches_bruteforce(self, family, scale, max_dim):
         k = build_flag(family, scale, max_dim)
         expected = bf_simplices(family, scale, max_dim)
-        assert [list(layer) for layer in k.simplices] == expected
+        assert [list(layer) for layer in simplices(k)] == expected
 
     def test_distance_adjacency_is_pairwise_dist(self):
         rng = random.Random(11)
@@ -131,11 +116,11 @@ class TestBuildFlag:
         for m in range(4, 7):
             a = build_flag(gen_uniform(m, 2), 2, 3)
             b = build_flag(gen_uniform(m, 2), 3, 3)
-            assert a.simplices == b.simplices
+            assert simplices(a) == simplices(b)
 
     def test_layers_are_lexicographically_sorted(self):
         k = build_flag(upto(4, 2), 2, 4)
-        for layer in k.simplices:
+        for layer in simplices(k):
             assert list(layer) == sorted(layer)
 
     def test_flag_closure(self):
@@ -144,7 +129,7 @@ class TestBuildFlag:
         adj = k.adjacency
         for u, v, w in itertools.combinations(range(len(k.family)), 3):
             if adj[u] >> v & 1 and adj[u] >> w & 1 and adj[v] >> w & 1:
-                assert k.has((u, v, w))
+                assert has(k, (u, v, w))
 
     def test_incomplete_marker(self):
         # the octahedron truncated below its top dimension
@@ -162,6 +147,10 @@ class TestBuildFlag:
         with pytest.raises(BuildBudgetExceeded) as err:
             build_flag(gen_uniform(5, 2), 2, 3, max_simplices=5)
         assert err.value.dim_reached == 0
+
+    def test_negative_max_dim_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_flag(gen_uniform(4, 2), 2, -1)
 
     def test_empty_family_rejected(self):
         fam = SetFamily.from_subsets(3, [])
@@ -250,7 +239,7 @@ class TestFacets:
         fam = gen_uniform(5, 3)
         k = build_flag(fam, 2, 4)
         facets = [set(f) for f in maximal_simplices_bk(fam, 2)]
-        for layer in k.simplices:
+        for layer in simplices(k):
             for s in layer:
                 assert any(set(s) <= f for f in facets)
 
@@ -272,7 +261,7 @@ class TestTupleLayers:
     )
     def test_layers_must_hold_every_facet(self, layers, face):
         with pytest.raises(ValueError, match=rf"lacks its face {re.escape(str(face))}"):
-            Complex(
+            from_layers(
                 gen_uniform(4, 1), 2, len(layers) - 1, layers, flag=False,
                 complete=True,
             )
@@ -280,16 +269,16 @@ class TestTupleLayers:
     def test_layers_must_fit_max_dim_and_the_adjacency(self):
         k = build_flag(gen_uniform(4, 1), 2, 2)
         with pytest.raises(ValueError, match="above max_dim"):
-            Complex(k.family, 2, 1, k.simplices, flag=False, complete=True)
+            from_layers(k.family, 2, 1, simplices(k), flag=False, complete=True)
         no_edges = (0,) * 4
         with pytest.raises(ValueError, match="off the adjacency"):
-            Complex(
-                k.family, 2, 2, k.simplices, flag=False, complete=True,
+            from_layers(
+                k.family, 2, 2, simplices(k), flag=False, complete=True,
                 adjacency=no_edges,
             )
         with pytest.raises(ValueError, match="not a 1-simplex"):
-            Complex(k.family, 2, 1, (((0,), (1,)), ((0, 1, 1),)), flag=False,
-                    complete=True)
+            from_layers(k.family, 2, 1, (((0,), (1,)), ((0, 1, 1),)), flag=False,
+                        complete=True)
 
 
 class TestStarAndLink:
@@ -301,15 +290,15 @@ class TestStarAndLink:
     def test_star_contains_closed_neighborhood(self):
         k = octahedron()
         st_ = star(k, 0)
-        assert (0,) in st_.simplices[0]
-        for s in st_.simplices[1]:
-            assert k.has(s)
+        assert (0,) in simplices(st_)[0]
+        for s in simplices(st_)[1]:
+            assert has(k, s)
 
     def test_star_of_isolated_vertex(self):
         k = build_flag(gen_uniform(4, 2), 0, 1)
         st_ = star(k, 2)
         assert st_.f_vector == (1, 0)
-        assert st_.simplices[0] == ((2,),)
+        assert simplices(st_)[0] == ((2,),)
 
     def test_star_of_minimum_in_small_power_family(self):
         # square on the four subsets of [2]; the empty set sees both singletons
@@ -324,8 +313,8 @@ class TestStarAndLink:
         k = build_flag(gen_uniform(4, 1), 2, 1)
         assert k.row(0b1110) == -1
         st_ = star(k, 0)
-        assert [list(layer) for layer in st_.simplices] == bf_star(k.simplices, 0)
-        assert st_.simplices[1] == ((0, 1), (0, 2), (0, 3))
+        assert [list(layer) for layer in simplices(st_)] == bf_star(simplices(k), 0)
+        assert simplices(st_)[1] == ((0, 1), (0, 2), (0, 3))
 
     def test_link_of_octahedron_vertex_is_a_circle(self):
         k = octahedron()
@@ -363,19 +352,19 @@ class TestStarAndLink:
 class TestStarCluster:
     def test_single_vertex_cluster_is_the_star(self):
         k = octahedron()
-        assert star_cluster(k, [3]).simplices == star(k, 3).simplices
+        assert simplices(star_cluster(k, [3])) == simplices(star(k, 3))
 
     def test_all_vertices_cluster_is_everything(self):
         k = build_flag(upto(4, 2), 2, 3)
         sc = star_cluster(k, range(len(k.family)))
-        assert sc.simplices == k.simplices
+        assert simplices(sc) == simplices(k)
 
     def test_cluster_can_cover_while_single_stars_do_not(self):
         k = octahedron()
         # antipodal pair: their stars jointly hit every facet
         sc = star_cluster(k, [0, 5])
-        assert len(sc.simplices[2]) == 8
-        assert len(star(k, 0).simplices[2]) == 4
+        assert len(simplices(sc)[2]) == 8
+        assert len(simplices(star(k, 0))[2]) == 4
 
     @pytest.mark.parametrize(
         "family, scale, max_dim",
@@ -401,7 +390,7 @@ class TestStarCluster:
         k = octahedron()
         sub = full_subcomplex(k, [0, 1, 2, 3])
         assert sub.flag
-        assert all(0 <= u <= 3 for s in sub.simplices[1] for u in s)
+        assert all(0 <= u <= 3 for s in simplices(sub)[1] for u in s)
 
 
 class TestSkeleton:
@@ -465,7 +454,7 @@ class TestConeAndHypothesis:
         fam = gen_prefix(2, Subset.full(2))
         k = build_flag(fam, 1, 2)
         v, w = sc_hypothesis_check(k, [0, 1, 2])
-        assert not k.has(tuple(sorted((v, w))))
+        assert not has(k, tuple(sorted((v, w))))
         common = k.adjacency[v] & k.adjacency[w]
         assert common >> 3 & 1  # the full set is the shared outside neighbor
 
@@ -509,7 +498,7 @@ class TestProperties:
     def test_build_agrees_with_bruteforce(self, fam_scale):
         fam, scale = fam_scale
         k = build_flag(fam, scale, 3)
-        assert [list(layer) for layer in k.simplices] == bf_simplices(fam, scale, 3)
+        assert [list(layer) for layer in simplices(k)] == bf_simplices(fam, scale, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -523,10 +512,10 @@ class TestProperties:
         # Every complex makes them from its candidate sets when first read
         fam, scale = fam_scale
         k = build_flag(fam, scale, max_dim)
-        assert [list(layer) for layer in k.simplices] == bf_simplices(fam, scale, max_dim)
+        assert [list(layer) for layer in simplices(k)] == bf_simplices(fam, scale, max_dim)
         for c in [k, *derived_complexes(k, random.Random(seed))]:
-            layers = [sorted(layer) for layer in c.simplices]
-            assert [list(layer) for layer in c.simplices] == layers
+            layers = [sorted(layer) for layer in simplices(c)]
+            assert [list(layer) for layer in simplices(c)] == layers
             assert len(c.cands) == c.max_dim
             for d, ends in enumerate(map(c.block_ends, range(c.max_dim))):
                 assert list(ends) == [
@@ -542,26 +531,19 @@ class TestProperties:
     def test_tree_matches_tuple_layers(self, fam_scale, max_dim, seed):
         # has() and the coboundary columns read the clique tree alone, and
         # must agree with the tuple layers on every complex: derived ones
-        # (a link's layer 0 lacks vertices), shuffled ones, and the copy
-        # relabelled v -> n-1-v that the prefix pass reduces when the
-        # relabelling does not keep the graph
+        # (a link's layer 0 lacks vertices), shuffled ones, and one
+        # relabelled v -> n-1-v from its tuple layers, which must also be
+        # the library's own relabelled copy (mirrored), the prefix pass's
         fam, scale = fam_scale
         n = len(fam)
         k = build_flag(fam, scale, max_dim)
-        relabelled = Complex(
-            fam, scale, max_dim,
-            tuple(
-                tuple(tuple(n - 1 - v for v in reversed(s)) for s in layer)
-                for layer in k.simplices
-            ),
-            flag=k.flag, complete=k.complete,
-        )
-        for c in [k, relabelled, *derived_complexes(k, random.Random(seed))]:
-            layers = c.simplices
+        for c in [k, relabelled(k), *derived_complexes(k, random.Random(seed))]:
+            layers = simplices(c)
+            assert simplices(mirrored(c)) == simplices(relabelled(c))
             stored = {s for layer in layers for s in layer}
             for size in range(1, c.max_dim + 2):
                 for s in itertools.combinations(range(n), size):
-                    assert c.has(s) == (s in stored)
+                    assert has(c, s) == (s in stored)
             for d in range(c.max_dim):
                 for j, s in enumerate(layers[d]):
                     # (delta s)(t) = (-1)^i where t[i] is the vertex s lacks
@@ -586,18 +568,9 @@ class TestProperties:
         # its ancestors' candidate sets, and no layer's block ends exist
         # until one is read, on every kind of complex
         fam, scale = fam_scale
-        n = len(fam)
         k = build_flag(fam, scale, max_dim)
         assert k._ends == [None] * max_dim
-        relabelled = Complex(
-            fam, scale, max_dim,
-            tuple(
-                tuple(tuple(n - 1 - v for v in reversed(s)) for s in layer)
-                for layer in k.simplices
-            ),
-            flag=k.flag, complete=k.complete,
-        )
-        for c in [k, relabelled, *derived_complexes(k, random.Random(seed))]:
+        for c in [k, relabelled(k), *derived_complexes(k, random.Random(seed))]:
             if c is not k:
                 assert c._ends == [None] * c.max_dim
             for d in range(c.max_dim):
@@ -605,9 +578,15 @@ class TestProperties:
                 counts = map(int.bit_count, c.cands[d])
                 assert list(ends) == list(itertools.accumulate(counts))
                 assert c.block_ends(d) is ends
-            for d, layer in enumerate(c.simplices):
+            layers = simplices(c)
+            for d, layer in enumerate(layers):
                 for j, s in enumerate(layer):
-                    assert _key(c, d, j) == sum(1 << (n - 1 - v) for v in s)
+                    # key and row are inverse maps, and a split is the
+                    # parent's index and the label
+                    assert c.key(d, j) == vertex_key(c, s)
+                    assert c.row(c.key(d, j)) == j
+                    if d:
+                        assert c.split(d, j) == (layers[d - 1].index(s[:-1]), s[-1])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -625,7 +604,7 @@ class TestProperties:
         deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
         k = build_flag(fam, scale, max_dim)
         for c in [k, *derived_complexes(k, random.Random(seed))]:
-            vertices = {s[0] for s in c.simplices[0]}
+            vertices = {s[0] for s in simplices(c)[0]}
             if c.complete:
                 expected = n
             elif not c.flag:
@@ -652,7 +631,7 @@ class TestProperties:
         v = rng.randrange(len(fam))
         st_ = star(k, v)
         for c in (k, st_):
-            layers, verts = c.simplices, c.vertex_indices
+            layers, verts = simplices(c), c.vertex_indices
             u = rng.choice(verts)
             cluster = rng.sample(verts, rng.randint(1, len(verts)))
             sub = rng.sample(verts, rng.randint(1, len(verts)))
@@ -663,7 +642,7 @@ class TestProperties:
                 (full_subcomplex(c, sub), bf_full_subcomplex(layers, sub)),
             ]
             for derived, expected in cases:
-                assert [list(layer) for layer in derived.simplices] == expected
+                assert [list(layer) for layer in simplices(derived)] == expected
                 assert derived.complete == c.complete
 
     @settings(max_examples=60, deadline=None)
@@ -681,13 +660,13 @@ class TestProperties:
         fam, scale = fam_scale
         rng = random.Random(seed)
         k = build_flag(fam, scale, max_dim)
-        layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
+        layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in simplices(k))
         for adjacency in (k.adjacency, None) if max_dim else (k.adjacency,):
-            c = Complex(
+            c = from_layers(
                 fam, scale, max_dim, layers, flag=True, complete=k.complete,
                 adjacency=adjacency,
             )
-            assert c.simplices == k.simplices
+            assert simplices(c) == simplices(k)
             assert c.adjacency == k.adjacency
             assert (c.complete_below, c.top_parents) == (k.complete_below, k.top_parents)
 

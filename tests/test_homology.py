@@ -1,5 +1,6 @@
 """Boundary columns, Z/2 reduction, and exact integer homology."""
 
+import ast
 import functools
 import gc
 import itertools
@@ -21,6 +22,7 @@ from vrlat.complexes import (
     Complex,
     build_flag,
     full_subcomplex,
+    mirrored,
     star,
 )
 from vrlat.formulas import power_betti3, upto_betti3
@@ -45,7 +47,16 @@ from oracles import (
     bf_gf2_rank,
     bf_integer_columns,
 )
-from test_complexes import derived_complexes
+from tuples import (
+    TORSION_FIXTURES,
+    derived_complexes,
+    from_layers,
+    projective_plane,
+    projective_plane_cone,
+    projective_plane_join,
+    simplices,
+    vertex_key,
+)
 
 
 def upto(m: int, n: int) -> SetFamily:
@@ -60,65 +71,6 @@ def f73_subfamily(seed: int) -> SetFamily:
 
 def octahedron():
     return build_flag(gen_uniform(4, 2), 2, 2)
-
-
-# the classical six-vertex triangulation of the real projective plane
-RP2_FACES = (
-    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
-    (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5),
-)
-
-
-def from_facets(n: int, facets) -> Complex:
-    """The complete (non-flag) complex on vertices 0..n-1 spanned by facets."""
-    top = max(len(f) for f in facets) - 1
-    layers = [set() for _ in range(top + 1)]
-    for f in facets:
-        for size in range(1, len(f) + 1):
-            layers[size - 1].update(itertools.combinations(sorted(f), size))
-    simplices = tuple(tuple(sorted(layer)) for layer in layers)
-    return Complex(gen_uniform(n, 1), 2, top, simplices, flag=False, complete=True)
-
-
-def projective_plane():
-    """RP^2 on six vertices; every pair of vertices spans an edge."""
-    return from_facets(6, RP2_FACES)
-
-
-def projective_plane_join(interleaved: bool) -> Complex:
-    """RP^2 * RP^2: by the Kunneth formula for joins, H~_3 = Z/2 (from
-    Z/2 (x) Z/2) and H~_4 = Z/2 (from Tor(Z/2, Z/2)), all else 0.  The
-    copies sit on 0..5 and 6..11, or on the even and the odd labels."""
-    first, second = (
-        (lambda v: 2 * v, lambda v: 2 * v + 1) if interleaved
-        else (lambda v: v, lambda v: v + 6)
-    )
-    return from_facets(
-        12,
-        [
-            tuple(map(first, t)) + tuple(map(second, u))
-            for t in RP2_FACES
-            for u in RP2_FACES
-        ],
-    )
-
-
-def projective_plane_cone() -> Complex:
-    """The cone over RP^2 with apex 0: contractible, so torsion-free."""
-    return from_facets(7, [(0,) + tuple(v + 1 for v in t) for t in RP2_FACES])
-
-
-# hand-built non-flag complexes, three of them with torsion
-TORSION_FIXTURES = pytest.mark.parametrize(
-    "make",
-    [
-        projective_plane,
-        projective_plane_cone,
-        lambda: projective_plane_join(False),
-        lambda: projective_plane_join(True),
-    ],
-    ids=["rp2", "cone", "join", "join-interleaved"],
-)
 
 
 def marked(pivots: bytearray) -> set[int]:
@@ -169,8 +121,9 @@ def hypercube_sample() -> SetFamily:
 class TestBoundaryMatrix:
     def test_octahedron_shapes(self):
         k = octahedron()
-        d1 = bf_integer_columns(k.simplices[0], k.simplices[1])
-        d2 = bf_integer_columns(k.simplices[1], k.simplices[2])
+        layers = simplices(k)
+        d1 = bf_integer_columns(layers[0], layers[1])
+        d2 = bf_integer_columns(layers[1], layers[2])
         assert len(d1) == 12 and len(d2) == 8
         assert {r for c in d1 for r in c} == set(range(6))
         assert {r for c in d2 for r in c} == set(range(12))
@@ -178,10 +131,10 @@ class TestBoundaryMatrix:
         assert all(sorted(c.values()) == [-1, 1, 1] for c in d2)
 
     def test_boundary_of_boundary_vanishes_over_integers(self):
-        k = build_flag(gen_uniform(5, 2), 2, 3)
+        layers = simplices(build_flag(gen_uniform(5, 2), 2, 3))
         for dim in (2, 3):
-            lower = bf_integer_columns(k.simplices[dim - 2], k.simplices[dim - 1])
-            for col in bf_integer_columns(k.simplices[dim - 1], k.simplices[dim]):
+            lower = bf_integer_columns(layers[dim - 2], layers[dim - 1])
+            for col in bf_integer_columns(layers[dim - 1], layers[dim]):
                 acc: dict[int, int] = {}
                 for face, sign in col.items():
                     for r, v in lower[face].items():
@@ -249,9 +202,9 @@ class TestBettiZ2:
     def test_shuffled_layers_match_lexicographic(self, family, scale, through):
         k = build_flag(family, scale, through + 1)
         rng = random.Random(11)
-        layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in k.simplices)
-        assert layers != k.simplices
-        shuffled = Complex(
+        layers = tuple(tuple(rng.sample(layer, len(layer))) for layer in simplices(k))
+        assert layers != simplices(k)
+        shuffled = from_layers(
             k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete
         )
         got = betti_z2(shuffled, through)
@@ -306,7 +259,7 @@ class TestPrefixBettiZ2:
 
     def test_truncated_non_flag_complex_stays_truncated(self):
         k = build_flag(gen_prefix(4, Subset.full(4)), 2, 3)
-        cut = Complex(k.family, 2, 2, k.simplices[:3], flag=False, complete=False)
+        cut = from_layers(k.family, 2, 2, simplices(k)[:3], flag=False, complete=False)
         for i, got in enumerate(prefix_betti_z2(cut, 3)):
             assert got.complete_through == 1
             assert got == betti_z2(full_subcomplex(cut, range(i + 1)), 3)
@@ -350,8 +303,9 @@ class TestPrefixBettiZ2:
         # the graph of power(4) is mirror symmetric, but keeping only the
         # triangles on vertex 0 makes the complex itself not so
         k = build_flag(gen_prefix(4, Subset.full(4)), 2, 2)
-        layers = k.simplices[:2] + (tuple(t for t in k.simplices[2] if t[0] == 0),)
-        part = Complex(k.family, 2, 2, layers, flag=False, complete=True)
+        vertices, edges, triangles = simplices(k)
+        layers = (vertices, edges, tuple(t for t in triangles if t[0] == 0))
+        part = from_layers(k.family, 2, 2, layers, flag=False, complete=True)
         assert part.adjacency == k.adjacency
         for i, got in enumerate(prefix_betti_z2(part, 2)):
             assert got == betti_z2(full_subcomplex(part, range(i + 1)), 2)
@@ -381,7 +335,7 @@ class TestPrefixBettiZ2:
         assert not k.complete
         # the same layers, not from build_flag: the constructor's expansion
         # reads the first clique birth off the same top layer
-        copy = Complex(k.family, 2, 3, k.simplices, flag=True, complete=False)
+        copy = from_layers(k.family, 2, 3, simplices(k), flag=True, complete=False)
         assert copy.complete_below == k.complete_below
         assert prefix_betti_z2(k, 3) == prefix_betti_z2(copy, 3)
 
@@ -407,7 +361,7 @@ class TestCoboundaryPivots:
     def test_vertex_coboundary_matches_naive_reduction(self, case, scale):
         fam, _ = case
         k = build_flag(fam, scale, 1)
-        edges = sorted(k.simplices[1])
+        edges = sorted(simplices(k)[1])
         for modulus in (0, 2):
             rank, torsion, pivots = hm._reduce_coboundary(k, 0, bytearray(), modulus)
             pivots = pivot_rows(k, 0, pivots)
@@ -441,7 +395,7 @@ class TestCoboundaryPivots:
         assert not hm._certified(k, 0)
         keys = record_builds(monkeypatch)
         rank, torsion, pivots = hm._reduce_coboundary(k, 0, bytearray(), modulus)
-        edges = k.simplices[1]
+        edges = simplices(k)[1]
         assert {edges[r] for r in marked(pivots)} == bf_coboundary_pivots(
             family, scale, 0, modulus
         )
@@ -464,7 +418,7 @@ class TestCoboundaryPivots:
         for modulus in (2, 0):
             for d, (rank, torsion, pivots) in coboundaries(k, modulus):
                 got = pivot_rows(k, d, pivots)
-                rows = k.simplices[d + 1]
+                rows = simplices(k)[d + 1]
                 expected = bf_coboundary_pivots(fam, scale, d, modulus)
                 assert rank == len(expected)
                 assert len(got) == k.f_vector[d + 1]
@@ -506,7 +460,7 @@ class TestCoboundaryPivots:
         # certifies the rank of delta^3 and the walk reduces every column:
         # an incomplete non-flag complex has none
         k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
-        copy = Complex(k.family, 2, 4, k.simplices, flag=False, complete=False)
+        copy = from_layers(k.family, 2, 4, simplices(k), flag=False, complete=False)
         assert copy.top_parents is None
         added_to, keys, pivots = self._top_coboundary_work(copy)
         # the list keeps every column alive, so distinct columns have
@@ -578,7 +532,7 @@ class TestCoboundaryPivots:
         k = build_flag(family, scale, through + 1)
         cleared = bytearray(k.f_vector[0])
         for d, (_, _, pivots) in coboundaries(k, modulus):
-            rows, ends = k.simplices[d + 1], k.block_ends(d)
+            rows, ends = simplices(k)[d + 1], k.block_ends(d)
             tops = {
                 rows[end - 1]
                 for j, (start, end) in enumerate(zip((0, *ends), ends))
@@ -636,17 +590,17 @@ class TestCoboundaryPivots:
         # both walks give the same ranks, torsion and pivot rows
         k = build_flag(f73_subfamily(seed), 4, 16)
         copy = Complex(
-            k.family, k.scale, k.max_dim, flag=False, complete=True,
-            adjacency=k.adjacency, tree=tree_of(k),
+            k.family, k.scale, k.max_dim, tree_of(k), flag=False, complete=True,
+            adjacency=k.adjacency,
         )
         read = []
-        key = hm._key
+        key = Complex.key
 
         def recorded(c, d, j):
             read.append(j)
             return key(c, d, j)
 
-        monkeypatch.setattr(hm, "_key", recorded)
+        monkeypatch.setattr(Complex, "key", recorded)
         walks = []
         for c in (k, copy):
             out, keyed = [], []
@@ -665,10 +619,13 @@ class TestCoboundaryPivots:
         assert rebuilt == (seed == 13)
 
 
-def tree_of(k: Complex, cands=None):
-    """k's clique tree, to build a copy of k, with other candidate sets if
-    given."""
-    return (k.vertex_mask, k.f_vector, k.cands if cands is None else cands)
+def tree_of(k: Complex, cands=None, top_parents=None):
+    """k's clique tree, to build a copy of k, with other candidate sets or
+    another top count if given."""
+    return (
+        k.vertex_mask, k.f_vector, k.cands if cands is None else cands,
+        k.complete_below, k.top_parents if top_parents is None else top_parents,
+    )
 
 
 def parents(k: Complex, d: int) -> int:
@@ -682,7 +639,7 @@ def parents(k: Complex, d: int) -> int:
         return 0
     adjacency = k.adjacency
     return sum(
-        1 for s in k.simplices[d]
+        1 for s in simplices(k)[d]
         if functools.reduce(operator.and_, (adjacency[v] for v in s)) >> (s[-1] + 1)
     )
 
@@ -794,8 +751,8 @@ class TestRankCertificate:
 
         k = build_flag(gen_uniform(6, 3), 4, 19)
         c = Complex(
-            k.family, k.scale, k.max_dim, flag=True, complete=True,
-            adjacency=k.adjacency, tree=tree_of(k, tuple(map(Cands, k.cands))),
+            k.family, k.scale, k.max_dim, tree_of(k, tuple(map(Cands, k.cands))),
+            flag=True, complete=True, adjacency=k.adjacency,
         )
         assert betti_z2(c, 9) == betti_z2(k, 9)
         assert [homology_integer(c, d) for d in range(10)] == [(0, ())] * 9 + [(1, ())]
@@ -811,11 +768,11 @@ class TestRankCertificate:
         fam = hypercube_sample()
         k = build_flag(fam, 3, 2)
         lie = Complex(
-            fam, 3, 2, flag=True, complete=False, adjacency=k.adjacency,
-            tree=tree_of(k), top_parents=k.f_vector[2] - parents(k, 1),
+            fam, 3, 2, tree_of(k, top_parents=k.f_vector[2] - parents(k, 1)),
+            flag=True, complete=False, adjacency=k.adjacency,
         )
         expected = bf_coboundary_pivots(fam, 3, 1, modulus)
-        rows = k.simplices[2]
+        rows = simplices(k)[2]
         cleared = hm._reduce_coboundary(k, 0, bytearray(), modulus)[2]
         for c, honest in ((k, True), (lie, False)):
             rank, _, pivots = hm._reduce_coboundary(c, 1, cleared, modulus)
@@ -824,7 +781,30 @@ class TestRankCertificate:
             assert ({rows[r] for r in marked(pivots)} == expected) is honest
 
 
+def private_reads(source: str) -> list[str]:
+    """The underscore names a module imports from .complexes and the
+    underscore attributes, other than dunders, it reads off any object."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "complexes"):
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if not node.attr.endswith("__"):
+                found.append(node.attr)
+    return found
+
+
 class TestTreeRoute:
+    def test_reducer_reads_the_tree_through_complex_alone(self):
+        # the tree's layout is private to complexes.py: homology.py imports
+        # no underscore name from it and reads no underscore attribute, so
+        # it walks the tree by Complex's methods (row, key, split, ...)
+        source = Path(__file__).resolve().parent.parent / "src" / "vrlat" / "homology.py"
+        assert private_reads(source.read_text()) == []
+        assert private_reads("from .complexes import Complex, _bits\nk._ends[0]") == [
+            "_bits", "_ends"
+        ]
+
     def test_settled_complexes_make_no_block_ends(self, monkeypatch):
         # build_flag makes no layer's block ends, and betti_z2 on a complex
         # whose every dimension the counts settle makes none either; the
@@ -859,13 +839,11 @@ class TestTreeRoute:
                 assert made
         assert len(settled) == 5
 
-    def test_reduction_never_builds_the_tuple_view(self, monkeypatch):
-        # the reducer and the prefix pass read the clique tree alone: the
-        # integer route, betti_z2 and _prefix_z2 build no simplex tuple
-        def refused(self):
-            raise AssertionError("the tuple view of the complex was built")
-
-        monkeypatch.setattr(Complex, "simplices", property(refused))
+    def test_reduction_never_builds_the_tuple_view(self):
+        # the reducer and the prefix pass read the clique tree alone: a
+        # Complex has no tuple view (the tests make one off the tree), so
+        # the integer route, betti_z2 and _prefix_z2 build no simplex tuple
+        assert not any(hasattr(Complex, name) for name in ("simplices", "has"))
         cases = [
             (gen_uniform(6, 3), 4, 9, True),
             (gen_prefix(5, Subset.full(5)), 2, 4, True),
@@ -883,19 +861,14 @@ class TestTreeRoute:
                 rank + even[d] + (even[d - 1] if d else 0)
                 for d, (rank, _) in enumerate(groups)
             )
+            # a graph that v -> n-1-v maps onto itself needs no copy
+            assert (mirrored(k) is k) == symmetric
             if symmetric:
-                # a graph that v -> n-1-v maps onto itself needs no copy
                 assert hm._prefix_z2(k, through)[-1][2] == betti_z2(k, through)
 
 
-def vertex_key(k: Complex, simplex) -> int:
-    """The reversed vertex mask of a simplex: bit n-1-v for each vertex v."""
-    n = len(k.adjacency)
-    return sum(1 << (n - 1 - v) for v in simplex)
-
-
 def assert_keyed_columns_are_coboundaries(k: Complex) -> None:
-    layers = k.simplices
+    layers = simplices(k)
     for d in range(k.max_dim):
         rows = layers[d + 1]
         for r, t in enumerate(rows):
@@ -903,7 +876,7 @@ def assert_keyed_columns_are_coboundaries(k: Complex) -> None:
         blocks = zip(layers[d], (0, *k.block_ends(d)), k.block_ends(d))
         for j, (s, start, end) in enumerate(blocks):
             key = vertex_key(k, s)
-            assert hm._key(k, d, j) == key
+            assert k.key(d, j) == key
             # (delta s)(t) = (-1)^i where t[i] is the vertex s lacks
             cofaces = {
                 r: (-1) ** next(i for i, v in enumerate(t) if v not in s)
@@ -944,8 +917,8 @@ class TestKeyedColumns:
         # a pivot row; a non-flag copy checks its cofaces by descent too
         k = build_flag(gen_prefix(5, Subset.full(5)), 2, 4)
         copy = Complex(
-            k.family, k.scale, k.max_dim, flag=False, complete=k.complete,
-            adjacency=k.adjacency, tree=tree_of(k),
+            k.family, k.scale, k.max_dim, tree_of(k), flag=False, complete=k.complete,
+            adjacency=k.adjacency,
         )
         found = []
         row = Complex.row
@@ -970,7 +943,7 @@ class TestKeyedColumns:
 def dense_betti_z2(k: Complex) -> list[int]:
     """Reduced Z/2 Betti numbers of a complete complex from dense ranks of
     its own boundary matrices."""
-    layers = [sorted(layer) for layer in k.simplices] + [[]]
+    layers = [sorted(layer) for layer in simplices(k)] + [[]]
     ranks = [1 if layers[0] else 0] + [
         bf_gf2_rank(bf_boundary_columns(layers[d - 1], layers[d]), len(layers[d - 1]))
         for d in range(1, k.max_dim + 2)
@@ -1082,8 +1055,9 @@ class TestIntegerHomology:
     def test_projective_plane_torsion(self):
         k = projective_plane()
         # every edge bounds exactly two of the ten triangles
-        counts = {e: 0 for e in k.simplices[1]}
-        for t in k.simplices[2]:
+        _, edges, triangles = simplices(k)
+        counts = {e: 0 for e in edges}
+        for t in triangles:
             for i in range(3):
                 counts[t[:i] + t[i + 1:]] += 1
         assert set(counts.values()) == {2}
@@ -1101,6 +1075,10 @@ class TestIntegerHomology:
 
     def test_above_top_dimension_of_complete_complex(self):
         assert homology_integer(octahedron(), 7) == (0, ())
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            homology_integer(octahedron(), -1)
 
     def test_truncated_complex_refused(self):
         k = build_flag(gen_uniform(6, 2), 2, 2)
@@ -1129,7 +1107,7 @@ class TestIntegerHomology:
         code = (
             "import sys\n"
             "sys.modules['sympy'] = None\n"
-            "from test_homology import projective_plane, projective_plane_join\n"
+            "from tuples import projective_plane, projective_plane_join\n"
             "from vrlat.homology import homology_integer, smith_diagonal\n"
             "print(homology_integer(projective_plane(), 1))\n"
             "for interleaved in (False, True):\n"
@@ -1367,7 +1345,7 @@ class TestProperties:
         def rank_and_diag(d):
             if d < 1 or d > k.max_dim or not k.f_vector[d]:
                 return 0, ()
-            columns = bf_integer_columns(k.simplices[d - 1], k.simplices[d])
+            columns = bf_integer_columns(*simplices(k)[d - 1:d + 1])
             diag = smith_diagonal(columns, d).diag
             return len(diag), diag
 
