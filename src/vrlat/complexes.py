@@ -11,7 +11,7 @@ every layer in lexicographic order with no duplicates.  build_flag expands
 the whole scale graph; stars, links, star clusters, full subcomplexes and
 the mirrored copy expand a graph and keep only the cliques a membership
 test admits.  No module outside this one reads the tree's layout: the
-reducer reaches it through Complex's methods.
+reducer takes its rows, columns and subtrees from Complex's methods.
 
 Complexes carry two bookkeeping bits.  `flag` records that the object
 represents the full clique complex of its 1-skeleton, so graph-level
@@ -26,7 +26,8 @@ from array import array
 from bisect import bisect_right
 from functools import reduce
 from itertools import accumulate, combinations
-from operator import or_
+from operator import not_, or_
+from re import Match, finditer
 
 from .setfam import SetFamily, Subset, gen_uniform
 
@@ -117,10 +118,6 @@ class Complex:
         self.top_parents = top_parents
         self._parents: dict[int, int] = {}  # W_d below the top, see parents
 
-    @property
-    def vertex_indices(self) -> tuple[int, ...]:
-        return tuple(_bits(self.vertex_mask))
-
     def block_ends(self, d: int) -> array:
         """The ends of layer d's child blocks, the running popcount of its
         candidate sets, made on first read."""
@@ -180,6 +177,89 @@ class Complex:
         ends = self._ends[d - 1] or self.block_ends(d - 1)
         p = bisect_right(ends, j)
         return p, self._label(self.cands[d - 1][p], j - (ends[p - 1] if p else 0))
+
+    def coboundary(self, key: int) -> dict[int, int]:
+        """The coboundary column of the simplex s whose key is key: coface
+        key -> sign, smallest key (largest row) first.
+
+        Of two simplices of one size, the one holding min(A ^ B) has the
+        higher bit there, so the larger key is the lexicographically
+        smaller simplex, and a column's pivot is its smallest key.  Each
+        common neighbour v of s's vertices gives the coface
+        key | 2^(n-1-v), with sign (-1)^p for the p vertices of s below v,
+        the bits of key above v's.  In a flag complex built through s's
+        cofaces every such clique is stored; otherwise a coface counts only
+        if the tree holds it (row), so stars, links and skeletons stay
+        exact.
+        """
+        adjacency, n, flag = self.adjacency, len(self.adjacency), self.flag
+        common, rest = -1, key
+        while rest:
+            top = rest.bit_length()
+            rest ^= 1 << (top - 1)
+            common &= adjacency[n - top]
+        col = {}
+        while common:
+            v = common.bit_length() - 1
+            common ^= 1 << v
+            t = key | 1 << (n - 1 - v)
+            if flag or self.row(t) >= 0:
+                col[t] = -1 if (key >> (n - v)).bit_count() & 1 else 1
+        return col
+
+    def apparent_rows(self, d: int) -> bytearray:
+        """The last row of each nonempty child block of layer d, a byte per
+        row of layer d+1: the apparent rows of delta^d.  Byte e of a buffer
+        one byte longer stands for row e - 1, the last row of a block that
+        ends at e.  An empty block ends where the one before it does and
+        marks that row again; leading empty blocks end at 0 and mark byte
+        0, which is dropped."""
+        rows = bytearray(self.f_vector[d + 1] + 1)
+        for e in self.block_ends(d):
+            rows[e] = 1
+        del rows[0]
+        return rows
+
+    def childless(self, d: int, cleared: bytearray):
+        """(j, r) for each childless d-simplex j, d < max_dim, whose byte in
+        cleared is 0, first to last: r is the row of its top coface where
+        the tree gives it, else -1.  A byte mask of the layer's empty
+        candidate sets, ANDed with cleared as integers, picks them out with
+        no Python step per simplex.
+
+        In a flag complex every coface of a childless s = p + (u,) (split)
+        inserts a vertex w < u, so if a candidate w of p is a neighbour of
+        u, the largest gives the top coface p + (w, u), the child u of the
+        sibling p + (w,): its row is the sibling's block start plus the
+        sibling's candidates below u.
+        """
+        cands = self.cands[d]
+        if sibling := self.flag and d:
+            starts, ends = self.block_ends(d - 1), self.block_ends(d)
+            above = self.cands[d - 1]
+        free = int.from_bytes(bytes(map(not_, cands)), "little")
+        free &= ~int.from_bytes(cleared, "little")
+        for j in map(Match.start, finditer(b"\1", free.to_bytes(self.f_vector[d], "little"))):
+            r = -1
+            if sibling:
+                # s = p + (u,), u a bit of p's candidates c; w + 1 = top
+                p, u = self.split(d, j)
+                c = above[p]
+                if top := (c & self.adjacency[u] & ((1 << u) - 1)).bit_length():
+                    sib = (starts[p - 1] if p else 0) + (c & ((1 << (top - 1)) - 1)).bit_count()
+                    r = (ends[sib - 1] if sib else 0) + (cands[sib] & ((1 << u) - 1)).bit_count()
+            yield j, r
+
+    def subtrees(self):
+        """Per layer 1..max_dim, bottom up, (v, start, end) for each vertex
+        v: rows start..end-1 are the simplices whose smallest vertex is v.
+        Its span in layer d+1 ends where its last d-simplex's block does."""
+        verts = list(_bits(self.vertex_mask))
+        ends = range(1, len(verts) + 1)
+        for d in range(self.max_dim):
+            block = self.block_ends(d)
+            ends = [block[e - 1] if e else 0 for e in ends]
+            yield zip(verts, [0, *ends], ends)
 
     def _label(self, cand: int, i: int) -> int:
         """Bit i of a candidate set, its bits memoized as they are read."""
@@ -335,24 +415,13 @@ def _children(cand: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return labels, cands
 
 
-def _degeneracy_order(adj: tuple[int, ...], n: int) -> list[int]:
-    """Repeatedly remove a minimum-degree vertex; ties go to the lowest index."""
-    remaining = set(range(n))
-    mask = (1 << n) - 1
-    order = []
-    for _ in range(n):
-        v = min(remaining, key=lambda x: ((adj[x] & mask).bit_count(), x))
-        order.append(v)
-        remaining.discard(v)
-        mask ^= 1 << v
-    return order
-
-
 def maximal_simplices_bk(f: SetFamily, r: int) -> list[Simplex]:
     """Facets of the scale-r complex by pivoted Bron-Kerbosch enumeration.
 
-    Deterministic: outer loop in degeneracy order, pivot ties broken by
-    index.
+    One call from the empty clique reports each maximal clique once: a
+    vertex that has been branched on moves to the excluded set, and a
+    clique with an excluded common neighbour is not maximal.  Pivot ties
+    are broken by index, and the facets are returned sorted.
     """
     n = len(f.vertices)
     if n == 0:
@@ -371,11 +440,8 @@ def maximal_simplices_bk(f: SetFamily, r: int) -> list[Simplex]:
             candidates ^= 1 << v
             excluded |= 1 << v
 
-    later = (1 << n) - 1
-    for v in _degeneracy_order(adj, n):
-        later ^= 1 << v
-        expand(1 << v, adj[v] & later, adj[v] & ~later & ~(1 << v))
-    return sorted(tuple(_bits(c)) for c in set(facets))
+    expand(0, (1 << n) - 1, 0)
+    return sorted(tuple(_bits(c)) for c in facets)
 
 
 def maximal_simplices_closed_form(m: int, n: int) -> list[Simplex]:

@@ -36,8 +36,8 @@ apparent-pair argument (Bauer, arXiv:1908.02518) read as a discrete
 Morse count (Forman, "Morse theory for cell complexes", 1998).
 
 Rows and columns are indices into the layers of the complex's clique
-tree, and a built column is keyed by its cofaces' keys; Complex
-documents the tree and its two maps between them, row and key.  A
+tree, and a built column is keyed by its cofaces' keys; only Complex
+reads the tree, and its methods give rows, keys, columns and subtrees.  A
 dimension's pivot rows are a bytearray, 1 byte per row, which the next
 dimension reads as its cleared columns.
 
@@ -69,8 +69,6 @@ is the complex itself, and the pass reduces it with no copy.
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
-from operator import not_
-from re import Match, finditer
 from weakref import WeakKeyDictionary
 
 from .complexes import Complex, mirrored
@@ -204,21 +202,17 @@ def _prefix_z2(
     top = min(through + 1, k.max_dim)
     flipped = mirrored(k)
     # births[d][i]: f_d of K_i; deaths[d][i]: rank d_d on K_i, from the
-    # pivot rows of delta^(d-1).  A simplex born at v lies in the copy's
-    # subtree of n-1-v, which ends at subtree_ends[i] in layer d + 1
+    # pivot rows of delta^(d-1).  A simplex born at i lies in the copy's
+    # subtree of its vertex n-1-i
     births = [list(accumulate(k.vertex_mask >> v & 1 for v in range(n)))]
     deaths = [[0] * n]
     reduced = _coboundaries(flipped, 2, top)
-    vertices = flipped.vertex_indices
-    subtree_ends = range(1, len(vertices) + 1)
-    for d in range(k.max_dim):
+    for d, spans in enumerate(flipped.subtrees()):
         _, _, rows = next(reduced, (0, (), b""))
         if rows is None:
-            rows = _apparent_rows(flipped, d)
-        ends = flipped.block_ends(d)
-        subtree_ends = [ends[e - 1] if e else 0 for e in subtree_ends]
+            rows = flipped.apparent_rows(d)
         born, died = [0] * n, [0] * n
-        for v, a, b in zip(vertices, [0, *subtree_ends], subtree_ends):
+        for v, a, b in spans:
             born[n - 1 - v], died[n - 1 - v] = b - a, rows.count(1, a, b)
         births.append(list(accumulate(born)))
         deaths.append(list(accumulate(died)))
@@ -317,36 +311,6 @@ def _subtract(col: dict, factor: int, other: dict, modulus: int = 0) -> None:
             del col[r]
 
 
-def _keyed_column(k: Complex, key: int) -> dict[int, int]:
-    """The raw coboundary column of the simplex s whose reversed vertex
-    mask is key: coface key -> sign, smallest key (largest row) first.
-
-    key(t) = sum of 2^(n-1-v) over t's vertices v, n = len(k.adjacency).
-    Of two simplices of one size, the one holding min(A ^ B) has the
-    higher bit there, so the larger key is the lexicographically smaller
-    simplex, and a column's pivot is its smallest key.  Each common
-    neighbour v of s's vertices gives the coface key | 2^(n-1-v), with
-    sign (-1)^p for the p vertices of s below v, the bits of key above
-    v's.  In a flag complex built through s's cofaces every such clique
-    is stored; otherwise a coface counts only if the tree holds it
-    (Complex.row), so stars, links and skeletons stay exact.
-    """
-    adjacency, n, flag = k.adjacency, len(k.adjacency), k.flag
-    common, rest = -1, key
-    while rest:
-        top = rest.bit_length()
-        rest ^= 1 << (top - 1)
-        common &= adjacency[n - top]
-    col = {}
-    while common:
-        v = common.bit_length() - 1
-        common ^= 1 << v
-        t = key | 1 << (n - 1 - v)
-        if flag or k.row(t) >= 0:
-            col[t] = -1 if (key >> (n - v)).bit_count() & 1 else 1
-    return col
-
-
 def _gcd_step(
     settled: dict[int, int], col: dict[int, int], low: int
 ) -> tuple[dict[int, int], dict[int, int]]:
@@ -383,20 +347,6 @@ def _certified(k: Complex, dim: int) -> bool:
     return above is not None and k.f_vector[dim + 1] - above == k.parents(dim)
 
 
-def _apparent_rows(k: Complex, dim: int) -> bytearray:
-    """The apparent rows of delta^dim, a byte per row: the last row of
-    each nonempty child block of layer dim.  Byte e of a buffer one byte
-    longer stands for row e - 1, the last row of a block that ends at e.
-    An empty block ends where the one before it does and marks that row
-    again; leading empty blocks end at 0 and mark byte 0, which is
-    dropped."""
-    rows = bytearray(k.f_vector[dim + 1] + 1)
-    for e in k.block_ends(dim):
-        rows[e] = 1
-    del rows[0]
-    return rows
-
-
 def _reduce_coboundary(
     k: Complex, dim: int, cleared: bytearray | None, modulus: int = 0
 ) -> tuple[int, tuple[int, ...], bytearray | None]:
@@ -407,7 +357,7 @@ def _reduce_coboundary(
     Rows and columns index the complex's own lexicographic layers dim + 1
     and dim; cleared has 1 byte per column and the pivot rows 1 per row.
     None, as cleared or as the pivot rows, stands for the apparent rows
-    of the dimension below or of this one (_apparent_rows), built only if
+    of the dimension below or of this one (Complex.apparent_rows), built only if
     they are read.  delta^0 ignores cleared and clears the last vertex,
     the augmentation's unit pivot row.
 
@@ -421,7 +371,7 @@ def _reduce_coboundary(
     pivot.  Such a column is t's byte alone, as in Ripser, and since no
     earlier column reads row t, every apparent row is marked before the
     walk.  When a later column meets its pivot t, it is rebuilt by
-    _keyed_column from key(s) = key(t) less its lowest bit, which is t's
+    Complex.coboundary from key(s) = key(t) less its lowest bit, which is t's
     largest vertex u.  On this walk nearly every column addition is
     against such a raw column, so a rebuilt one is kept for the later
     additions on its row.
@@ -435,18 +385,13 @@ def _reduce_coboundary(
     taken first (_certified).  If no row is free, the rank is W_dim, and
     every childless column reduces to zero with no torsion: nothing is
     walked, and the pivot rows are returned as None.  Otherwise the walk
-    visits only the uncleared childless columns, first to last, each
-    built at most once from its key (Complex.key), and each settles
-    unreduced if its top coface is not yet a pivot.  In a flag complex
-    that coface is read off the tree: every coface of a childless
-    s = p + (u,) (Complex.split) inserts a vertex w < u, so if a
-    candidate w of p is a neighbour of u, the largest gives the top one,
-    p + (w, u), the child u of the sibling p + (w,).  If its row is no
-    pivot, s settles there unbuilt, keyed only if a later column meets it.
-
-    Built columns are keyed by coface key (see _keyed_column), so a
-    column's low row is its smallest key, and each low key becomes its
-    row index by one descent (Complex.row), memoized for the call.
+    visits only the uncleared childless columns (Complex.childless),
+    first to last, each built at most once from its key (Complex.key)
+    and keyed by coface key (Complex.coboundary).  Where the tree gives
+    a column's top coface (in a flag complex) and that row is no pivot
+    yet, the column settles there unbuilt, keyed only if a later column
+    meets it.  Each low key becomes its row index by one descent
+    (Complex.row), memoized for the call.
 
     A column whose low entry is a multiple of the settled pivot's is
     reduced by subtraction; otherwise (over Z only) _gcd_step replaces the
@@ -476,8 +421,8 @@ def _reduce_coboundary(
     if _certified(k, dim):
         return k.parents(dim), (), None
     if cleared is None:
-        cleared = _apparent_rows(k, dim - 1)
-    pivots = _apparent_rows(k, dim)
+        cleared = k.apparent_rows(dim - 1)
+    pivots = k.apparent_rows(dim)
     # pivot row -> its column, once built: a pivot row with no entry is a
     # raw column, apparent or settled unbuilt
     reduced: dict[int, dict[int, int]] = {}
@@ -498,29 +443,18 @@ def _reduce_coboundary(
         col = reduced.get(r)
         if col is None:
             j = unbuilt.pop(r, None)
-            col = reduced[r] = _keyed_column(k, low & (low - 1) if j is None else k.key(dim, j))
+            col = reduced[r] = k.coboundary(low & (low - 1) if j is None else k.key(dim, j))
             if next(iter(col)) != low:
                 # a wrong raw pair would make the reduction run forever
                 raise RuntimeError(f"raw column filed under row {r}")
         return col
 
-    if sibling := k.flag and dim:
-        starts, ends = k.block_ends(dim - 1), k.block_ends(dim)
-    # the uncleared childless columns: a childless column has no candidate
-    free = int.from_bytes(bytes(map(not_, k.cands[dim])), "little")
-    free &= ~int.from_bytes(cleared, "little")
-    for j in map(Match.start, finditer(b"\1", free.to_bytes(k.f_vector[dim], "little"))):
-        if sibling:
-            # s = p + (u,), u a bit of p's candidates c; w + 1 = top
-            p, u = k.split(dim, j)
-            c = k.cands[dim - 1][p]
-            if top := (c & k.adjacency[u] & ((1 << u) - 1)).bit_length():
-                sib = (starts[p - 1] if p else 0) + (c & ((1 << (top - 1)) - 1)).bit_count()
-                r = (ends[sib - 1] if sib else 0) + (k.cands[dim][sib] & ((1 << u) - 1)).bit_count()
-                if not pivots[r]:
-                    pivots[r], unbuilt[r] = 1, j
-                    continue
-        col = _keyed_column(k, k.key(dim, j))
+    for j, r in k.childless(dim, cleared):
+        if r >= 0 and not pivots[r]:
+            # the top coface is no pivot yet: the column settles unbuilt
+            pivots[r], unbuilt[r] = 1, j
+            continue
+        col = k.coboundary(k.key(dim, j))
         while col:
             low = min(col)
             r = row(low)
@@ -592,14 +526,10 @@ def homology_integer(k: Complex, dim: int) -> tuple[int, tuple[int, ...]]:
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
+    if _decided(dim, k.complete, k.max_dim) < dim:
+        raise TruncatedComplex(f"dimension {dim + 1} not built (max_dim={k.max_dim})")
     if dim > k.max_dim:
-        if k.complete:
-            return (0, ())
-        raise TruncatedComplex(f"dimension {dim} not built (max_dim={k.max_dim})")
-    if dim == k.max_dim and not k.complete:
-        raise TruncatedComplex(
-            f"dimension {dim+1} boundary unavailable (max_dim={k.max_dim}, truncated)"
-        )
+        return (0, ())
     memo = _integer.get(k)
     if memo is None:
         memo = _integer[k] = [[], None]

@@ -25,7 +25,7 @@ from vrlat.complexes import (
     star,
     star_cluster,
 )
-from vrlat.homology import _keyed_column, betti_z2
+from vrlat.homology import betti_z2
 from vrlat.setfam import SetFamily, Subset, dist, gen_prefix, gen_uniform, gen_union
 
 from oracles import (
@@ -37,7 +37,15 @@ from oracles import (
     bf_star,
     bf_star_cluster,
 )
-from tuples import derived_complexes, from_layers, has, relabelled, simplices, vertex_key
+from tuples import (
+    derived_complexes,
+    from_layers,
+    has,
+    relabelled,
+    simplices,
+    vertex_indices,
+    vertex_key,
+)
 
 
 def upto(m: int, n: int) -> SetFamily:
@@ -53,7 +61,7 @@ def _column(k: Complex, d: int, j: int) -> dict[int, int]:
     """The raw coboundary column of the j-th d-simplex: row index -> sign
     of each stored coface, largest row first, its keyed column with each
     key descended to its row."""
-    return {k.row(t): v for t, v in _keyed_column(k, k.key(d, j)).items()}
+    return {k.row(t): v for t, v in k.coboundary(k.key(d, j)).items()}
 
 
 def simplex_set(k):
@@ -631,7 +639,7 @@ class TestProperties:
         v = rng.randrange(len(fam))
         st_ = star(k, v)
         for c in (k, st_):
-            layers, verts = simplices(c), c.vertex_indices
+            layers, verts = simplices(c), vertex_indices(c)
             u = rng.choice(verts)
             cluster = rng.sample(verts, rng.randint(1, len(verts)))
             sub = rng.sample(verts, rng.randint(1, len(verts)))

@@ -33,10 +33,15 @@ def vertex_key(k: Complex, simplex) -> int:
     return sum(1 << (n - 1 - v) for v in simplex)
 
 
+def vertex_indices(k: Complex) -> tuple[int, ...]:
+    """k's vertices in order, the bits of its vertex mask."""
+    return tuple(_bits(k.vertex_mask))
+
+
 def simplices(k: Complex) -> tuple[tuple[Simplex, ...], ...]:
     """k's layers as vertex-index tuples, read off the tree: a simplex's
     children are it plus each bit of its candidate set, in order."""
-    layers = [tuple((v,) for v in k.vertex_indices)]
+    layers = [tuple((v,) for v in vertex_indices(k))]
     for cands in k.cands:
         layers.append(tuple(s + (u,) for s, c in zip(layers[-1], cands) for u in _bits(c)))
     return tuple(layers)
@@ -161,6 +166,21 @@ def projective_plane_join(interleaved: bool) -> Complex:
             tuple(map(first, t)) + tuple(map(second, u))
             for t in RP2_FACES
             for u in RP2_FACES
+        ],
+    )
+
+
+def projective_plane_join_points(points: int) -> Complex:
+    """RP^2 * RP^2 * (points isolated vertices), the copies on 0..5 and
+    6..11 and the points from 12 on.  Joining with p points maps H~_d to
+    H~_(d+1) (x) Z^(p-1), so H~_4 = H~_5 = (Z/2)^(p-1), all else 0."""
+    return from_facets(
+        12 + points,
+        [
+            t + tuple(v + 6 for v in u) + (12 + p,)
+            for t in RP2_FACES
+            for u in RP2_FACES
+            for p in range(points)
         ],
     )
 
