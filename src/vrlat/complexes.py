@@ -10,8 +10,10 @@ only by higher-indexed common neighbours, which walks the tree and yields
 every layer in lexicographic order with no duplicates.  build_flag expands
 the whole scale graph; stars, links, star clusters, full subcomplexes and
 the mirrored copy expand a graph and keep only the cliques a membership
-test admits.  No module outside this one reads the tree's layout: the
-reducer takes its rows, columns and subtrees from Complex's methods.
+test admits.  Every tree carries the graph it expanded, so a Complex is
+made from what one expansion returns.  No module outside this one reads
+the tree's layout: the reducer takes its rows, columns and subtrees from
+Complex's methods.
 
 Complexes carry two bookkeeping bits.  `flag` records that the object
 represents the full clique complex of its 1-skeleton, so graph-level
@@ -34,8 +36,9 @@ from .setfam import SetFamily, Subset, gen_uniform
 # A simplex is a strictly increasing tuple of vertex indices.
 Simplex = tuple[int, ...]
 # A clique tree: the vertex bitset, the layer sizes, the candidate sets of
-# each layer below the top, complete_below and top_parents (see Complex).
-Tree = tuple[int, tuple[int, ...], tuple[list[int], ...], int, int | None]
+# each layer below the top, the graph it expands, complete_below and
+# top_parents (see Complex).
+Tree = tuple[int, tuple[int, ...], tuple[list[int], ...], tuple[int, ...], int, int | None]
 
 
 class BuildBudgetExceeded(RuntimeError):
@@ -62,8 +65,10 @@ class Complex:
     vertex_mask, the root's candidate set.  block_ends(d)[j] is the end of
     that block, the number of (d+1)-simplices t with t[:-1] <= s, made on
     first read, as are the labels of a candidate set.  No simplex tuple
-    and no layer of labels is stored.  The adjacency is the given one, or
-    else the graph of the stored edges.
+    and no layer of labels is stored.  max_dim is the top layer's
+    dimension, len(f_vector) - 1, and adjacency is the graph the tree was
+    expanded on: on the vertices of a flag complex built through dim 1 it
+    is exactly the stored edges, and otherwise it contains them.
 
     A simplex s is also its key, its reversed vertex mask: the sum of
     2^(n-1-v) over its vertices v, n = len(adjacency), so a coface is one
@@ -88,27 +93,14 @@ class Complex:
     settle the rank of a coboundary with no walk.
     """
 
-    def __init__(
-        self,
-        family: SetFamily,
-        scale: int,
-        max_dim: int,
-        tree: Tree,
-        *,
-        flag: bool,
-        complete: bool,
-        adjacency: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, family: SetFamily, scale: int, tree: Tree, *, flag: bool, complete: bool):
         self.family = family
         self.scale = scale
-        self.max_dim = max_dim
-        self.vertex_mask, self.f_vector, self.cands, below, top_parents = tree
+        self.vertex_mask, self.f_vector, self.cands, self.adjacency, below, top_parents = tree
+        self.max_dim = len(self.f_vector) - 1
         self._ends: list[array | None] = [None] * len(self.cands)  # see block_ends
         self.flag = flag
         self.complete = complete
-        if adjacency is None:
-            adjacency = _adjacency_from_edges(len(family), self.vertex_mask, self.cands)
-        self.adjacency = adjacency
         self._labels: dict[int, list[int]] = {}  # candidate set -> its bits
         if complete:
             below, top_parents = len(family), 0
@@ -287,15 +279,6 @@ def _distance_adjacency(f: SetFamily, scale: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _adjacency_from_edges(n: int, vertices: int, cands) -> tuple[int, ...]:
-    adj = [0] * n
-    for a, above in zip(_bits(vertices), cands[0] if cands else ()):
-        adj[a] |= above
-        for b in _bits(above):
-            adj[b] |= 1 << a
-    return tuple(adj)
-
-
 def _bits(x: int):
     while x:
         low = x & -x
@@ -318,10 +301,9 @@ def build_flag(
     n = len(f.vertices)
     if n == 0:
         raise ValueError("empty family")
-    adj = _distance_adjacency(f, r)
-    tree = _expand(adj, (1 << n) - 1, max_dim, None, max_simplices)
+    tree = _expand(_distance_adjacency(f, r), (1 << n) - 1, max_dim, None, max_simplices)
     # complete when no top simplex has a child: tree[-1] is top_parents
-    return Complex(f, r, max_dim, tree, flag=True, complete=not tree[-1], adjacency=adj)
+    return Complex(f, r, tree, flag=True, complete=not tree[-1])
 
 
 def _expand(
@@ -332,7 +314,7 @@ def _expand(
     max_simplices: int | None = None,
 ) -> Tree:
     """Clique tree through max_dim of the graph adj on the vertex bitset,
-    with the top layer's complete_below and top_parents.
+    with adj itself and the top layer's complete_below and top_parents.
 
     Each layer is grown from the candidate sets (the higher-indexed common
     neighbours) of the one below, and only they and its size are kept.
@@ -398,7 +380,7 @@ def _expand(
     above = reduce(or_, cands, 0)
     below = (above & -above).bit_length() - 1 if above else n
     return (
-        sum(1 << v for v in verts), tuple(sizes), tuple(tree_cands),
+        sum(1 << v for v in verts), tuple(sizes), tuple(tree_cands), adj,
         below, len(cands) - cands.count(0),
     )
 
@@ -485,15 +467,14 @@ def _vertex_mask(k: Complex, vertices) -> int:
     return mask
 
 
-def _derived(k: Complex, vertices: int, member, adjacency=None, flag=False) -> Complex:
-    """The expansion of the adjacency (by default k's graph) on the vertex
-    bitset, within k's vertices, that keeps the cliques member admits; the
-    complex's own adjacency is the given one, or else its edges' graph."""
-    tree = _expand(adjacency or k.adjacency, vertices & k.vertex_mask, k.max_dim, member)
-    return Complex(
-        k.family, k.scale, k.max_dim, tree, flag=flag, complete=k.complete,
-        adjacency=adjacency,
-    )
+def _derived(k: Complex, vertices: int, member, flag=False) -> Complex:
+    """The expansion of k's graph induced on the vertex bitset, within k's
+    vertices, that keeps the cliques member admits.  The complex carries
+    that induced graph, which may hold edges it does not store."""
+    mask = vertices & k.vertex_mask
+    adjacency = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(k.adjacency))
+    tree = _expand(adjacency, mask, k.max_dim, member)
+    return Complex(k.family, k.scale, tree, flag=flag, complete=k.complete)
 
 
 def star(k: Complex, v: int) -> Complex:
@@ -530,10 +511,8 @@ def full_subcomplex(k: Complex, vertices) -> Complex:
     of the induced graph, so the marker is inherited and the expansion of
     that graph needs no membership test.
     """
-    mask = _vertex_mask(k, vertices)
-    adjacency = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(k.adjacency))
     member = None if k.flag else (lambda key: k.row(key) >= 0)
-    return _derived(k, mask, member, adjacency, k.flag)
+    return _derived(k, _vertex_mask(k, vertices), member, k.flag)
 
 
 def skeleton(k: Complex, d: int) -> Complex:
@@ -546,8 +525,8 @@ def skeleton(k: Complex, d: int) -> Complex:
         raise ValueError(
             f"dimension {d} not built (max_dim={k.max_dim}); rebuild required"
         )
-    tree = (k.vertex_mask, k.f_vector[: d + 1], k.cands[:d], len(k.family), 0)
-    return Complex(k.family, k.scale, d, tree, flag=False, complete=True)
+    tree = (k.vertex_mask, k.f_vector[: d + 1], k.cands[:d], k.adjacency, len(k.family), 0)
+    return Complex(k.family, k.scale, tree, flag=False, complete=True)
 
 
 def mirrored(k: Complex) -> Complex:
@@ -570,10 +549,7 @@ def mirrored(k: Complex) -> Complex:
     # the copy's simplex of key t is the image of k's of key mirror(t)
     member = None if k.flag else (lambda key: k.row(mirror(key)) >= 0)
     tree = _expand(adjacency, vertices, k.max_dim, member)
-    return Complex(
-        k.family, k.scale, k.max_dim, tree, flag=k.flag, complete=k.complete,
-        adjacency=adjacency,
-    )
+    return Complex(k.family, k.scale, tree, flag=k.flag, complete=k.complete)
 
 
 def is_cone(k: Complex) -> int | None:

@@ -500,7 +500,65 @@ def small_family_and_scale(draw):
     return fam, scale
 
 
+def assert_graph_holds_edges(c: Complex) -> None:
+    """c's depth is its f-vector's, every stored edge is an edge of c's
+    graph, and a flag complex through dim >= 1 stores exactly its graph's
+    edges on its vertices."""
+    assert c.max_dim == len(c.f_vector) - 1 == len(c.cands)
+    stored = [0] * len(c.family)
+    for a, b in simplices(c)[1] if c.max_dim else ():
+        stored[a] |= 1 << b
+        stored[b] |= 1 << a
+    assert all(s & ~a == 0 for s, a in zip(stored, c.adjacency, strict=True))
+    if c.flag and c.max_dim:
+        mask = c.vertex_mask
+        assert stored == [a & mask if mask >> v & 1 else 0 for v, a in enumerate(c.adjacency)]
+
+
 class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_family_and_scale(),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_complexes_carry_their_expansion_graph(self, fam_scale, max_dim, seed):
+        # Complex reads its depth and its graph off the tree: build_flag's
+        # scale graph, a derived complex's parent graph induced on its
+        # vertices (which may hold edges it does not store), a skeleton's
+        # parent graph, and the relabelled graph of a mirrored copy
+        fam, scale = fam_scale
+        rng = random.Random(seed)
+        k = build_flag(fam, scale, max_dim)
+        made = [
+            k,
+            *derived_complexes(k, rng),
+            star_cluster(k, rng.sample(range(len(fam)), rng.randint(1, len(fam)))),
+            *(skeleton(k, d) for d in range(max_dim + 1)),
+        ]
+        for c in made + [mirrored(c) for c in made]:
+            assert_graph_holds_edges(c)
+
+    def test_verify_suite_complexes_carry_their_expansion_graph(self, monkeypatch):
+        # every complex the verify suites make, by build_flag or by the
+        # prefix pass's mirrored copy, holds the same invariants
+        import vrlat.cli as cli
+        import vrlat.complexes as cx
+
+        made = []
+
+        class Checked(Complex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                assert_graph_holds_edges(self)
+                made.append(self.flag)
+
+        monkeypatch.delenv("VRLAT_THREADS", raising=False)
+        monkeypatch.setattr(cx, "Complex", Checked)
+        report = cli.run_verify("all", 6)
+        assert all(e.status == "ok" for e in report.entries)
+        assert made and all(made)
+
     @settings(max_examples=60, deadline=None)
     @given(small_family_and_scale())
     def test_build_agrees_with_bruteforce(self, fam_scale):

@@ -22,10 +22,11 @@ from vrlat.complexes import (
     Complex,
     build_flag,
     full_subcomplex,
+    link,
     mirrored,
     star,
 )
-from vrlat.formulas import power_betti3, upto_betti3
+from vrlat.formulas import power_betti3, prefix_increment, upto_betti3
 from vrlat.homology import (
     BettiVector,
     MatrixTooLarge,
@@ -323,7 +324,7 @@ class TestPrefixBettiZ2:
 
         class Counted(Complex):
             def __init__(self, *args, **kwargs):
-                made.append(args[2])  # max_dim
+                made.append(len(args[2][1]) - 1)  # max_dim, from the f-vector
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cx, "Complex", Counted)
@@ -352,6 +353,21 @@ class TestPrefixBettiZ2:
             end += math.comb(m, n)
             assert SetFamily(m, power.vertices[: end + 1]) == upto(m, n)
             assert got[end].values == (0, 0, 0, upto_betti3(m, n))
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_prefix_links_are_wedges_of_increment_two_spheres(self, m):
+        # prefix_increment(A) counts the 2-spheres of the link of A in the
+        # scale-2 complex of the prefix ending at A: for each vertex i with
+        # |A| >= 3, the link of i in the full subcomplex K_i on vertices
+        # 0..i has reduced Betti numbers (0, 0, prefix_increment(A))
+        k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
+        checked = 0
+        for i, a in enumerate(k.family.vertices):
+            if a.size >= 3:
+                lk = link(full_subcomplex(k, range(i + 1)), i)
+                assert betti_z2(lk, 2).values == (0, 0, prefix_increment(a)), a
+                checked += 1
+        assert checked == 2**m - 1 - m - math.comb(m, 2)
 
     def test_negative_through_rejected(self):
         with pytest.raises(ValueError):
@@ -592,10 +608,7 @@ class TestCoboundaryPivots:
         # copy keys every uncleared childless column, first to last, and
         # both walks give the same ranks, torsion and pivot rows
         k = build_flag(f73_subfamily(seed), 4, 16)
-        copy = Complex(
-            k.family, k.scale, k.max_dim, tree_of(k), flag=False, complete=True,
-            adjacency=k.adjacency,
-        )
+        copy = Complex(k.family, k.scale, tree_of(k), flag=False, complete=True)
         read = []
         key = Complex.key
 
@@ -626,7 +639,7 @@ def tree_of(k: Complex, cands=None, top_parents=None):
     """k's clique tree, to build a copy of k, with other candidate sets or
     another top count if given."""
     return (
-        k.vertex_mask, k.f_vector, k.cands if cands is None else cands,
+        k.vertex_mask, k.f_vector, k.cands if cands is None else cands, k.adjacency,
         k.complete_below, k.top_parents if top_parents is None else top_parents,
     )
 
@@ -754,8 +767,7 @@ class TestRankCertificate:
 
         k = build_flag(gen_uniform(6, 3), 4, 19)
         c = Complex(
-            k.family, k.scale, k.max_dim, tree_of(k, tuple(map(Cands, k.cands))),
-            flag=True, complete=True, adjacency=k.adjacency,
+            k.family, k.scale, tree_of(k, tuple(map(Cands, k.cands))), flag=True, complete=True
         )
         assert betti_z2(c, 9) == betti_z2(k, 9)
         assert [homology_integer(c, d) for d in range(10)] == [(0, ())] * 9 + [(1, ())]
@@ -771,8 +783,8 @@ class TestRankCertificate:
         fam = hypercube_sample()
         k = build_flag(fam, 3, 2)
         lie = Complex(
-            fam, 3, 2, tree_of(k, top_parents=k.f_vector[2] - parents(k, 1)),
-            flag=True, complete=False, adjacency=k.adjacency,
+            fam, 3, tree_of(k, top_parents=k.f_vector[2] - parents(k, 1)),
+            flag=True, complete=False,
         )
         expected = bf_coboundary_pivots(fam, 3, 1, modulus)
         rows = simplices(k)[2]
@@ -930,10 +942,7 @@ class TestKeyedColumns:
         # so the only descents are of low keys, each once, and each finds
         # a pivot row; a non-flag copy checks its cofaces by descent too
         k = build_flag(gen_prefix(5, Subset.full(5)), 2, 4)
-        copy = Complex(
-            k.family, k.scale, k.max_dim, tree_of(k), flag=False, complete=k.complete,
-            adjacency=k.adjacency,
-        )
+        copy = Complex(k.family, k.scale, tree_of(k), flag=False, complete=k.complete)
         found = []
         row = Complex.row
 
@@ -1018,14 +1027,18 @@ class TestSmithDiagonal:
             raise AssertionError("elimination reached")
 
         monkeypatch.setattr(hm, "_subtract", unreachable)
-        n = hm._RESIDUAL_LIMIT + 1
+        # the guard bounds the area, rows times columns: one entry over
+        # _RESIDUAL_LIMIT ** 2 on a square, and two columns one row over
+        # half of it, though two columns need at most two pivots
         if shape == "wide":
-            cols = [{j: 2} for j in range(n)]
+            n = hm._RESIDUAL_LIMIT + 1
+            rows, cols = n, [{j: 2} for j in range(n)]
         else:
-            cols = [{r: 2 for r in range(n)}, {r: 4 - r % 2 * 2 for r in range(n)}]
+            rows = hm._RESIDUAL_LIMIT ** 2 // 2 + 1
+            cols = [{r: 2 for r in range(rows)}, {r: 4 - r % 2 * 2 for r in range(rows)}]
         with pytest.raises(MatrixTooLarge) as err:
             smith_diagonal(cols, dim=4)
-        assert max(err.value.n_rows, err.value.n_cols) == n
+        assert (err.value.n_rows, err.value.n_cols) == (rows, len(cols))
         assert err.value.limit == hm._RESIDUAL_LIMIT
 
     def test_residual_at_limit_reaches_elimination(self):
@@ -1119,15 +1132,22 @@ class TestIntegerHomology:
             (
                 # the reduction over Z meets pivots 2 that the gcd step
                 # turns into units; set aside for the Smith normal form
-                # instead, they leave a residual of 7 rows and 91 columns,
-                # more than it is guarded to
+                # instead, they leave a residual of 7 rows and 91 columns
                 functools.partial(projective_plane_join_points, 8),
                 (20, 162, 728, 1945, 3060, 2500, 800),
                 [(0, ())] * 4 + [(0, (2,) * 7)] * 2 + [(0, ())],
                 (0, 0, 0, 0, 7, 14, 7),
             ),
+            (
+                # the dimension-5 residual is 110 rows by 11 columns, under
+                # the guard's 90 x 90 area though taller than 90 rows
+                functools.partial(projective_plane_join_points, 12),
+                (24, 210, 992, 2745, 4440, 3700, 1200),
+                [(0, ())] * 4 + [(0, (2,) * 11)] * 2 + [(0, ())],
+                (0, 0, 0, 0, 11, 22, 11),
+            ),
         ],
-        ids=["False", "True", "points"],
+        ids=["False", "True", "points", "points12"],
     )
     def test_projective_plane_join_torsion(self, make, f_vector, groups, betti):
         k = make()

@@ -89,9 +89,7 @@ def from_layers(
     tree = _expand(adjacency, (1 << n) - 1, max_dim, given.__contains__)
     if sum(tree[1]) != len(given):
         raise ValueError(f"given simplices lie above max_dim={max_dim} or off the adjacency")
-    return Complex(
-        family, scale, max_dim, tree, flag=flag, complete=complete, adjacency=adjacency
-    )
+    return Complex(family, scale, tree, flag=flag, complete=complete)
 
 
 def shuffled(k: Complex, rng: random.Random) -> Complex:
