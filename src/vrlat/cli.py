@@ -250,43 +250,42 @@ def _entries(
     stamped with the task's wall time.
 
     A refused build skips every entry, any other exception makes every
-    entry an error, and computed entries are judged by _judged.
+    entry an error, and _judged settles the computed ones on their
+    fields, so each entry is constructed once, from its base and its
+    final fields.
     """
     started = time.perf_counter()
     try:
         results = [dict(status="ok", **fields) for fields in work()]
     except BuildBudgetExceeded as e:
         detail = f"simplex budget {e.budget} exceeded at dimension {e.dim_reached}"
-        results = [dict(status="skipped", detail=detail)] * len(bases)
+        results = [dict(status="skipped", detail=detail) for _ in bases]
     except Exception as e:  # per-entry errors are recorded, not raised
-        results = [dict(status="error", detail=str(e))] * len(bases)
+        results = [dict(status="error", detail=str(e)) for _ in bases]
     elapsed = int((time.perf_counter() - started) * 1000)
-    entries = [
-        replace(base, wall_time_ms=elapsed, **fields)
-        for base, fields in zip(bases, results)
-    ]
-    return [_judged(e, budget_ms) if e.status == "ok" else e for e in entries]
+    for base, fields in zip(bases, results):
+        fields["wall_time_ms"] = elapsed
+        if fields["status"] == "ok":
+            _judged(fields, base.oracle, budget_ms)
+    return [replace(base, **fields) for base, fields in zip(bases, results)]
 
 
-def _judged(entry: ReportEntry, budget_ms: int | None) -> ReportEntry:
-    """Compare a computed entry with its oracle, padded with zeros to the
-    entry's length, then skip it if its wall time broke the budget."""
-    values, oracle = entry.betti, entry.oracle
+def _judged(fields: dict, oracle: tuple[int, ...] | None, budget_ms: int | None) -> None:
+    """Settle a computed entry's fields in place: compare its Betti
+    numbers with the oracle, padded with zeros to their length, then skip
+    it if its wall time broke the budget."""
+    values = fields["betti"]
     if oracle is not None:
         if len(values) < len(oracle):
-            return replace(
-                entry, status="error", detail="complex too shallow for its oracle"
-            )
-        expected = oracle + (0,) * (len(values) - len(oracle))
-        entry = replace(entry, match=values == expected)
-    if budget_ms is not None and entry.wall_time_ms > budget_ms:
-        entry = replace(
-            entry,
+            fields.update(status="error", detail="complex too shallow for its oracle")
+            return
+        fields["match"] = values == oracle + (0,) * (len(values) - len(oracle))
+    if budget_ms is not None and fields["wall_time_ms"] > budget_ms:
+        fields.update(
             status="skipped",
-            detail=f"wall time {entry.wall_time_ms} ms exceeded budget {budget_ms} ms",
+            detail=f"wall time {fields['wall_time_ms']} ms exceeded budget {budget_ms} ms",
             match=None,
         )
-    return entry
 
 
 def _complete_through(k) -> int:

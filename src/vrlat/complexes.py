@@ -323,10 +323,12 @@ def _expand(
     neighbours of u: the cofaces s + (u,), u > max(s), form one child block
     of the next layer, in order of u.  With no membership test the
     children of a candidate set do not depend on the simplex, so each
-    distinct set is expanded once per call.  With one, a simplex is kept
+    distinct set is expanded once per call, and no label is made: a
+    candidate set stands for its children.  With one, a simplex is kept
     only if member(key) holds for its reversed vertex mask (the key
-    Complex.row reads), and a parent's candidate set becomes the bitset of
-    its kept children; the kept simplices must be closed under faces.
+    Complex.row reads), which needs the labels, read off the candidate set
+    with _bits; a parent's candidate set becomes the bitset of its kept
+    children, and the kept simplices must be closed under faces.
 
     The top layer's candidates would extend it: their lowest bit is the
     largest vertex of the first clique above max_dim (len(adj) if none),
@@ -344,8 +346,8 @@ def _expand(
     cands = [adj[v] & (vertices >> (v + 1) << (v + 1)) for v in verts]
     keys = [1 << (n - 1 - v) for v in verts] if member else []
     tree_cands: list[list[int]] = []
-    # candidate set -> the labels and candidate sets of its children
-    children: dict[int, tuple[list[int], list[int]]] = {}
+    # candidate set -> the candidate sets of its children
+    children: dict[int, list[int]] = {}
     for d in range(1, max_dim + 1):
         nxt_cands = []
         if member is None:
@@ -354,12 +356,12 @@ def _expand(
                 kids = children.get(cand)
                 if kids is None:
                     kids = children[cand] = _children(cand, adj)
-                nxt_cands += kids[1]
+                nxt_cands += kids
         else:
             kept, nxt_keys = [], []
             for key, cand in zip(keys, cands):
                 bits = 0
-                for u, c in zip(*_children(cand, adj)):
+                for u, c in zip(_bits(cand), _children(cand, adj)):
                     t = key | 1 << (n - 1 - u)
                     if member(t):
                         bits |= 1 << u
@@ -385,16 +387,18 @@ def _expand(
     )
 
 
-def _children(cand: int, adj: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Labels and candidate sets of the children of a candidate set."""
-    labels, cands = [], []
+def _children(cand: int, adj: tuple[int, ...]) -> list[int]:
+    """Candidate sets of the children of a candidate set, in label order.
+
+    The labels are the bits of cand; only a caller with a membership test
+    needs them, and it reads them with _bits.
+    """
+    cands = []
     while cand:
         low = cand & -cand
         cand ^= low
-        u = low.bit_length() - 1
-        labels.append(u)
-        cands.append(cand & adj[u])
-    return labels, cands
+        cands.append(cand & adj[low.bit_length() - 1])
+    return cands
 
 
 def maximal_simplices_bk(f: SetFamily, r: int) -> list[Simplex]:

@@ -258,11 +258,13 @@ def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
     """
     cols = [c for c in ({r: v for r, v in col.items() if v} for col in columns) if c]
     diag = []
+    guarded = False
     while cols:
         j, r = _least(cols)
         p = cols[j][r]
-        if p not in (1, -1):
+        if p not in (1, -1) and not guarded:
             # rows and columns only shrink, so only the first check can fail
+            guarded = True
             n_rows = len({s for col in cols for s in col})
             if n_rows * len(cols) > _RESIDUAL_LIMIT ** 2:
                 raise MatrixTooLarge(dim, n_rows, len(cols), _RESIDUAL_LIMIT)
@@ -276,7 +278,11 @@ def smith_diagonal(columns, dim: int = 0) -> SNFDiagonal:
         for s, v in list(pivot.items()):
             if s != r and (q := v // p):
                 for col in (pivot, *rest):
-                    _subtract(col, q * col[r], {s: 1})
+                    # col[r] is nonzero, so a zero result had an entry to drop
+                    if new := col.get(s, 0) - q * col[r]:
+                        col[s] = new
+                    else:
+                        del col[s]
         if rest or len(pivot) > 1:
             cols.append(pivot)
         else:

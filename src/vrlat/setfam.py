@@ -4,11 +4,15 @@ A subset is stored as a machine-word bit set (bit i - 1 set iff i is a
 member), which makes the symmetric-difference distance a single XOR plus
 popcount.  Families are kept sorted under the cardinality-then-lexicographic
 total order, so every vertex has a stable integer index and downstream
-complexes and reports are deterministic.
+complexes and reports are deterministic.  A family keeps its vertices'
+order keys: the generators supply them with the vertices (a combination of
+1..m is its own key's element tuple), and a union merges its parts by them,
+so no key is recomputed on the way from a spec to its family.
 """
 
+from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations, takewhile
+from itertools import combinations, repeat
 
 MAX_GROUND = 63
 
@@ -67,7 +71,12 @@ class Subset:
 
     @property
     def elements(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.m) if self.bits >> i & 1)
+        out, bits = [], self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length())
+            bits ^= low
+        return tuple(out)
 
     def contains(self, element: int) -> bool:
         return 1 <= element <= self.m and bool(self.bits >> (element - 1) & 1)
@@ -104,11 +113,17 @@ def order_cmp(a: Subset, b: Subset) -> int:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A strictly increasing (under the total order) sequence of subsets of [m]."""
+    """A strictly increasing (under the total order) sequence of subsets of [m].
+
+    The family keeps the order keys (Subset.sort_key) it checked, one per
+    vertex: a caller that has them already passes them as sort_keys, and
+    they are computed otherwise.  They are not compared or shown.
+    """
 
     m: int
     vertices: tuple[Subset, ...]
     _pos: dict = field(default=None, init=False, repr=False, compare=False)
+    _keys: list = field(default=None, init=False, repr=False, compare=False)
     # the vertices' sort keys, if the caller has computed them already
     sort_keys: InitVar[list | None] = None
 
@@ -120,6 +135,7 @@ class SetFamily:
         if any(x >= y for x, y in zip(keys, keys[1:])):
             raise ValueError("family vertices must be strictly increasing")
         object.__setattr__(self, "_pos", {v.bits: i for i, v in enumerate(self.vertices)})
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
     def from_subsets(cls, m: int, subsets) -> "SetFamily":
@@ -146,18 +162,26 @@ class SetFamily:
         return self._pos[s.bits]
 
 
-def gen_uniform(m: int, n: int) -> SetFamily:
-    """All n-element subsets of [m], sorted.
+def _layer(m: int, n: int) -> tuple[list[Subset], list[tuple]]:
+    """The n-subsets of [m] in order, with their order keys.
 
     Within one cardinality layer the total order is plain lexicographic
-    order, so the combinations iterator already emits vertices in order.
+    order, so the combinations iterator already emits vertices in order,
+    and a combination c of 1..m is the element tuple of its key (n, c).
     """
+    keys = [(n, c) for c in combinations(range(1, m + 1), n)]
+    bits = map(sum, combinations([1 << i for i in range(m)], n))
+    return list(map(Subset, bits, repeat(m))), keys
+
+
+def gen_uniform(m: int, n: int) -> SetFamily:
+    """All n-element subsets of [m], sorted."""
     if not 1 <= m <= MAX_GROUND:
         raise ValueError(f"ground-set size must be in 1..{MAX_GROUND}, got {m}")
     if not 0 <= n <= m:
         raise ValueError("empty parameter range")
-    verts = tuple(Subset.of(c, m) for c in combinations(range(1, m + 1), n))
-    return SetFamily(m, verts)
+    verts, keys = _layer(m, n)
+    return SetFamily(m, tuple(verts), keys)
 
 
 def gen_prefix(m: int, a: Subset) -> SetFamily:
@@ -165,24 +189,34 @@ def gen_prefix(m: int, a: Subset) -> SetFamily:
     if a.m != m:
         raise ValueError("ground-set mismatch")
     verts: list[Subset] = []
-    for k in range(a.size):
-        verts.extend(Subset.of(c, m) for c in combinations(range(1, m + 1), k))
-    same_layer = takewhile(
-        lambda c: c <= a.elements, combinations(range(1, m + 1), a.size)
-    )
-    verts.extend(Subset.of(c, m) for c in same_layer)
-    return SetFamily(m, tuple(verts))
+    keys: list[tuple] = []
+    for k in range(a.size + 1):
+        layer, layer_keys = _layer(m, k)
+        verts += layer
+        keys += layer_keys
+    # the layers through a's are in order, and a's own ends at a
+    cut = bisect_right(keys, a.sort_key())
+    return SetFamily(m, tuple(verts[:cut]), keys[:cut])
 
 
 def gen_union(parts) -> SetFamily:
-    """Deduplicated sorted merge of families over one ground set."""
+    """Deduplicated sorted merge of families over one ground set, by the
+    order keys the parts keep."""
     parts = list(parts)
     if not parts:
         raise ValueError("union of no families")
     m = parts[0].m
     if any(p.m != m for p in parts):
         raise ValueError("ground-set mismatch")
-    return SetFamily.from_subsets(m, (v for p in parts for v in p))
+    if len(parts) == 1:
+        return parts[0]
+    # equal keys are equal subsets; the parts are sorted runs, which the
+    # sort merges
+    by_key = {}
+    for p in parts:
+        by_key.update(zip(p._keys, p.vertices))
+    keys = sorted(by_key)
+    return SetFamily(m, tuple(map(by_key.__getitem__, keys)), keys)
 
 
 def complement_map(f: SetFamily) -> SetFamily:

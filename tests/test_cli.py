@@ -345,6 +345,18 @@ class TestRunVerify:
         assert "exceeded budget" in entry.detail
         assert entry.match is None
 
+    @pytest.mark.parametrize("suite, count", [("skip", 3), ("prefix", 8 + 16)])
+    def test_complex_too_shallow_for_its_oracle_is_an_error(self, suite, count):
+        # the skip-pair and prefix oracles name dimension 3, which a
+        # complex through dimension 2 leaves undecided
+        report = run_verify(suite, 4, max_dim=2)
+        assert len(report.entries) == count
+        for e in report.entries:
+            assert (e.status, e.match) == ("error", None)
+            assert e.detail == "complex too shallow for its oracle"
+            assert e.betti is not None and len(e.betti) < len(e.oracle) == 4
+        assert not report_clean(report)
+
     def test_parallel_run_matches_sequential(self, monkeypatch):
         # "all" sorts the entries of its power(m) passes into suite order
         for suite in ("uniform", "all"):
@@ -526,6 +538,20 @@ class TestPrefixTask:
         }
         assert all(e.betti is None and e.match is None for e in by_m[5])
         assert report_clean(report)
+
+    def test_refused_prefix_build_stamps_every_entry_alike(self, monkeypatch):
+        # each base gets its own fields on the failure path, all the same:
+        # the refusal, the task's wall time and nothing computed, and the
+        # time budget does not judge them again
+        ticks = iter(range(0, 1000, 3))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+        m, bases, _, _ = _prefix_task(4)
+        entries = cli._prefix_entries(m, bases, 1, 100)
+        assert [e.spec for e in entries] == [b.spec for b in bases]
+        assert {(e.status, e.detail, e.wall_time_ms, e.betti, e.match)
+                for e in entries} == {
+            ("skipped", "simplex budget 100 exceeded at dimension 2", 3000, None, None)
+        }
 
     def test_time_budget_applies_to_the_task_wall_time(self, monkeypatch):
         ticks = iter(range(0, 1000, 10))

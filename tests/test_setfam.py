@@ -223,6 +223,52 @@ class TestGenerators:
         assert calls
 
 
+def assert_honest_keys(fam, subsets):
+    """The family's stored order keys are its vertices' own, and it is the
+    family that from_subsets sorts out of the same subsets."""
+    assert fam._keys == [v.sort_key() for v in fam]
+    assert fam == SetFamily.from_subsets(fam.m, subsets)
+
+
+class TestGeneratorKeys:
+    # SetFamily's order check trusts the keys a generator passes, so a
+    # wrong key would let a mis-ordered family through
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_uniform(self, m):
+        for n in range(m + 1):
+            fam = gen_uniform(m, n)
+            assert_honest_keys(fam, [S(c, m) for c in combinations(range(1, m + 1), n)])
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_prefix_of_every_subset(self, m):
+        for a in all_subsets(m):
+            fam = gen_prefix(m, a)
+            below = [s for s in all_subsets(m) if s.sort_key() <= a.sort_key()]
+            assert_honest_keys(fam, below)
+
+    @pytest.mark.parametrize(
+        "make_parts",
+        [
+            lambda: (gen_prefix(5, S((2, 4), 5)), gen_uniform(5, 2)),
+            lambda: (gen_uniform(5, 3), gen_prefix(5, S((1, 3), 5)), gen_uniform(5, 1)),
+            lambda: (gen_uniform(6, 4), gen_uniform(6, 2), gen_uniform(6, 4)),
+            lambda: (gen_uniform(4, 2),),
+        ],
+        ids=["prefix-and-layer", "out-of-order", "repeated-layer", "one-part"],
+    )
+    def test_union_of_overlapping_out_of_order_parts(self, make_parts):
+        parts = make_parts()
+        fam = gen_union(parts)
+        assert_honest_keys(fam, [v for p in parts for v in p])
+        assert gen_union([fam, *parts]) == fam
+
+    def test_keys_are_neither_compared_nor_shown(self):
+        fam = gen_uniform(4, 2)
+        assert "_keys" not in repr(fam) and "sort_keys" not in repr(fam)
+        assert fam == SetFamily(4, fam.vertices)
+
+
 class TestComplementMap:
     def test_maps_layer_to_opposite_layer(self):
         image = complement_map(gen_uniform(5, 2))
