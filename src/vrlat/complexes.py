@@ -15,13 +15,13 @@ made from what one expansion returns.  No module outside this one reads
 the tree's layout: the reducer takes its rows, columns and subtrees from
 Complex's methods.
 
-Complexes carry two bookkeeping bits.  `flag` records that the object
-represents the full clique complex of its 1-skeleton, so graph-level
-certificates (cone detection, the star-cluster hypothesis check) are valid;
-derived subcomplexes such as stars, links, and skeletons drop it.
-`complete` records that no simplex exists beyond the stored dimensions,
-which is what entitles Euler-characteristic and top-dimension homology
-claims.
+Every tree carries its counts (Complex.parents), and a complex is
+complete, with no simplex beyond its stored dimensions, exactly when its
+top count is 0: that entitles Euler-characteristic and top-dimension
+homology claims.  `flag` records that a complex is the full clique
+complex of its 1-skeleton, so graph-level certificates (cone detection,
+the star-cluster hypothesis check) are valid; stars, links, star
+clusters and skeletons drop it.
 """
 
 from array import array
@@ -36,9 +36,11 @@ from .setfam import SetFamily, Subset, gen_uniform
 # A simplex is a strictly increasing tuple of vertex indices.
 Simplex = tuple[int, ...]
 # A clique tree: the vertex bitset, the layer sizes, the candidate sets of
-# each layer below the top, the graph it expands, complete_below and
-# top_parents (see Complex).
-Tree = tuple[int, tuple[int, ...], tuple[list[int], ...], tuple[int, ...], int, int | None]
+# each layer below the top, the graph it expands, complete_below and the
+# parent counts, W_0..W_(max_dim-1) and the top count (see Complex).
+Tree = tuple[
+    int, tuple[int, ...], tuple[list[int], ...], tuple[int, ...], int, tuple[int | None, ...]
+]
 
 
 class BuildBudgetExceeded(RuntimeError):
@@ -85,30 +87,23 @@ class Complex:
     complex it is the largest vertex of the first (max_dim+1)-clique of
     the graph, which the expansion reads off its top layer.
 
-    top_parents is the number of top-layer simplices that have a child in
-    the full flag complex, a common neighbour above their largest vertex.
-    It is 0 for a complete complex, the expansion's count for an
-    incomplete flag one, and None (unknown) otherwise.  parents(d) counts
-    the same below the top layer, and the coboundary reducer reads it to
-    settle the rank of a coboundary with no walk.
+    parents[d] is W_d, the number of d-simplices with a child (a nonempty
+    child block), for d < max_dim, and parents[max_dim] the top count, of
+    top simplices with a child in the full flag complex (a common
+    neighbour above their largest vertex), or None if unknown; complete
+    says it is 0.  The coboundary reducer reads them to settle a rank.
     """
 
-    def __init__(self, family: SetFamily, scale: int, tree: Tree, *, flag: bool, complete: bool):
+    def __init__(self, family: SetFamily, scale: int, tree: Tree, *, flag: bool):
         self.family = family
         self.scale = scale
-        self.vertex_mask, self.f_vector, self.cands, self.adjacency, below, top_parents = tree
-        self.max_dim = len(self.f_vector) - 1
-        self._ends: list[array | None] = [None] * len(self.cands)  # see block_ends
         self.flag = flag
-        self.complete = complete
+        (self.vertex_mask, self.f_vector, self.cands, self.adjacency,
+         self.complete_below, self.parents) = tree
+        self.max_dim = len(self.f_vector) - 1
+        self.complete = self.parents[-1] == 0
+        self._ends: list[array | None] = [None] * len(self.cands)  # see block_ends
         self._labels: dict[int, list[int]] = {}  # candidate set -> its bits
-        if complete:
-            below, top_parents = len(family), 0
-        elif not flag:
-            below, top_parents = 0, None
-        self.complete_below = below
-        self.top_parents = top_parents
-        self._parents: dict[int, int] = {}  # W_d below the top, see parents
 
     def block_ends(self, d: int) -> array:
         """The ends of layer d's child blocks, the running popcount of its
@@ -117,17 +112,6 @@ class Complex:
         if ends is None:
             ends = self._ends[d] = array("I", accumulate(map(int.bit_count, self.cands[d])))
         return ends
-
-    def parents(self, d: int) -> int | None:
-        """W_d, the number of d-simplices with a child (a nonempty child
-        block), counted once per layer; top_parents at the top layer."""
-        if d == self.max_dim:
-            return self.top_parents
-        w = self._parents.get(d)
-        if w is None:
-            cands = self.cands[d]
-            w = self._parents[d] = len(cands) - cands.count(0)
-        return w
 
     def row(self, key: int) -> int:
         """Index in its layer of the nonempty simplex whose key is key, or
@@ -292,8 +276,8 @@ def build_flag(
     """Vietoris-Rips complex of the family at scale r, through max_dim.
 
     Simplices are exactly the vertex sets of pairwise distance <= r, the
-    expansion of the scale graph with no membership test; its top counts
-    certify completeness.  Raises BuildBudgetExceeded (naming the dimension
+    expansion of the scale graph with no membership test, whose top count
+    certifies completeness.  Raises BuildBudgetExceeded (naming the dimension
     reached) if more than max_simplices would be stored.
     """
     if max_dim < 0:
@@ -302,8 +286,7 @@ def build_flag(
     if n == 0:
         raise ValueError("empty family")
     tree = _expand(_distance_adjacency(f, r), (1 << n) - 1, max_dim, None, max_simplices)
-    # complete when no top simplex has a child: tree[-1] is top_parents
-    return Complex(f, r, tree, flag=True, complete=not tree[-1])
+    return Complex(f, r, tree, flag=True)
 
 
 def _expand(
@@ -314,7 +297,7 @@ def _expand(
     max_simplices: int | None = None,
 ) -> Tree:
     """Clique tree through max_dim of the graph adj on the vertex bitset,
-    with adj itself and the top layer's complete_below and top_parents.
+    with adj itself, the top layer's complete_below and the parent counts.
 
     Each layer is grown from the candidate sets (the higher-indexed common
     neighbours) of the one below, and only they and its size are kept.
@@ -330,11 +313,11 @@ def _expand(
     with _bits; a parent's candidate set becomes the bitset of its kept
     children, and the kept simplices must be closed under faces.
 
-    The top layer's candidates would extend it: their lowest bit is the
-    largest vertex of the first clique above max_dim (len(adj) if none),
-    and the top simplices with one are the top_parents, 0 exactly when no
-    simplex lies above the top.  Raises BuildBudgetExceeded if more than
-    max_simplices would be kept.
+    W_d counts layer d's nonempty candidate sets.  The top layer's would
+    extend it: their lowest bit is the largest vertex of the first clique
+    of adj above max_dim (len(adj) if none), and the top simplices with
+    one are the top count, 0 exactly when no clique of adj lies above the
+    top.  Raises BuildBudgetExceeded if more than max_simplices are kept.
     """
     n = len(adj)
     verts = [v for v in _bits(vertices) if member is None or member(1 << (n - 1 - v))]
@@ -381,10 +364,8 @@ def _expand(
             break
     above = reduce(or_, cands, 0)
     below = (above & -above).bit_length() - 1 if above else n
-    return (
-        sum(1 << v for v in verts), tuple(sizes), tuple(tree_cands), adj,
-        below, len(cands) - cands.count(0),
-    )
+    parents = tuple(len(c) - c.count(0) for c in (*tree_cands, cands))
+    return sum(1 << v for v in verts), tuple(sizes), tuple(tree_cands), adj, below, parents
 
 
 def _children(cand: int, adj: tuple[int, ...]) -> list[int]:
@@ -471,14 +452,26 @@ def _vertex_mask(k: Complex, vertices) -> int:
     return mask
 
 
-def _derived(k: Complex, vertices: int, member, flag=False) -> Complex:
+def _derived(k: Complex, vertices: int, member) -> Complex:
     """The expansion of k's graph induced on the vertex bitset, within k's
     vertices, that keeps the cliques member admits.  The complex carries
     that induced graph, which may hold edges it does not store."""
     mask = vertices & k.vertex_mask
     adjacency = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(k.adjacency))
-    tree = _expand(adjacency, mask, k.max_dim, member)
-    return Complex(k.family, k.scale, tree, flag=flag, complete=k.complete)
+    return _expanded(k, adjacency, mask, member)
+
+
+def _expanded(k: Complex, adjacency: tuple[int, ...], vertices: int, member) -> Complex:
+    """The expansion of a graph on a vertex bitset through k.max_dim that
+    keeps the cliques member admits, a complex on k's family.  With no
+    test it is the graph's flag complex, whose top count is exact; a
+    test keeps only some cliques, so the result is complete if k is, and
+    otherwise has an unknown top count and no complete prefix."""
+    *tree, below, parents = _expand(adjacency, vertices, k.max_dim, member)
+    if member is not None:
+        below, top = (len(k.family), 0) if k.complete else (0, None)
+        parents = (*parents[:-1], top)
+    return Complex(k.family, k.scale, (*tree, below, parents), flag=member is None)
 
 
 def star(k: Complex, v: int) -> Complex:
@@ -513,10 +506,11 @@ def full_subcomplex(k: Complex, vertices) -> Complex:
 
     The full subcomplex of a flag complex is again flag, the flag complex
     of the induced graph, so the marker is inherited and the expansion of
-    that graph needs no membership test.
+    that graph needs no membership test: it is complete when no clique
+    of that graph lies above the top, even if k is not.
     """
     member = None if k.flag else (lambda key: k.row(key) >= 0)
-    return _derived(k, _vertex_mask(k, vertices), member, k.flag)
+    return _derived(k, _vertex_mask(k, vertices), member)
 
 
 def skeleton(k: Complex, d: int) -> Complex:
@@ -529,8 +523,8 @@ def skeleton(k: Complex, d: int) -> Complex:
         raise ValueError(
             f"dimension {d} not built (max_dim={k.max_dim}); rebuild required"
         )
-    tree = (k.vertex_mask, k.f_vector[: d + 1], k.cands[:d], k.adjacency, len(k.family), 0)
-    return Complex(k.family, k.scale, tree, flag=False, complete=True)
+    tree = (k.vertex_mask, k.f_vector[: d + 1], k.cands[:d], k.adjacency, len(k.family))
+    return Complex(k.family, k.scale, (*tree, (*k.parents[:d], 0)), flag=False)
 
 
 def mirrored(k: Complex) -> Complex:
@@ -540,7 +534,8 @@ def mirrored(k: Complex) -> Complex:
     themselves is mapped onto itself, simplex for simplex, and is returned
     as it is.  Otherwise the copy is the expansion of the relabelled graph
     on the relabelled vertices, which keeps only the images of k's
-    simplices unless k is flag.
+    simplices unless k is flag.  A clique too large for the top layer
+    exists in every vertex order, so a flag copy is complete when k is.
     """
     n = len(k.family)
 
@@ -552,8 +547,7 @@ def mirrored(k: Complex) -> Complex:
         return k
     # the copy's simplex of key t is the image of k's of key mirror(t)
     member = None if k.flag else (lambda key: k.row(mirror(key)) >= 0)
-    tree = _expand(adjacency, vertices, k.max_dim, member)
-    return Complex(k.family, k.scale, tree, flag=k.flag, complete=k.complete)
+    return _expanded(k, adjacency, vertices, member)
 
 
 def is_cone(k: Complex) -> int | None:

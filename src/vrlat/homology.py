@@ -26,14 +26,15 @@ childless (d+1)-simplices.  A column with a child block is an apparent
 pair with a +-1 entry in its block's last row, a childless row, and no
 two share that row, so rank delta^d >= W_d, over Z and mod 2 alike.  And
 im delta^d lies in ker delta^(d+1), of dimension at most f_(d+1) -
-W_(d+1) = Z_(d+1), so rank delta^d <= Z_(d+1); at the top layer W is
-counted in the full flag complex (Complex.top_parents).  When the free
-rows, the Z_(d+1) - W_d childless rows that are no apparent pair's
-pivot, number 0, rank delta^d = W_d, and every other column lies in the
-span of the apparent columns.  Their pivots are +-1 on distinct rows, so
-it reduces to zero over Z as well, with no torsion.  This is Ripser's
-apparent-pair argument (Bauer, arXiv:1908.02518) read as a discrete
-Morse count (Forman, "Morse theory for cell complexes", 1998).
+W_(d+1) = Z_(d+1), so rank delta^d <= Z_(d+1).  Complex.parents holds
+each W_d, the top one counted in the full flag complex, or unknown.
+When the free rows, the Z_(d+1) - W_d childless rows that are no
+apparent pair's pivot, number 0, rank delta^d = W_d, and every other
+column lies in the span of the apparent columns.  Their pivots are +-1
+on distinct rows, so it reduces to zero over Z as well, with no torsion.
+This is Ripser's apparent-pair argument (Bauer, arXiv:1908.02518) read
+as a discrete Morse count (Forman, "Morse theory for cell complexes",
+1998).
 
 Rows and columns are indices into the layers of the complex's clique
 tree, and a built column is keyed by its cofaces' keys; only Complex
@@ -166,7 +167,7 @@ def prefix_betti_z2(k: Complex, through: int) -> tuple[BettiVector, ...]:
     Entry i is betti_z2(K_i, through), where K_i holds the simplices of k
     on vertices 0..i.  K_i is complete if k is, and also, for a flag
     complex, while no (max_dim+1)-clique of k's graph lies on 0..i, that
-    is, for i < k.complete_below, which build_flag reads off the top
+    is, for i < k.complete_below, which its expansion reads off the top
     layer's candidates, so no further layer is built.
 
     The vertex filtration gives a simplex birth i at its largest vertex
@@ -352,9 +353,9 @@ def _gcd_step(
 def _certified(k: Complex, dim: int) -> bool:
     """Whether the counts prove rank delta^dim = W_dim: Z_(dim+1) - W_dim,
     the free rows, is 0 (see the module docstring).  Unknown, so False,
-    at the top layer of a complex with no top_parents."""
-    above = k.parents(dim + 1)
-    return above is not None and k.f_vector[dim + 1] - above == k.parents(dim)
+    at the top layer of a complex whose top count is None."""
+    above = k.parents[dim + 1]
+    return above is not None and k.f_vector[dim + 1] - above == k.parents[dim]
 
 
 def _reduce_coboundary(
@@ -429,7 +430,7 @@ def _reduce_coboundary(
             f"{k.f_vector[dim]} columns of delta^{dim}"
         )
     if _certified(k, dim):
-        return k.parents(dim), (), None
+        return k.parents[dim], (), None
     if cleared is None:
         cleared = k.apparent_rows(dim - 1)
     pivots = k.apparent_rows(dim)

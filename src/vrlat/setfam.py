@@ -12,7 +12,7 @@ so no key is recomputed on the way from a spec to its family.
 
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 
 MAX_GROUND = 63
 
@@ -139,12 +139,10 @@ class SetFamily:
 
     @classmethod
     def from_subsets(cls, m: int, subsets) -> "SetFamily":
-        """Deduplicate and sort arbitrary subsets into a family."""
+        """Deduplicate and sort arbitrary subsets into a family, computing
+        each distinct subset's key once."""
         unique = {s.bits: s for s in subsets}
-        # each key once, for the sort and the order check; distinct bits
-        # have distinct keys, so no two subsets are compared
-        ordered = sorted((s.sort_key(), s) for s in unique.values())
-        return cls(m, tuple(s for _, s in ordered), [key for key, _ in ordered])
+        return _keyed_family(m, ((s.sort_key(), s) for s in unique.values()))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -210,11 +208,15 @@ def gen_union(parts) -> SetFamily:
         raise ValueError("ground-set mismatch")
     if len(parts) == 1:
         return parts[0]
-    # equal keys are equal subsets; the parts are sorted runs, which the
-    # sort merges
-    by_key = {}
-    for p in parts:
-        by_key.update(zip(p._keys, p.vertices))
+    # the parts are sorted runs, which the sort merges
+    return _keyed_family(m, chain.from_iterable(zip(p._keys, p.vertices) for p in parts))
+
+
+def _keyed_family(m: int, pairs) -> SetFamily:
+    """The family of (order key, subset) pairs, deduplicated by key and
+    sorted by it: equal keys are equal subsets, so no two subsets are
+    compared, and the order check reuses the keys."""
+    by_key = dict(pairs)
     keys = sorted(by_key)
     return SetFamily(m, tuple(map(by_key.__getitem__, keys)), keys)
 

@@ -694,6 +694,7 @@ class TestProperties:
         fam, scale = fam_scale
         rng = random.Random(seed)
         k = build_flag(fam, scale, max_dim)
+        deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
         v = rng.randrange(len(fam))
         st_ = star(k, v)
         for c in (k, st_):
@@ -709,7 +710,13 @@ class TestProperties:
             ]
             for derived, expected in cases:
                 assert [list(layer) for layer in simplices(derived)] == expected
-                assert derived.complete == c.complete
+                if derived.flag:
+                    # a full subcomplex of k is the flag complex of its
+                    # vertices, complete when they span no deeper clique
+                    on = set(vertex_indices(derived))
+                    assert derived.complete == (not any(on.issuperset(t) for t in deeper))
+                else:
+                    assert derived.complete == c.complete
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -722,7 +729,7 @@ class TestProperties:
     ):
         # a flag complex made from its layers, in any order, over its graph
         # (given, or from its edges when it has them) has build_flag's
-        # complete_below and top_parents
+        # complete_below and top count
         fam, scale = fam_scale
         rng = random.Random(seed)
         k = build_flag(fam, scale, max_dim)
@@ -734,7 +741,7 @@ class TestProperties:
             )
             assert simplices(c) == simplices(k)
             assert c.adjacency == k.adjacency
-            assert (c.complete_below, c.top_parents) == (k.complete_below, k.top_parents)
+            assert (c.complete_below, c.parents[-1]) == (k.complete_below, k.parents[-1])
 
     @settings(max_examples=60, deadline=None)
     @given(small_family_and_scale())

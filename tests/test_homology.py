@@ -26,7 +26,7 @@ from vrlat.complexes import (
     mirrored,
     star,
 )
-from vrlat.formulas import power_betti3, prefix_increment, upto_betti3
+from vrlat.formulas import power_betti3, prefix_increment, skip_increment, upto_betti3
 from vrlat.homology import (
     BettiVector,
     MatrixTooLarge,
@@ -47,6 +47,7 @@ from oracles import (
     bf_components,
     bf_gf2_rank,
     bf_integer_columns,
+    bf_simplices,
 )
 from tuples import (
     TORSION_FIXTURES,
@@ -369,6 +370,19 @@ class TestPrefixBettiZ2:
                 checked += 1
         assert checked == 2**m - 1 - m - math.comb(m, 2)
 
+    @pytest.mark.parametrize("m, n", [(5, 1), (6, 2), (7, 2), (7, 3), (8, 3)])
+    def test_two_layer_links_are_wedges_of_skip_increment_two_spheres(self, m, n):
+        # skip_increment(A) counts the 2-spheres of the link of each
+        # (n+2)-set A in the scale-2 complex of F(m,n) + F(m,n+2) on the
+        # vertices up to A, the one-based gaps where prefix_increment has
+        # zero-based ones
+        fam = gen_union([gen_uniform(m, n), gen_uniform(m, n + 2)])
+        k = build_flag(fam, 2, 4)
+        for a in gen_uniform(m, n + 2):
+            i = fam.index(a)
+            lk = link(full_subcomplex(k, range(i + 1)), i)
+            assert betti_z2(lk, 2).values == (0, 0, skip_increment(a)), a
+
     def test_negative_through_rejected(self):
         with pytest.raises(ValueError):
             prefix_betti_z2(octahedron(), -1)
@@ -480,7 +494,7 @@ class TestCoboundaryPivots:
         # an incomplete non-flag complex has none
         k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
         copy = from_layers(k.family, 2, 4, simplices(k), flag=False, complete=False)
-        assert copy.top_parents is None
+        assert copy.parents[-1] is None
         added_to, keys, pivots = self._top_coboundary_work(copy)
         # the list keeps every column alive, so distinct columns have
         # distinct ids
@@ -608,7 +622,7 @@ class TestCoboundaryPivots:
         # copy keys every uncleared childless column, first to last, and
         # both walks give the same ranks, torsion and pivot rows
         k = build_flag(f73_subfamily(seed), 4, 16)
-        copy = Complex(k.family, k.scale, tree_of(k), flag=False, complete=True)
+        copy = Complex(k.family, k.scale, tree_of(k), flag=False)
         read = []
         key = Complex.key
 
@@ -635,12 +649,12 @@ class TestCoboundaryPivots:
         assert rebuilt == (seed == 13)
 
 
-def tree_of(k: Complex, cands=None, top_parents=None):
+def tree_of(k: Complex, cands=None, counts=None):
     """k's clique tree, to build a copy of k, with other candidate sets or
-    another top count if given."""
+    other parent counts if given."""
     return (
         k.vertex_mask, k.f_vector, k.cands if cands is None else cands, k.adjacency,
-        k.complete_below, k.top_parents if top_parents is None else top_parents,
+        k.complete_below, k.parents if counts is None else counts,
     )
 
 
@@ -665,7 +679,7 @@ def assert_rank_certificate(k: Complex, modulus: int) -> list[int]:
     a complete or build_flag complex, and that the lazy route, which walks
     no dimension the counts settle, and the walk that reduces every column
     agree on rank, torsion and pivot rows; return the settled dimensions."""
-    assert k.top_parents == parents(k, k.max_dim)
+    assert k.parents[-1] == parents(k, k.max_dim)
     routes, settled = [], []
     certify = hm._certified
     for lazy in (True, False):
@@ -755,9 +769,9 @@ class TestRankCertificate:
         assert assert_rank_certificate(k, modulus)
 
     def test_each_layer_is_counted_once(self):
-        # W_d is memoized on the complex, so the mod-2 route, the integer
-        # route and the prefix pass count each layer's childless simplices
-        # once between them, though each reads W_d and W_(d+1)
+        # W_d is counted by the expansion and carried in the tree, so the
+        # mod-2 route, the integer route and the prefix pass, though each
+        # reads W_d and W_(d+1), count no layer again
         counted = []
 
         class Cands(list):
@@ -766,13 +780,11 @@ class TestRankCertificate:
                 return super().count(value)
 
         k = build_flag(gen_uniform(6, 3), 4, 19)
-        c = Complex(
-            k.family, k.scale, tree_of(k, tuple(map(Cands, k.cands))), flag=True, complete=True
-        )
+        c = Complex(k.family, k.scale, tree_of(k, tuple(map(Cands, k.cands))), flag=True)
         assert betti_z2(c, 9) == betti_z2(k, 9)
         assert [homology_integer(c, d) for d in range(10)] == [(0, ())] * 9 + [(1, ())]
         assert prefix_betti_z2(c, 9) == prefix_betti_z2(k, 9)
-        assert sorted(counted) == sorted(map(id, c.cands[:10]))
+        assert counted == []
 
     @pytest.mark.parametrize("modulus", [2, 0])
     def test_false_top_count_is_rejected_by_the_naive_reduction(self, modulus):
@@ -783,8 +795,8 @@ class TestRankCertificate:
         fam = hypercube_sample()
         k = build_flag(fam, 3, 2)
         lie = Complex(
-            fam, 3, tree_of(k, top_parents=k.f_vector[2] - parents(k, 1)),
-            flag=True, complete=False,
+            fam, 3, tree_of(k, counts=(*k.parents[:-1], k.f_vector[2] - parents(k, 1))),
+            flag=True,
         )
         expected = bf_coboundary_pivots(fam, 3, 1, modulus)
         rows = simplices(k)[2]
@@ -940,9 +952,12 @@ class TestKeyedColumns:
     def test_flag_reduction_descends_only_to_pivots(self, monkeypatch, modulus):
         # in a flag complex every common neighbour gives a stored coface,
         # so the only descents are of low keys, each once, and each finds
-        # a pivot row; a non-flag copy checks its cofaces by descent too
+        # a pivot row; a non-flag copy checks its cofaces by descent too,
+        # and its top count is unknown, as for any incomplete non-flag one
         k = build_flag(gen_prefix(5, Subset.full(5)), 2, 4)
-        copy = Complex(k.family, k.scale, tree_of(k), flag=False, complete=k.complete)
+        copy = Complex(
+            k.family, k.scale, tree_of(k, counts=(*k.parents[:-1], None)), flag=False
+        )
         found = []
         row = Complex.row
 
@@ -994,6 +1009,68 @@ class TestDerivedComplexes:
                 rank + even[d] + (even[d - 1] if d else 0)
                 for d, (rank, _) in enumerate(groups)
             ] == want
+
+
+def assert_one_answer(c: Complex, deeper) -> None:
+    """betti_z2 of c and the prefix pass's last prefix, all of c, agree,
+    the pass's Euler characteristic, if it gives one, is c's, and a flag
+    c is complete exactly when its vertices span no clique of deeper, the
+    scale graph's (max_dim+2)-cliques."""
+    through = c.max_dim + 1
+    _, chi, bv = hm._prefix_z2(c, through)[-1]
+    assert betti_z2(c, through) == bv
+    if chi is not None:
+        assert euler_characteristic(c) == chi
+    if c.flag:
+        on = set(vertex_indices(c))
+        assert c.complete == (not any(on.issuperset(t) for t in deeper))
+
+
+class TestOneAnswer:
+    # completeness is read off the clique tree alone, so betti_z2, the
+    # prefix pass and the Euler characteristic cannot disagree on it
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_family(max_m=5, max_size=10),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_derived_complexes(self, case, max_dim, seed):
+        fam, scale = case
+        rng = random.Random(seed)
+        k = build_flag(fam, scale, max_dim)
+        deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
+        n = len(fam)
+        subs = [full_subcomplex(k, rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
+        for c in [k, *derived_complexes(k, rng), *subs]:
+            assert_one_answer(c, deeper)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            gen_uniform(5, 2),
+            gen_uniform(6, 3),
+            gen_prefix(4, Subset.full(4)),
+            gen_union([gen_uniform(6, 2), gen_uniform(6, 4)]),
+        ],
+        ids=["F52", "F63", "power4", "F62+F64"],
+    )
+    def test_full_subcomplexes_of_truncated_flag_complexes(self, family):
+        # every prefix and some seeded vertex sets; a full subcomplex whose
+        # vertices span no clique above the top is complete, as a fresh
+        # build on them is, though the complex it is cut from is not
+        n = len(family)
+        cliques = bf_simplices(family, 2, 5)
+        rng = random.Random(7)
+        for max_dim in range(1, 5):
+            k = build_flag(family, 2, max_dim)
+            vertex_sets = [range(i + 1) for i in range(n)]
+            vertex_sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(10)]
+            for vertices in vertex_sets:
+                sub = full_subcomplex(k, vertices)
+                assert_one_answer(sub, cliques[max_dim + 1])
+                on = SetFamily(family.m, tuple(family.vertices[v] for v in sorted(vertices)))
+                assert sub.complete == build_flag(on, 2, max_dim).complete
 
 
 class TestSmithDiagonal:

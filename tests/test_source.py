@@ -1,11 +1,17 @@
 """Checks on the package's source text."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
+from vrlat.complexes import build_flag
+from vrlat.setfam import gen_uniform
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "vrlat"
+README = SRC.parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +38,31 @@ def test_unused_imports_finds_what_is_never_read():
 def test_no_unused_import(path):
     # __init__.py imports to re-export, so it is the one module left out
     assert unused_imports(path.read_text()) == []
+
+
+def readme_references(text: str) -> list[tuple[str, str]]:
+    """(owner, name) for each backticked `Complex.x`, `k.x` and
+    `<module>.x` of the package's modules, file names such as
+    `homology.py` left out."""
+    pattern = r"`(Complex|k|setfam|complexes|homology|cli|formulas)\.(\w+)"
+    return [(owner, name) for owner, name in re.findall(pattern, text) if name != "py"]
+
+
+def test_readme_references_skip_file_names():
+    text = "`k.row(key)`, `Complex.split`, `homology.py`, `cli._entries` and `vrlat.cli`"
+    assert readme_references(text) == [("k", "row"), ("Complex", "split"), ("cli", "_entries")]
+
+
+def test_readme_names_only_what_exists():
+    # Complex.x and k.x on a built complex, <module>.x on vrlat.<module>
+    k = build_flag(gen_uniform(4, 2), 2, 2)
+    refs = readme_references(README.read_text())
+    assert refs
+    missing = [
+        f"{owner}.{name}"
+        for owner, name in refs
+        if not hasattr(
+            k if owner in ("Complex", "k") else importlib.import_module(f"vrlat.{owner}"), name
+        )
+    ]
+    assert missing == []

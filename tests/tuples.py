@@ -67,7 +67,13 @@ def from_layers(
     expansion of the adjacency (by default the graph of the given edges)
     that keeps the given simplices.  Raises ValueError unless every given
     simplex has all its facets and is a clique of the adjacency through
-    max_dim."""
+    max_dim.
+
+    A flag complex is complete when its expansion's top count is 0, no
+    clique of the adjacency lies above max_dim, and complete must say
+    so.  A non-flag one is complete as given, with the parent counts a
+    membership expansion takes from a complete or an incomplete parent
+    (complexes._expanded)."""
     n = len(family)
     given: dict[int, Simplex] = {}
     for d, layer in enumerate(layers):
@@ -86,10 +92,15 @@ def from_layers(
                 face = tuple(u for u in s if u != v)
                 raise ValueError(f"simplex {s} lacks its face {face}")
     adjacency = tuple(edges) if adjacency is None else adjacency
-    tree = _expand(adjacency, (1 << n) - 1, max_dim, given.__contains__)
+    *tree, below, parents = _expand(adjacency, (1 << n) - 1, max_dim, given.__contains__)
     if sum(tree[1]) != len(given):
         raise ValueError(f"given simplices lie above max_dim={max_dim} or off the adjacency")
-    return Complex(family, scale, tree, flag=flag, complete=complete)
+    if not flag:
+        below, top = (n, 0) if complete else (0, None)
+        parents = (*parents[:-1], top)
+    elif complete != (parents[-1] == 0):
+        raise ValueError(f"flag layers with top count {parents[-1]} are not complete={complete}")
+    return Complex(family, scale, (*tree, below, parents), flag=flag)
 
 
 def shuffled(k: Complex, rng: random.Random) -> Complex:
@@ -102,14 +113,18 @@ def shuffled(k: Complex, rng: random.Random) -> Complex:
 
 
 def relabelled(k: Complex) -> Complex:
-    """k with its vertices relabelled v -> n-1-v, made from tuple layers."""
+    """k with its vertices relabelled v -> n-1-v, made from tuple layers
+    over k's relabelled graph, which a flag complex built through dim 0
+    does not store."""
     n = len(k.family)
     layers = tuple(
         tuple(tuple(n - 1 - v for v in reversed(s)) for s in layer)
         for layer in simplices(k)
     )
+    adjacency = tuple(int(f"{a:0{n}b}"[::-1], 2) for a in reversed(k.adjacency))
     return from_layers(
-        k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete
+        k.family, k.scale, k.max_dim, layers, flag=k.flag, complete=k.complete,
+        adjacency=adjacency,
     )
 
 
