@@ -8,20 +8,20 @@ layer's labels are the bits of the candidate sets below it, in order.
 One clique expansion (_expand) builds every tree: each simplex is extended
 only by higher-indexed common neighbours, which walks the tree and yields
 every layer in lexicographic order with no duplicates.  build_flag expands
-the whole scale graph; stars, links, star clusters, full subcomplexes and
-the mirrored copy expand a graph and keep only the cliques a membership
-test admits.  Every tree carries the graph it expanded, so a Complex is
-made from what one expansion returns.  No module outside this one reads
-the tree's layout: the reducer takes its rows, columns and subtrees from
-Complex's methods.
+the whole scale graph; a full subcomplex, link or mirrored copy of a flag
+complex expands its own graph, and the rest keep only the cliques a
+membership test admits.  Every tree carries the graph it expanded, so a
+Complex is made from what one expansion returns.  No module outside this
+one reads the tree's layout: the reducer takes its rows, columns and
+subtrees from Complex's methods.
 
 Every tree carries its counts (Complex.parents), and a complex is
 complete, with no simplex beyond its stored dimensions, exactly when its
 top count is 0: that entitles Euler-characteristic and top-dimension
 homology claims.  `flag` records that a complex is the full clique
 complex of its 1-skeleton, so graph-level certificates (cone detection,
-the star-cluster hypothesis check) are valid; stars, links, star
-clusters and skeletons drop it.
+the star-cluster hypothesis check) are valid; stars, star clusters,
+skeletons and the links of non-flag complexes drop it.
 """
 
 from array import array
@@ -165,8 +165,8 @@ class Complex:
         key | 2^(n-1-v), with sign (-1)^p for the p vertices of s below v,
         the bits of key above v's.  In a flag complex built through s's
         cofaces every such clique is stored; otherwise a coface counts only
-        if the tree holds it (row), so stars, links and skeletons stay
-        exact.
+        if the tree holds it (row), so stars, skeletons and other non-flag
+        complexes stay exact.
         """
         adjacency, n, flag = self.adjacency, len(self.adjacency), self.flag
         common, rest = -1, key
@@ -452,22 +452,24 @@ def _vertex_mask(k: Complex, vertices) -> int:
     return mask
 
 
-def _derived(k: Complex, vertices: int, member) -> Complex:
-    """The expansion of k's graph induced on the vertex bitset, within k's
-    vertices, that keeps the cliques member admits.  The complex carries
-    that induced graph, which may hold edges it does not store."""
+def _derived(k: Complex, vertices: int, depth: int, member) -> Complex:
+    """The expansion through depth of k's graph induced on the vertex
+    bitset, within k's vertices, that keeps the cliques member admits.
+    The complex carries that graph, which may hold edges it does not store."""
     mask = vertices & k.vertex_mask
     adjacency = tuple(a & mask if mask >> v & 1 else 0 for v, a in enumerate(k.adjacency))
-    return _expanded(k, adjacency, mask, member)
+    return _expanded(k, adjacency, mask, depth, member)
 
 
-def _expanded(k: Complex, adjacency: tuple[int, ...], vertices: int, member) -> Complex:
-    """The expansion of a graph on a vertex bitset through k.max_dim that
+def _expanded(
+    k: Complex, adjacency: tuple[int, ...], vertices: int, depth: int, member
+) -> Complex:
+    """The expansion of a graph on a vertex bitset through depth that
     keeps the cliques member admits, a complex on k's family.  With no
     test it is the graph's flag complex, whose top count is exact; a
     test keeps only some cliques, so the result is complete if k is, and
     otherwise has an unknown top count and no complete prefix."""
-    *tree, below, parents = _expand(adjacency, vertices, k.max_dim, member)
+    *tree, below, parents = _expand(adjacency, vertices, depth, member)
     if member is not None:
         below, top = (len(k.family), 0) if k.complete else (0, None)
         parents = (*parents[:-1], top)
@@ -483,10 +485,14 @@ def star(k: Complex, v: int) -> Complex:
 
 
 def link(k: Complex, v: int) -> Complex:
-    """Simplices of the star of v that avoid v."""
+    """Simplices of the star of v that avoid v, through k.max_dim - 1, as
+    a link simplex s needs s + (v,) stored (through 0 if k stops there).
+    In a flag complex built through dim 1 or more it is the flag complex
+    of v's neighbours, flag too, expanded with no membership test."""
     _vertex_mask(k, (v,))
     vkey = 1 << (len(k.adjacency) - 1 - v)
-    return _derived(k, k.adjacency[v], lambda key: k.row(key | vkey) >= 0)
+    member = None if k.flag and k.max_dim else (lambda key: k.row(key | vkey) >= 0)
+    return _derived(k, k.adjacency[v], max(k.max_dim - 1, 0), member)
 
 
 def star_cluster(k: Complex, l_vertices) -> Complex:
@@ -498,7 +504,7 @@ def star_cluster(k: Complex, l_vertices) -> Complex:
     mask = _vertex_mask(k, l_vertices)
     around = reduce(or_, (k.adjacency[v] for v in _bits(mask)), mask)
     vkeys = [1 << (len(k.adjacency) - 1 - v) for v in _bits(mask)]
-    return _derived(k, around, lambda key: any(k.row(key | b) >= 0 for b in vkeys))
+    return _derived(k, around, k.max_dim, lambda key: any(k.row(key | b) >= 0 for b in vkeys))
 
 
 def full_subcomplex(k: Complex, vertices) -> Complex:
@@ -510,7 +516,7 @@ def full_subcomplex(k: Complex, vertices) -> Complex:
     of that graph lies above the top, even if k is not.
     """
     member = None if k.flag else (lambda key: k.row(key) >= 0)
-    return _derived(k, _vertex_mask(k, vertices), member)
+    return _derived(k, _vertex_mask(k, vertices), k.max_dim, member)
 
 
 def skeleton(k: Complex, d: int) -> Complex:
@@ -547,7 +553,7 @@ def mirrored(k: Complex) -> Complex:
         return k
     # the copy's simplex of key t is the image of k's of key mirror(t)
     member = None if k.flag else (lambda key: k.row(mirror(key)) >= 0)
-    return _expanded(k, adjacency, vertices, member)
+    return _expanded(k, adjacency, vertices, k.max_dim, member)
 
 
 def is_cone(k: Complex) -> int | None:

@@ -327,13 +327,13 @@ class TestStarAndLink:
     def test_link_of_octahedron_vertex_is_a_circle(self):
         k = octahedron()
         lk = link(k, 0)
-        assert lk.f_vector == (4, 4, 0)
+        assert lk.f_vector == (4, 4)
         assert betti_z2(lk, 1).values == (0, 1)
 
     def test_link_of_isolated_vertex_is_empty(self):
         k = build_flag(gen_uniform(4, 2), 0, 1)
         lk = link(k, 0)
-        assert lk.f_vector == (0, 0)
+        assert lk.f_vector == (0,)
 
     def test_link_of_top_prefix_vertex_is_a_sphere(self):
         # adding {1,2,3} to its strict down-set cones off an octahedron
@@ -351,9 +351,12 @@ class TestStarAndLink:
             link(k, -1)
 
     def test_subcomplexes_drop_flag_marker(self):
+        # a link of a flag complex is the flag complex of the neighbours;
+        # a link of a star is not
         k = octahedron()
         assert not star(k, 0).flag
-        assert not link(k, 0).flag
+        assert link(k, 0).flag
+        assert not link(star(k, 0), 1).flag
         assert not star_cluster(k, [0, 1]).flag
 
 
@@ -667,9 +670,10 @@ class TestProperties:
         # incomplete non-flag complex claims no complete prefix
         fam, scale = fam_scale
         n = len(fam)
-        deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
+        cliques = bf_simplices(fam, scale, max_dim + 1)
         k = build_flag(fam, scale, max_dim)
         for c in [k, *derived_complexes(k, random.Random(seed))]:
+            deeper = cliques[c.max_dim + 1]
             vertices = {s[0] for s in simplices(c)[0]}
             if c.complete:
                 expected = n
@@ -694,7 +698,7 @@ class TestProperties:
         fam, scale = fam_scale
         rng = random.Random(seed)
         k = build_flag(fam, scale, max_dim)
-        deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
+        cliques = bf_simplices(fam, scale, max_dim + 1)
         v = rng.randrange(len(fam))
         st_ = star(k, v)
         for c in (k, st_):
@@ -702,21 +706,67 @@ class TestProperties:
             u = rng.choice(verts)
             cluster = rng.sample(verts, rng.randint(1, len(verts)))
             sub = rng.sample(verts, rng.randint(1, len(verts)))
+            # a link stops one dimension below c, whose top layer it
+            # cannot reach
+            lk, lk_layers = link(c, u), bf_link(layers, u)
+            assert not any(lk_layers[lk.max_dim + 1:])
             cases = [
                 (star(c, u), bf_star(layers, u)),
-                (link(c, u), bf_link(layers, u)),
+                (lk, lk_layers[: lk.max_dim + 1]),
                 (star_cluster(c, cluster), bf_star_cluster(layers, cluster)),
                 (full_subcomplex(c, sub), bf_full_subcomplex(layers, sub)),
             ]
             for derived, expected in cases:
                 assert [list(layer) for layer in simplices(derived)] == expected
                 if derived.flag:
-                    # a full subcomplex of k is the flag complex of its
-                    # vertices, complete when they span no deeper clique
+                    # a full subcomplex or link of k is the flag complex of
+                    # its vertices, complete when they span no deeper clique
                     on = set(vertex_indices(derived))
+                    deeper = cliques[derived.max_dim + 1]
                     assert derived.complete == (not any(on.issuperset(t) for t in deeper))
                 else:
                     assert derived.complete == c.complete
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_family_and_scale(), st.integers(min_value=1, max_value=4))
+    def test_links_claim_nothing_their_full_links_contradict(self, fam_scale, max_dim):
+        # a link simplex s needs s + (v,) stored, so the link of v in a flag
+        # complex is the flag complex of v's neighbours one dimension down,
+        # built with no membership test, and every Betti number it decides
+        # is the one of v's link in the complete complex; a link of a star
+        # (not flag) and of a complex through dim 0 keep the parent's
+        # completeness
+        fam, scale = fam_scale
+        n = len(fam)
+        k = build_flag(fam, scale, max_dim)
+        full = build_flag(fam, scale, n - 1)
+        below = build_flag(fam, scale, max_dim - 1)
+        flat = build_flag(fam, scale, 0)
+        calls = []
+        row = Complex.row
+
+        def counted(self, key):
+            calls.append(key)
+            return row(self, key)
+
+        for v in range(n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Complex, "row", counted)
+                lk = link(k, v)
+            assert calls == []
+            got = betti_z2(lk, max_dim).values
+            assert betti_z2(link(full, v), max_dim).values[: len(got)] == got
+            want = full_subcomplex(below, [u for u in range(n) if k.adjacency[v] >> u & 1])
+            assert simplices(lk) == simplices(want)
+            assert (lk.parents, lk.complete, lk.complete_below) == (
+                want.parents, want.complete, want.complete_below
+            )
+            assert lk.adjacency == want.adjacency
+            assert lk.flag and want.flag
+            st_lk, flat_lk = link(star(k, v), v), link(flat, v)
+            assert (st_lk.flag, st_lk.complete) == (False, k.complete)
+            assert (flat_lk.flag, flat_lk.f_vector) == (False, (0,))
+            assert flat_lk.complete == flat.complete
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -355,20 +355,26 @@ class TestPrefixBettiZ2:
             assert SetFamily(m, power.vertices[: end + 1]) == upto(m, n)
             assert got[end].values == (0, 0, 0, upto_betti3(m, n))
 
-    @pytest.mark.parametrize("m", range(3, 7))
+    @pytest.mark.parametrize("m", range(3, 8))
     def test_prefix_links_are_wedges_of_increment_two_spheres(self, m):
         # prefix_increment(A) counts the 2-spheres of the link of A in the
         # scale-2 complex of the prefix ending at A: for each vertex i with
         # |A| >= 3, the link of i in the full subcomplex K_i on vertices
-        # 0..i has reduced Betti numbers (0, 0, prefix_increment(A))
+        # 0..i is a flag complex with reduced Betti numbers
+        # (0, 0, prefix_increment(A)), and the 2-spheres of all the links
+        # are the 3-spheres of power(m)
         k = build_flag(gen_prefix(m, Subset.full(m)), 2, 4)
-        checked = 0
+        checked = spheres = 0
         for i, a in enumerate(k.family.vertices):
             if a.size >= 3:
                 lk = link(full_subcomplex(k, range(i + 1)), i)
-                assert betti_z2(lk, 2).values == (0, 0, prefix_increment(a)), a
+                b = betti_z2(lk, 2).values
+                assert lk.flag
+                assert b == (0, 0, prefix_increment(a)), a
                 checked += 1
+                spheres += b[2]
         assert checked == 2**m - 1 - m - math.comb(m, 2)
+        assert spheres == power_betti3(m)
 
     @pytest.mark.parametrize("m, n", [(5, 1), (6, 2), (7, 2), (7, 3), (8, 3)])
     def test_two_layer_links_are_wedges_of_skip_increment_two_spheres(self, m, n):
@@ -936,8 +942,8 @@ class TestKeyedColumns:
     @settings(max_examples=60, deadline=None)
     @given(small_family(max_size=8), st.integers(min_value=0, max_value=2**32))
     def test_keyed_columns_match_naive_coboundaries(self, case, seed):
-        # flag complexes (build_flag, a full subcomplex, a shuffled copy)
-        # take every common neighbour; stars, links and skeletons keep only
+        # flag complexes (build_flag, a link, a full subcomplex, a shuffled
+        # copy) take every common neighbour; stars and skeletons keep only
         # the cofaces the tree holds
         fam, scale = case
         k = build_flag(fam, scale, len(fam) - 1)
@@ -1011,11 +1017,11 @@ class TestDerivedComplexes:
             ] == want
 
 
-def assert_one_answer(c: Complex, deeper) -> None:
+def assert_one_answer(c: Complex, cliques) -> None:
     """betti_z2 of c and the prefix pass's last prefix, all of c, agree,
     the pass's Euler characteristic, if it gives one, is c's, and a flag
-    c is complete exactly when its vertices span no clique of deeper, the
-    scale graph's (max_dim+2)-cliques."""
+    c is complete exactly when its vertices span no clique of
+    cliques[c.max_dim + 1], the scale graph's (c.max_dim+2)-cliques."""
     through = c.max_dim + 1
     _, chi, bv = hm._prefix_z2(c, through)[-1]
     assert betti_z2(c, through) == bv
@@ -1023,6 +1029,7 @@ def assert_one_answer(c: Complex, deeper) -> None:
         assert euler_characteristic(c) == chi
     if c.flag:
         on = set(vertex_indices(c))
+        deeper = cliques[c.max_dim + 1]
         assert c.complete == (not any(on.issuperset(t) for t in deeper))
 
 
@@ -1039,11 +1046,11 @@ class TestOneAnswer:
         fam, scale = case
         rng = random.Random(seed)
         k = build_flag(fam, scale, max_dim)
-        deeper = bf_simplices(fam, scale, max_dim + 1)[max_dim + 1]
+        cliques = bf_simplices(fam, scale, max_dim + 1)
         n = len(fam)
         subs = [full_subcomplex(k, rng.sample(range(n), rng.randint(1, n))) for _ in range(3)]
         for c in [k, *derived_complexes(k, rng), *subs]:
-            assert_one_answer(c, deeper)
+            assert_one_answer(c, cliques)
 
     @pytest.mark.parametrize(
         "family",
@@ -1068,7 +1075,7 @@ class TestOneAnswer:
             vertex_sets += [rng.sample(range(n), rng.randint(1, n)) for _ in range(10)]
             for vertices in vertex_sets:
                 sub = full_subcomplex(k, vertices)
-                assert_one_answer(sub, cliques[max_dim + 1])
+                assert_one_answer(sub, cliques)
                 on = SetFamily(family.m, tuple(family.vertices[v] for v in sorted(vertices)))
                 assert sub.complete == build_flag(on, 2, max_dim).complete
 

@@ -40,6 +40,42 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+# the clique tree's layout, which only complexes.py reads: Complex's
+# candidate sets and its memos of block ends and labels
+TREE_LAYOUT = {"cands", "_ends", "_labels", "_label"}
+
+
+def tree_layout_reads(source: str) -> list[str]:
+    """The names by which a module reaches into the clique tree: each
+    attribute of TREE_LAYOUT it reads off any object, and each
+    _-prefixed name it imports from the complexes module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in TREE_LAYOUT:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.rpartition(".")[2] == "complexes":
+                found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_tree_layout_reads_finds_attributes_and_private_imports():
+    source = (
+        "from .complexes import Complex, _bits\nfrom .setfam import _x\n"
+        "def f(k): return k.cands[0], k._label(1, 0), k.row(3), k.candidates"
+    )
+    assert sorted(tree_layout_reads(source)) == ["_bits", "_label", "cands"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "complexes.py"), ids=lambda p: p.name
+)
+def test_only_complexes_reads_the_tree_layout(path):
+    # the reducer and the CLI take rows, columns and subtrees from
+    # Complex's methods, so the tree's layout can change in one module
+    assert tree_layout_reads(path.read_text()) == []
+
+
 def readme_references(text: str) -> list[tuple[str, str]]:
     """(owner, name) for each backticked `Complex.x`, `k.x` and
     `<module>.x` of the package's modules, file names such as
